@@ -2,28 +2,41 @@
 
 Packs codewords into numpy uint64 limbs (32 two-bit Z4 lanes or 64 binary
 lanes per limb) and walks the full mixed-radix enumeration in blocks.  The
-block order matches linalg.enumerate_codewords exactly: the word at sweep
-index t is the t-th enumerated codeword.  Min-weight and weight-histogram
-reductions are associative, so results are identical for any worker count.
+Z4 sweep packs linalg's enumeration basis, so the word at sweep index t is
+the t-th enumerated codeword.  Min-weight and weight-histogram reductions
+are associative, so results are identical for any worker count.
+
+Each worker reuses its own block and kernel buffers from block to block:
+fresh per-block arrays cost page faults that varied with the allocator's
+state from call to call.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .errors import ZeroCodeError
+from .linalg import check_budget, mixed_radix_basis
+
 U64 = np.uint64
-LANES_PER_LIMB = 32  # Z4 lanes
 _LO = U64(0x5555555555555555)
 _ONE = U64(1)
 
 DEFAULT_BLOCK_LOG2 = 18
 
 
-def pack_z4_rows(rows, n):
-    """(k, limbs) uint64 array; lane i of a row sits in limb i//32, bits 2(i%32)+0,1."""
-    limbs = max(1, -(-n // LANES_PER_LIMB))
+def pack_rows(rows, n, lane_bits):
+    """(k, limbs) uint64 array of length-n words with lane_bits bits per lane.
+
+    Lane i of a row sits in limb (i * lane_bits) // 64, at bit offset
+    (i * lane_bits) % 64.
+    """
+    limbs = max(1, -(-n * lane_bits // 64))
     out = np.zeros((len(rows), limbs), dtype=U64)
     for r, w in enumerate(rows):
         p = w._packed
@@ -32,39 +45,50 @@ def pack_z4_rows(rows, n):
     return out
 
 
-def pack_bit_rows(rows, n):
-    """(k, limbs) uint64 array; bit i of a row sits in limb i//64, bit i%64."""
-    limbs = max(1, -(-n // 64))
-    out = np.zeros((len(rows), limbs), dtype=U64)
-    for r, w in enumerate(rows):
-        p = w._packed
-        for l in range(limbs):
-            out[r, l] = (p >> (64 * l)) & 0xFFFFFFFFFFFFFFFF
+def _buffer(scratch, name, shape, dtype):
+    """scratch[name], allocated only on first use or a new shape or dtype."""
+    buf = scratch.get(name)
+    if buf is None or buf.shape != shape or buf.dtype != dtype:
+        buf = scratch[name] = np.empty(shape, dtype=dtype)
+    return buf
+
+
+def z4_add(a, b, out=None):
+    """Lane-parallel addition mod 4 (carries never leave their lane).
+
+    out, if given, must not share memory with a or b.
+    """
+    out = np.bitwise_and(a, b, out=out)
+    out &= _LO
+    out <<= _ONE
+    out ^= a
+    out ^= b
     return out
 
 
-def z4_add(a, b):
-    """Lane-parallel addition mod 4 (carries never leave their lane)."""
-    return (a ^ b) ^ (((a & b) & _LO) << _ONE)
+def lee_weights(words, out=None, scratch=None):
+    """(N,) Lee weights of an (N, limbs) packed Z4 array.
+
+    scratch, a dict, keeps the intermediates for the next call.
+    """
+    s = {} if scratch is None else scratch
+    hi = np.right_shift(words, _ONE, out=_buffer(s, "lee.hi", words.shape, U64))
+    hi &= _LO
+    w = np.bitwise_count(hi, out=_buffer(s, "lee.w", words.shape, np.uint8))
+    hi ^= words
+    hi &= _LO  # hi ^ lo
+    w += np.bitwise_count(hi, out=_buffer(s, "lee.w2", words.shape, np.uint8))
+    return w.sum(axis=1, dtype=np.int64, out=out)
 
 
-def z4_double(a):
-    return (a & _LO) << _ONE
+def xor_add(a, b, out=None):
+    return np.bitwise_xor(a, b, out=out)
 
 
-def lee_weights(words):
-    """(N,) Lee weights of an (N, limbs) packed Z4 array."""
-    hi = (words >> _ONE) & _LO
-    w = np.bitwise_count(hi) + np.bitwise_count(hi ^ (words & _LO))
-    return w.sum(axis=1, dtype=np.int64)
-
-
-def xor_add(a, b):
-    return a ^ b
-
-
-def bit_weights(words):
-    return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+def bit_weights(words, out=None, scratch=None):
+    s = {} if scratch is None else scratch
+    w = np.bitwise_count(words, out=_buffer(s, "bit.w", words.shape, np.uint8))
+    return w.sum(axis=1, dtype=np.int64, out=out)
 
 
 class Sweep:
@@ -79,15 +103,19 @@ class Sweep:
         table = np.zeros((1 << self.low_bits, limbs), dtype=U64)
         for j in range(self.low_bits):
             half = 1 << j
-            table[half : 2 * half] = combine(table[:half], basis[j][None, :])
+            combine(table[:half], basis[j][None, :], out=table[half : 2 * half])
         self._low_table = table
         self._high_basis = basis[self.low_bits :]
 
     def block_size(self) -> int:
         return 1 << self.low_bits
 
-    def block(self, h):
-        """Packed words for sweep indices [h * block_size, (h+1) * block_size)."""
+    def block(self, h, out=None):
+        """Packed words for sweep indices [h * block_size, (h+1) * block_size).
+
+        out, if given, receives them (unless the sweep is a single block,
+        whose words are returned as they are).
+        """
         if not len(self._high_basis):
             return self._low_table
         offset = np.zeros((1, self._low_table.shape[1]), dtype=U64)
@@ -97,29 +125,43 @@ class Sweep:
                 offset = self.combine(offset, self._high_basis[j][None, :])
             h >>= 1
             j += 1
-        return self.combine(self._low_table, offset)
+        return self.combine(self._low_table, offset, out=out)
 
 
-def _run_blocks(sweep, job, workers, stop_check=None):
-    """Apply job(h, words) to every block, committing results in block order.
+def _run_blocks(sweep, weights, job, workers, stop_check=None):
+    """Apply job(h, weights of block h) to every block, committing results in
+    block order.
 
     Returns the list of per-block results (prefix only, if stop_check cuts
     the sweep short).  Worker count never changes the committed sequence.
+    Threads beyond the CPU count only add overhead, so workers is clamped to
+    it.
     """
+    workers = min(workers, os.cpu_count() or 1)
+    shape = sweep._low_table.shape
+
+    def run(h, scratch):
+        words = sweep.block(h, out=_buffer(scratch, "words", shape, U64))
+        return job(h, weights(words, _buffer(scratch, "w", shape[:1], np.int64), scratch))
+
     results = []
     if workers <= 1 or sweep.block_count == 1:
+        scratch = {}
         for h in range(sweep.block_count):
-            r = job(h, sweep.block(h))
+            r = run(h, scratch)
             results.append(r)
             if stop_check is not None and stop_check(r):
                 break
         return results
+    scratches = defaultdict(dict)  # per pool thread
     window = 4 * workers
     with ThreadPoolExecutor(max_workers=workers) as pool:
         stopped = False
         for start in range(0, sweep.block_count, window):
             hs = range(start, min(start + window, sweep.block_count))
-            futures = [pool.submit(lambda h=h: job(h, sweep.block(h))) for h in hs]
+            futures = [
+                pool.submit(lambda h=h: run(h, scratches[threading.get_ident()])) for h in hs
+            ]
             for f in futures:
                 r = f.result()
                 if stopped:
@@ -150,8 +192,7 @@ def min_weight_sweep(
     sweep = Sweep(basis, k, combine, block_log2)
     size = sweep.block_size()
 
-    def job(h, words):
-        w = weights(words)
+    def job(h, w):
         if h == 0 and skip_zero:
             if len(w) == 1:
                 return None
@@ -169,7 +210,7 @@ def min_weight_sweep(
             best = r
         return stop_at is not None and best is not None and best[0] <= stop_at
 
-    _run_blocks(sweep, job, workers, stop_check)
+    _run_blocks(sweep, weights, job, workers, stop_check)
     return best
 
 
@@ -179,11 +220,11 @@ def weight_histogram(
     """Exact counts of words by weight, as an int64 array of length max_weight+1."""
     sweep = Sweep(basis, k, combine, block_log2)
 
-    def job(h, words):
-        return np.bincount(weights(words), minlength=max_weight + 1)
+    def job(h, w):
+        return np.bincount(w, minlength=max_weight + 1)
 
     total = np.zeros(max_weight + 1, dtype=np.int64)
-    for counts in _run_blocks(sweep, job, workers):
+    for counts in _run_blocks(sweep, weights, job, workers):
         total += counts
     return total
 
@@ -195,24 +236,31 @@ def collect_words(basis, k, combine, block_log2=DEFAULT_BLOCK_LOG2):
 
 
 def z4_basis_from_standard_form(sf):
-    """Packed per-index-bit contributions matching linalg's enumeration order."""
-    rows = pack_z4_rows(sf.rows, sf.n)
-    basis = np.zeros((sf.log2_size, rows.shape[1]), dtype=U64)
-    p = 0
-    for j in range(sf.k2 - 1, -1, -1):
-        basis[p] = rows[sf.k1 + j]
-        p += 1
-    for i in range(sf.k1 - 1, -1, -1):
-        basis[p] = rows[i]
-        basis[p + 1] = z4_double(rows[i])
-        p += 2
-    return basis
+    """Packed per-index-bit contributions of linalg's enumeration order."""
+    return pack_rows(mixed_radix_basis(sf), sf.n, 2)
+
+
+def z4_sweep_basis(sf, budget):
+    """(packed basis, k) for sweeping the 2^k words of sf, within the budget."""
+    k = sf.log2_size
+    check_budget(k, budget)
+    return z4_basis_from_standard_form(sf), k
+
+
+def min_lee_weight_sweep(sf, budget, workers=1, stop_at=None):
+    """(minimum nonzero Lee weight, sweep index of its first word) of sf's code.
+
+    stop_at is a trusted lower bound, as in min_weight_sweep.
+    """
+    basis, k = z4_sweep_basis(sf, budget)
+    if k == 0:
+        raise ZeroCodeError("the zero code has no nonzero codeword")
+    return min_weight_sweep(basis, k, z4_add, lee_weights, workers=workers, stop_at=stop_at)
 
 
 def xor_basis_from_rows(rows, n):
     """Packed basis for a binary code sweep: index bit j toggles rows[-1-j]."""
-    packed = pack_bit_rows(rows, n)
-    return packed[::-1].copy()
+    return pack_rows(rows, n, 1)[::-1].copy()
 
 
 _GATHER_MASKS = [

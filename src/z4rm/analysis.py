@@ -17,8 +17,8 @@ import numpy as np
 from . import _engine
 from .codes import CodeParams, RMOrder, Z4Code, check_order, lrm, qrm_log2_size, theorem1_params
 from .errors import CapacityError, ZeroCodeError
-from .linalg import DEFAULT_BUDGET, GeneratorMatrix, _mixed_radix_basis
-from .z4core import Z4Word, add, alpha, gray, _spread_bits
+from .linalg import DEFAULT_BUDGET, GeneratorMatrix, check_budget, codeword_at
+from .z4core import BitWord, Z4Word, alpha, gray, _spread_bits
 
 __all__ = [
     "WeightDistribution",
@@ -107,32 +107,16 @@ class VerificationReport:
         return out
 
     @property
+    def status(self) -> str:
+        """pass, fail (a computed field disagrees with the claim) or skipped
+        (the distance sweep was over budget)."""
+        if self.failures:
+            return "fail"
+        return "skipped" if self.skipped else "pass"
+
+    @property
     def passed(self) -> bool:
-        return not self.failures and not self.skipped
-
-
-def _sweep_setup(c: Z4Code, budget: int):
-    sf = c.standard_form
-    k = sf.log2_size
-    if k > budget:
-        raise CapacityError(
-            f"code has 2^{k} words but the budget allows 2^{budget}",
-            required=k,
-            configured=budget,
-        )
-    return sf, k, _engine.z4_basis_from_standard_form(sf)
-
-
-def _word_at_index(sf, t: int) -> Z4Word:
-    basis = _mixed_radix_basis(sf)
-    w = Z4Word.zero(sf.n)
-    b = 0
-    while t:
-        if t & 1:
-            w = add(w, basis[b])
-        t >>= 1
-        b += 1
-    return w
+        return self.status == "pass"
 
 
 def min_lee_weight_witness(
@@ -147,19 +131,9 @@ def min_lee_weight_witness(
     whose running minimum reaches it.  Without stop_at the sweep is
     exhaustive.
     """
-    sf, k, basis = _sweep_setup(c, budget)
-    if k == 0:
-        raise ZeroCodeError("the zero code has no nonzero codeword")
-    best = _engine.min_weight_sweep(
-        basis,
-        k,
-        _engine.z4_add,
-        _engine.lee_weights,
-        workers=workers,
-        skip_zero=True,
-        stop_at=stop_at,
-    )
-    return best[0], _word_at_index(sf, best[1])
+    sf = c.standard_form
+    d, t = _engine.min_lee_weight_sweep(sf, budget, workers=workers, stop_at=stop_at)
+    return d, codeword_at(sf, t)
 
 
 def min_lee_weight(c: Z4Code, budget: int = DEFAULT_BUDGET, workers: int = 1) -> int:
@@ -171,7 +145,7 @@ def lee_weight_distribution(
     c: Z4Code, budget: int = DEFAULT_BUDGET, workers: int = 1
 ) -> WeightDistribution:
     """Exact codeword counts by Lee weight."""
-    sf, k, basis = _sweep_setup(c, budget)
+    basis, k = _engine.z4_sweep_basis(c.standard_form, budget)
     hist = _engine.weight_histogram(
         basis, k, _engine.z4_add, _engine.lee_weights, max_weight=2 * c.n, workers=workers
     )
@@ -189,18 +163,19 @@ def image_is_linear(c: Z4Code) -> bool:
 
     Uses the identity gray(u) ^ gray(v) = gray(u + v + 2*alpha(u)*alpha(v)):
     the image is linear iff every generator pair's correction word lies in
-    the code.  The identity is validated against the brute-force oracle in
-    the test suite.
+    the code.  The correction word is symmetric in u and v, so unordered
+    pairs, each row with itself included, suffice.  The identity is
+    validated against the brute-force oracle in the test suite.
     """
     rows = c.standard_form.rows
     return all(
         c.contains(_even_product_word(u, v))
-        for u, v in itertools.product(rows, repeat=2)
+        for u, v in itertools.combinations_with_replacement(rows, 2)
     )
 
 
 def _collect_images(c: Z4Code, budget: int):
-    sf, k, basis = _sweep_setup(c, min(budget, MATERIALIZE_BUDGET))
+    basis, k = _engine.z4_sweep_basis(c.standard_form, min(budget, MATERIALIZE_BUDGET))
     if c.n > 32:
         raise CapacityError(
             f"bulk Gray mapping supports length <= 32, code has {c.n}",
@@ -213,12 +188,6 @@ def _collect_images(c: Z4Code, budget: int):
 
 def image_is_linear_bruteforce(c: Z4Code, budget: int = BRUTE_ORACLE_BUDGET) -> bool:
     """Oracle: enumerate all Gray images and test XOR closure pair by pair."""
-    if c.log2_size > budget:
-        raise CapacityError(
-            f"oracle needs 2^{c.log2_size} images but the budget allows 2^{budget}",
-            required=c.log2_size,
-            configured=budget,
-        )
     images = _collect_images(c, budget)
     table = np.sort(images)
     last = len(table) - 1
@@ -347,33 +316,13 @@ def binary_code_params(
     k = len(basis_ints)
     if k == 0:
         raise ZeroCodeError("the zero code has no nonzero codeword")
-    if k > budget:
-        raise CapacityError(
-            f"code has 2^{k} words but the budget allows 2^{budget}",
-            required=k,
-            configured=budget,
-        )
-    from .z4core import BitWord
-
+    check_budget(k, budget)
     bit_rows = [BitWord._raw(n, p) for p in basis_ints]
     basis = _engine.xor_basis_from_rows(bit_rows, n)
     best = _engine.min_weight_sweep(
         basis, k, _engine.xor_add, _engine.bit_weights, workers=workers, skip_zero=True
     )
     return CodeParams(n=n, k=k, d=best[0], binary=True)
-
-
-def _lee_weights_1d(arr):
-    hi = (arr >> _engine._ONE) & _engine._LO
-    return np.bitwise_count(hi) + np.bitwise_count(hi ^ (arr & _engine._LO))
-
-
-def _scale_1d(arr, c):
-    if c == 1:
-        return arr
-    if c == 2:
-        return _engine.z4_double(arr)
-    return _engine.z4_add(arr, _engine.z4_double(arr))
 
 
 def search_nonlinear_base(
@@ -419,7 +368,8 @@ def search_nonlinear_base(
 
 
 def _row_candidates(n, k1, k2, pos, is_top):
-    """Packed candidate rows for one pivot position, in frozen order."""
+    """Packed candidate rows for one pivot position, in frozen order, as an
+    (N, 1) single-limb array."""
     free = range(k1 + k2, n)
     out = []
     if is_top:
@@ -440,7 +390,7 @@ def _row_candidates(n, k1, k2, pos, is_top):
             for col, s in zip(free, free_part):
                 p |= s << (2 * col)
             out.append(p)
-    return np.array(out, dtype=np.uint64)
+    return np.array(out, dtype=np.uint64)[:, None]
 
 
 def _search_shape(n, k1, k2, d, results, stop_after):
@@ -450,19 +400,19 @@ def _search_shape(n, k1, k2, d, results, stop_after):
     cand = [
         _row_candidates(n, k1, k2, pos, kind == "top") for kind, pos in plan
     ]
-    span0 = np.zeros(1, dtype=np.uint64)
+    span0 = np.zeros((1, 1), dtype=np.uint64)
 
     def extend(span, row, order):
         parts = [span]
-        for c in range(1, order):
-            parts.append(_engine.z4_add(_scale_1d(np.full_like(span, row), c), span))
+        for _ in range(1, order):
+            parts.append(_engine.z4_add(parts[-1], row))
         return np.concatenate(parts)
 
     def dfs(depth, span, chosen):
         if stop_after is not None and len(results) >= stop_after:
             return
         if depth == len(plan):
-            w = _lee_weights_1d(span[1:])
+            w = _engine.lee_weights(span[1:])
             if int(w.min()) != d:
                 return
             rows = [Z4Word._raw(n, int(p)) for _, p in sorted(chosen)]
@@ -477,12 +427,13 @@ def _search_shape(n, k1, k2, d, results, stop_after):
         order = 4 if kind == "top" else 2
         rows = cand[depth]
         ok = np.ones(len(rows), dtype=bool)
-        for c in range(1, order):
-            scaled = _scale_1d(rows, c)
+        scaled = np.zeros_like(rows)
+        for _ in range(1, order):
+            scaled = _engine.z4_add(scaled, rows)
             for w in span:
-                ok &= _lee_weights_1d(_engine.z4_add(scaled, w)) >= d
+                ok &= _engine.lee_weights(_engine.z4_add(scaled, w)) >= d
         for row in rows[ok]:
             key = (0, pos) if kind == "top" else (1, pos)
-            dfs(depth + 1, extend(span, row, order), chosen + [(key, int(row))])
+            dfs(depth + 1, extend(span, row, order), chosen + [(key, int(row[0]))])
 
     dfs(0, span0, [])

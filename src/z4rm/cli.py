@@ -2,7 +2,8 @@
 
 Exit codes: 0 pass, 1 claim failure or absence, 2 usage error, 3 budget
 exceeded.  The default enumeration budget is 28 (log2 of codeword count),
-overridable by the Z4RM_BUDGET environment variable and the --budget flag.
+overridable by the Z4RM_BUDGET environment variable and the --budget flag;
+a budget outside 0..MAX_BUDGET or a worker count below 1 is a usage error.
 """
 
 from __future__ import annotations
@@ -10,8 +11,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 
 from .analysis import (
+    BRUTE_ORACLE_BUDGET,
     image_is_linear,
     image_is_linear_bruteforce,
     lee_weight_distribution,
@@ -23,25 +26,45 @@ from .analysis import (
 from .codes import CodeParams, Z4Code, lrm, rm_binary
 from .errors import CapacityError, CodeFileError, DimensionError, OverrideError, ZeroCodeError
 from .fileformat import parse_code, render_code
-from .linalg import enumerate_codewords
+from .linalg import DEFAULT_BUDGET, enumerate_codewords
 from .reports import nonequivalence_line, report_lines, verify_all_line
 from .z4core import BitWord, Z4Word, gray, gray_inverse
 
 ENV_BUDGET = "Z4RM_BUDGET"
-
-
-def _default_budget() -> int:
-    raw = os.environ.get(ENV_BUDGET)
-    if raw is None:
-        return 28
-    try:
-        return int(raw)
-    except ValueError:
-        raise CodeFileError(f"{ENV_BUDGET} must be an integer, got {raw!r}")
+# A direct sweep of 2^40 words takes about three hours at the measured
+# ~10^8 words/s, so a larger budget could only admit runs that never finish.
+MAX_BUDGET = 40
 
 
 class _UsageError(Exception):
     pass
+
+
+def _resolve_budget(flag: int | None) -> int:
+    """--budget if given, else Z4RM_BUDGET, else the default."""
+    if flag is not None:
+        source, raw = "--budget", flag
+    else:
+        source, raw = ENV_BUDGET, os.environ.get(ENV_BUDGET)
+    if raw is None:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        raise _UsageError(f"{source} must be an integer, got {raw!r}")
+    if not 0 <= budget <= MAX_BUDGET:
+        raise _UsageError(f"{source} must be between 0 and {MAX_BUDGET}, got {budget}")
+    return budget
+
+
+def _worker_count(text: str) -> int:
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
+    return workers
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,10 +84,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="log2 of the largest enumerable codeword count")
 
     def workers_arg(sp):
-        sp.add_argument("--workers", type=int, default=1,
+        sp.add_argument("--workers", type=_worker_count, default=1,
                         help="parallel sweep workers (result is identical for any count)")
 
     sp = sub.add_parser("build", help="construct LRM(r,m) and write its code file")
+    sp.set_defaults(func=_cmd_build)
     order_args(sp)
     sp.add_argument("--override", action="append", default=[], metavar="NODE=FILE",
                     help="replace recursion node r,m by the code in FILE")
@@ -72,6 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     budget_arg(sp)
 
     sp = sub.add_parser("verify", help="check LRM(r,m) against its claimed parameters")
+    sp.set_defaults(func=_cmd_verify)
     order_args(sp)
     budget_arg(sp)
     workers_arg(sp)
@@ -80,49 +105,59 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--override", action="append", default=[], metavar="NODE=FILE")
 
     sp = sub.add_parser("verify-all", help="verify every order with m <= M")
+    sp.set_defaults(func=_cmd_verify_all)
     sp.add_argument("M", type=int)
     budget_arg(sp)
     workers_arg(sp)
 
-    for name, help_text in (
-        ("gray", "map a code file or word list through the Gray isometry"),
-        ("ungray", "map binary words back through the inverse Gray map"),
+    for name, func, help_text in (
+        ("gray", _cmd_gray, "map a code file or word list through the Gray isometry"),
+        ("ungray", _cmd_ungray, "map binary words back through the inverse Gray map"),
     ):
         sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(func=func)
         sp.add_argument("file")
 
     sp = sub.add_parser("mindist", help="minimum Lee distance by full enumeration")
+    sp.set_defaults(func=_cmd_mindist)
     sp.add_argument("file")
     budget_arg(sp)
     workers_arg(sp)
 
     sp = sub.add_parser("wdist", help="Lee weight distribution by full enumeration")
+    sp.set_defaults(func=_cmd_wdist)
     sp.add_argument("file")
     budget_arg(sp)
     workers_arg(sp)
 
     sp = sub.add_parser("member", help="test whether WORD lies in the code")
+    sp.set_defaults(func=_cmd_member)
     sp.add_argument("file")
     sp.add_argument("word")
 
     sp = sub.add_parser("image-linear", help="is the Gray image closed under XOR?")
+    sp.set_defaults(func=_cmd_image_linear)
     sp.add_argument("file")
     sp.add_argument("--brute", action="store_true",
                     help="use the exhaustive pairwise oracle instead of the generator test")
     budget_arg(sp)
 
     sp = sub.add_parser("enumerate", help="list every codeword in the frozen order")
+    sp.set_defaults(func=_cmd_enumerate)
     sp.add_argument("file")
     budget_arg(sp)
 
     sp = sub.add_parser("compare-qrm", help="size comparison against QRM for all m <= M")
+    sp.set_defaults(func=_cmd_compare_qrm)
     sp.add_argument("M", type=int)
 
     sp = sub.add_parser("rm", help="emit binary Reed-Muller RM(r,m) generator rows")
+    sp.set_defaults(func=_cmd_rm)
     order_args(sp)
 
     sp = sub.add_parser("search-nonlinear",
                         help="search for codes with the given parameters and nonlinear image")
+    sp.set_defaults(func=_cmd_search)
     sp.add_argument("n", type=int)
     sp.add_argument("k", type=int)
     sp.add_argument("d", type=int)
@@ -131,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_overrides(pairs, budget):
+def _parse_overrides(pairs):
     overrides = {}
     for item in pairs:
         node, eq, path = item.partition("=")
@@ -144,29 +179,29 @@ def _parse_overrides(pairs, budget):
     return overrides
 
 
-def _load_code(path) -> Z4Code:
+def _read_text(path) -> str:
     try:
         with open(path, "r", encoding="ascii", newline="") as f:
-            return parse_code(f.read())
+            return f.read()
     except OSError as e:
         raise _UsageError(f"cannot read {path}: {e}")
+
+
+def _load_code(path) -> Z4Code:
+    return parse_code(_read_text(path))
 
 
 def _read_words(path):
     """Z4 words from a code file (its generator rows) or a bare word list."""
-    try:
-        with open(path, "r", encoding="ascii", newline="") as f:
-            text = f.read()
-    except OSError as e:
-        raise _UsageError(f"cannot read {path}: {e}")
+    text = _read_text(path)
     if text.startswith("Z4CODE"):
         return list(parse_code(text).generators)
     return [Z4Word.from_string(line) for line in text.split("\n") if line]
 
 
-def _cmd_build(args, budget) -> int:
-    overrides = _parse_overrides(args.override, budget)
-    code = lrm(args.r, args.m, overrides or None, budget=budget)
+def _cmd_build(args) -> int:
+    overrides = _parse_overrides(args.override)
+    code = lrm(args.r, args.m, overrides or None, budget=args.budget)
     text = render_code(code)
     if args.output:
         with open(args.output, "w", encoding="ascii", newline="") as f:
@@ -176,35 +211,26 @@ def _cmd_build(args, budget) -> int:
     return 0
 
 
-def _cmd_verify(args, budget) -> int:
-    overrides = _parse_overrides(args.override, budget)
+def _cmd_verify(args) -> int:
+    overrides = _parse_overrides(args.override)
     rep = verify_theorem1(
         args.r, args.m, overrides or None,
-        budget=budget, workers=args.workers, fast=args.fast,
+        budget=args.budget, workers=args.workers, fast=args.fast,
     )
     for line in report_lines(rep):
         print(line)
-    if rep.passed:
-        return 0
-    return 1 if rep.failures else 3
+    return {"pass": 0, "fail": 1, "skipped": 3}[rep.status]
 
 
-def _cmd_verify_all(args, budget) -> int:
-    failed = 0
-    skipped = 0
-    passed = 0
+def _cmd_verify_all(args) -> int:
+    tally = Counter()
     for m in range(1, args.M + 1):
         for r in range(m + 1):
-            rep = verify_theorem1(r, m, budget=budget, workers=args.workers)
+            rep = verify_theorem1(r, m, budget=args.budget, workers=args.workers)
             print(verify_all_line(rep))
-            if rep.passed:
-                passed += 1
-            elif rep.failures:
-                failed += 1
-            else:
-                skipped += 1
-    print(f"passed={passed} failed={failed} skipped={skipped}")
-    return 1 if failed else 0
+            tally[rep.status] += 1
+    print(f"passed={tally['pass']} failed={tally['fail']} skipped={tally['skipped']}")
+    return 1 if tally["fail"] else 0
 
 
 def _cmd_gray(args) -> int:
@@ -214,27 +240,22 @@ def _cmd_gray(args) -> int:
 
 
 def _cmd_ungray(args) -> int:
-    try:
-        with open(args.file, "r", encoding="ascii", newline="") as f:
-            text = f.read()
-    except OSError as e:
-        raise _UsageError(f"cannot read {args.file}: {e}")
-    for line in text.split("\n"):
+    for line in _read_text(args.file).split("\n"):
         if line:
             print(gray_inverse(BitWord.from_string(line)).digits())
     return 0
 
 
-def _cmd_mindist(args, budget) -> int:
+def _cmd_mindist(args) -> int:
     code = _load_code(args.file)
-    d, witness = min_lee_weight_witness(code, budget=budget, workers=args.workers)
+    d, witness = min_lee_weight_witness(code, budget=args.budget, workers=args.workers)
     print(f"min_lee_distance={d}")
     print(f"witness={witness.digits()}")
     return 0
 
 
-def _cmd_wdist(args, budget) -> int:
-    dist = lee_weight_distribution(_load_code(args.file), budget=budget, workers=args.workers)
+def _cmd_wdist(args) -> int:
+    dist = lee_weight_distribution(_load_code(args.file), budget=args.budget, workers=args.workers)
     for w, count in enumerate(dist.counts):
         if count:
             print(f"weight={w} count={count}")
@@ -253,20 +274,18 @@ def _cmd_member(args) -> int:
     return 1
 
 
-def _cmd_image_linear(args, budget) -> int:
+def _cmd_image_linear(args) -> int:
     code = _load_code(args.file)
     if args.brute:
-        from .analysis import BRUTE_ORACLE_BUDGET
-
-        linear = image_is_linear_bruteforce(code, budget=min(budget, BRUTE_ORACLE_BUDGET))
+        linear = image_is_linear_bruteforce(code, budget=min(args.budget, BRUTE_ORACLE_BUDGET))
     else:
         linear = image_is_linear(code)
     print(f"image_linear={'true' if linear else 'false'}")
     return 0 if linear else 1
 
 
-def _cmd_enumerate(args, budget) -> int:
-    for w in enumerate_codewords(_load_code(args.file).standard_form, budget=budget):
+def _cmd_enumerate(args) -> int:
+    for w in enumerate_codewords(_load_code(args.file).standard_form, budget=args.budget):
         print(w.digits())
     return 0
 
@@ -301,34 +320,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        budget = args.budget if getattr(args, "budget", None) is not None else _default_budget()
-        if args.command == "build":
-            return _cmd_build(args, budget)
-        if args.command == "verify":
-            return _cmd_verify(args, budget)
-        if args.command == "verify-all":
-            return _cmd_verify_all(args, budget)
-        if args.command == "gray":
-            return _cmd_gray(args)
-        if args.command == "ungray":
-            return _cmd_ungray(args)
-        if args.command == "mindist":
-            return _cmd_mindist(args, budget)
-        if args.command == "wdist":
-            return _cmd_wdist(args, budget)
-        if args.command == "member":
-            return _cmd_member(args)
-        if args.command == "image-linear":
-            return _cmd_image_linear(args, budget)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args, budget)
-        if args.command == "compare-qrm":
-            return _cmd_compare_qrm(args)
-        if args.command == "rm":
-            return _cmd_rm(args)
-        if args.command == "search-nonlinear":
-            return _cmd_search(args)
-        raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
+        if hasattr(args, "budget"):
+            args.budget = _resolve_budget(args.budget)
+        return args.func(args)
     except CapacityError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
+from . import _engine
 from .errors import DimensionError, OverrideError
 from .linalg import DEFAULT_BUDGET, GeneratorMatrix, membership, standard_form
 from .z4core import BitWord, Z4Word
@@ -164,9 +165,7 @@ def _validate_override(code: Z4Code, r: int, m: int, budget: int) -> None:
             f"override at ({r},{m}) has log2 size {code.log2_size}, expected {want.k}"
         )
     if want.k <= budget:
-        from .analysis import min_lee_weight
-
-        d = min_lee_weight(code, budget=budget)
+        d, _ = _engine.min_lee_weight_sweep(code.standard_form, budget)
         if d != want.d:
             raise OverrideError(
                 f"override at ({r},{m}) has minimum Lee weight {d}, expected {want.d}"

@@ -24,6 +24,8 @@ __all__ = [
     "membership",
     "residue",
     "enumerate_codewords",
+    "codeword_at",
+    "check_budget",
 ]
 
 # log2 of the largest codeword count the enumeration paths will sweep
@@ -109,10 +111,6 @@ class StandardForm:
     two_cols: tuple
 
     @property
-    def reduced_rows(self) -> tuple:
-        return self.rows
-
-    @property
     def column_permutation(self) -> tuple:
         pivots = self.unit_cols + self.two_cols
         rest = tuple(c for c in range(self.n) if c not in set(pivots))
@@ -193,12 +191,14 @@ def membership(g: GeneratorMatrix | StandardForm, x: Z4Word) -> bool:
     return residue(sf, x) == Z4Word.zero(sf.n)
 
 
-def _mixed_radix_basis(sf: StandardForm) -> list:
+def mixed_radix_basis(sf: StandardForm) -> list:
     """Word added when index bit p flips, LSB first.
 
     The enumeration index packs the order-4 coefficients of the unit-pivot
     rows (first row most significant, two bits each) above the order-2
-    coefficients of the even rows (one bit each).
+    coefficients of the even rows (one bit each).  This is the one
+    definition of the frozen enumeration order; the sweep engine packs the
+    same basis.
     """
     basis = []
     for j in range(sf.k2 - 1, -1, -1):
@@ -210,23 +210,39 @@ def _mixed_radix_basis(sf: StandardForm) -> list:
     return basis
 
 
+def check_budget(k: int, budget: int) -> None:
+    """Refuse to enumerate a code of 2^k words when k exceeds the budget."""
+    if k > budget:
+        raise CapacityError(
+            f"code has 2^{k} words but the budget allows 2^{budget}",
+            required=k,
+            configured=budget,
+        )
+
+
 def enumerate_codewords(
     g: GeneratorMatrix | StandardForm, budget: int = DEFAULT_BUDGET
 ) -> Iterator[Z4Word]:
     """Yield every codeword exactly once, in the frozen mixed-radix order."""
     sf = g if isinstance(g, StandardForm) else standard_form(g)
     k = sf.log2_size
-    if k > budget:
-        raise CapacityError(
-            f"enumeration needs budget {k} but only {budget} is configured",
-            required=k,
-            configured=budget,
-        )
+    check_budget(k, budget)
     return _codeword_stream(sf, k)
 
 
+def codeword_at(sf: StandardForm, t: int) -> Z4Word:
+    """The codeword at index t of the frozen enumeration order."""
+    if not 0 <= t < 1 << sf.log2_size:
+        raise IndexError(f"index {t} outside a code of 2^{sf.log2_size} words")
+    w = Z4Word.zero(sf.n)
+    for b, row in enumerate(mixed_radix_basis(sf)):
+        if t >> b & 1:
+            w = add(w, row)
+    return w
+
+
 def _codeword_stream(sf: StandardForm, k: int) -> Iterator[Z4Word]:
-    basis = _mixed_radix_basis(sf)
+    basis = mixed_radix_basis(sf)
     zero = Z4Word.zero(sf.n)
     suffix = [zero] * (k + 1)  # suffix[b]: contribution of index bits >= b
     yield zero

@@ -28,7 +28,7 @@ def _claim(name, expected, got) -> str:
 def report_lines(rep: VerificationReport) -> list:
     r, m = rep.order
     mode = "fast" if rep.fast else "audit"
-    lines = [
+    return [
         f"order=({r},{m}) budget={rep.budget} mode={mode}",
         _claim("length", rep.claimed.n, rep.computed_n),
         _claim("log2_size", rep.claimed.k, rep.computed_k),
@@ -39,15 +39,8 @@ def report_lines(rep: VerificationReport) -> list:
             rep.witness_hamming,
         ),
         f"image_linear={'true' if rep.image_linear else 'false'}",
+        f"result={rep.status}",
     ]
-    if rep.passed:
-        result = "pass"
-    elif rep.failures:
-        result = "fail"
-    else:
-        result = "skipped"
-    lines.append(f"result={result}")
-    return lines
 
 
 def report_text(rep: VerificationReport) -> str:
@@ -60,23 +53,17 @@ def report_text(rep: VerificationReport) -> str:
     rows.append(f"  min Lee dist   claimed {rep.claimed.d:<6} computed {d}")
     rows.append(f"  image weight of witness: {wh}")
     rows.append(f"  Gray image linear: {'yes' if rep.image_linear else 'no'}")
-    rows.append(f"  verdict: {'PASS' if rep.passed else 'SKIPPED' if not rep.failures else 'FAIL'}")
+    rows.append(f"  verdict: {rep.status.upper()}")
     return "\n".join(rows)
 
 
 def verify_all_line(rep: VerificationReport) -> str:
     r, m = rep.order
     d = "-" if rep.computed_d is None else rep.computed_d
-    if rep.passed:
-        status = "pass"
-    elif rep.failures:
-        status = "fail"
-    else:
-        status = "skipped"
     return (
         f"r={r} m={m} n={rep.computed_n}/{rep.claimed.n} "
         f"k={rep.computed_k}/{rep.claimed.k} d={d}/{rep.claimed.d} "
-        f"image_linear={'true' if rep.image_linear else 'false'} status={status}"
+        f"image_linear={'true' if rep.image_linear else 'false'} status={rep.status}"
     )
 
 

@@ -131,6 +131,41 @@ def test_env_var_budget(capsys, lrm12_file, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [["rm", "1", "2"], ["compare-qrm", "2"]])
+def test_commands_without_budget_ignore_env_budget(capsys, monkeypatch, argv):
+    monkeypatch.setenv("Z4RM_BUDGET", "abc")
+    assert run(capsys, *argv)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "flag, env",
+    [("-4", None), ("1000", None), (None, "-1"), (None, "abc"), (None, "1000")],
+)
+def test_bad_budget_is_usage_error(capsys, monkeypatch, lrm12_file, flag, env):
+    if env is not None:
+        monkeypatch.setenv("Z4RM_BUDGET", env)
+    argv = ["mindist", lrm12_file] + (["--budget", flag] if flag is not None else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert ("--budget" if flag is not None else "Z4RM_BUDGET") in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_usage_error(capsys, workers):
+    code, out, err = run(capsys, "verify", "1", "2", "--workers", workers)
+    assert (code, out) == (2, "")
+    assert "--workers" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["mindist"], ["enumerate"], ["image-linear", "--brute"]]
+)
+def test_budget_refusal_wording(capsys, lrm12_file, argv):
+    code, _, err = run(capsys, argv[0], lrm12_file, *argv[1:], "--budget", "2")
+    assert code == 3
+    assert err == "error: code has 2^3 words but the budget allows 2^2\n"
+
+
 def test_gray_and_ungray(capsys, tmp_path, lrm12_file):
     code, out, _ = run(capsys, "gray", lrm12_file)
     assert code == 0

@@ -1,18 +1,22 @@
 import itertools
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from z4rm import _engine
 from z4rm.errors import CapacityError, DimensionError
 from z4rm.linalg import (
     GeneratorMatrix,
+    codeword_at,
     enumerate_codewords,
     log2_size,
     membership,
     standard_form,
 )
-from z4rm.z4core import Z4Word, add
+from z4rm.z4core import BitWord, Z4Word, add, lee_weight
 
 G = GeneratorMatrix.from_strings
 W = Z4Word.from_string
@@ -158,6 +162,67 @@ def test_engine_matches_enumeration_order():
         assert [int(v) for v in lee] == [lee_weight(w) for w in expected]
 
 
+@st.composite
+def _generator_matrices(draw):
+    # up to 5 rows keeps the log2 size <= 10; n up to 40 spans two limbs
+    n = draw(st.integers(1, 40))
+    rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), max_size=5))
+    return GeneratorMatrix([Z4Word(r) for r in rows], n=n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=_generator_matrices(), block_log2=st.integers(1, 4))
+def test_engine_order_and_codeword_at_match_enumeration(g, block_log2):
+    sf = standard_form(g)
+    k = sf.log2_size
+    expected = list(enumerate_codewords(sf))
+    basis = _engine.z4_basis_from_standard_form(sf)
+    packed = _engine.collect_words(basis, k, _engine.z4_add, block_log2=block_log2)
+    assert [sum(int(x) << (64 * l) for l, x in enumerate(row)) for row in packed] == [
+        w._packed for w in expected
+    ]
+    assert [codeword_at(sf, t) for t in range(1 << k)] == expected
+    with pytest.raises(IndexError):
+        codeword_at(sf, 1 << k)
+
+
+class _InlinePool:
+    """ThreadPoolExecutor stand-in that runs each job at submit time."""
+
+    def __init__(self, max_workers, seen):
+        seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn):
+        f = Future()
+        f.set_result(fn())
+        return f
+
+
+@pytest.mark.parametrize("cpus, pools", [(1, []), (3, [3])])
+def test_sweep_workers_clamped_to_cpu_count(monkeypatch, cpus, pools):
+    seen = []
+    monkeypatch.setattr(_engine.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(
+        _engine, "ThreadPoolExecutor", lambda max_workers: _InlinePool(max_workers, seen)
+    )
+    sf = standard_form(G(["123", "230", "302"]))
+    basis = _engine.z4_basis_from_standard_form(sf)
+    got = _engine.min_weight_sweep(
+        basis, sf.log2_size, _engine.z4_add, _engine.lee_weights,
+        workers=10**6, block_log2=2,
+    )
+    assert seen == pools  # one CPU takes the serial path and starts no pool
+    assert got == _engine.min_weight_sweep(
+        basis, sf.log2_size, _engine.z4_add, _engine.lee_weights, block_log2=2
+    )
+
+
 def test_engine_min_weight_and_histogram():
     g = G(["11", "02"])
     sf = standard_form(g)
@@ -173,6 +238,39 @@ def test_engine_min_weight_and_histogram():
             max_weight=2 * g.n, workers=workers, block_log2=1,
         )
         assert list(hist) == [1, 0, 6, 0, 1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_engine_reused_buffers_match_scalar_weights(workers):
+    # two limbs, eight blocks: every block is written into the same buffers
+    rng = np.random.default_rng(7)
+    rows = ["".join(map(str, rng.integers(0, 4, 40))) for _ in range(5)]
+    sf = standard_form(G(rows))
+    k = sf.log2_size
+    lee = [lee_weight(w) for w in enumerate_codewords(sf)]
+    basis = _engine.z4_basis_from_standard_form(sf)
+    hist = _engine.weight_histogram(
+        basis, k, _engine.z4_add, _engine.lee_weights,
+        max_weight=80, workers=workers, block_log2=k - 3,
+    )
+    assert list(hist) == list(np.bincount(lee, minlength=81))
+    got = _engine.min_weight_sweep(
+        basis, k, _engine.z4_add, _engine.lee_weights, workers=workers, block_log2=k - 3
+    )
+    assert got == (min(lee[1:]), 1 + lee[1:].index(min(lee[1:])))
+    bits = [BitWord([int(b) for b in rng.integers(0, 2, 70)]) for _ in range(9)]
+    xor_basis = _engine.xor_basis_from_rows(bits, 70)
+    hist = _engine.weight_histogram(
+        xor_basis, 9, _engine.xor_add, _engine.bit_weights,
+        max_weight=70, workers=workers, block_log2=3,
+    )
+    weights = []
+    for coeffs in itertools.product((0, 1), repeat=9):
+        p = 0
+        for c, b in zip(coeffs, bits):
+            p ^= b._packed if c else 0
+        weights.append(p.bit_count())
+    assert list(hist) == list(np.bincount(weights, minlength=71))
 
 
 def test_generator_matrix_validation():
