@@ -4,7 +4,8 @@ Z4 vectors under the Lee metric map isometrically to binary vectors under
 the Gray map.  This package builds the LRM(r,m) family of quaternary
 linear codes by Plotkin doubling, whose Gray images are binary (not
 necessarily linear) codes with the parameters of Reed-Muller RM(r,m), and
-verifies the claimed parameters by exhaustive enumeration.
+verifies the claimed parameters exactly, by enumerating the code or its
+dual, whichever is smaller.
 """
 
 from .analysis import (

@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import ZeroCodeError
-from .linalg import check_budget, mixed_radix_basis
+from .linalg import check_budget, dual_standard_form, mixed_radix_basis
 
 U64 = np.uint64
 _LO = U64(0x5555555555555555)
@@ -247,15 +247,88 @@ def z4_sweep_basis(sf, budget):
     return z4_basis_from_standard_form(sf), k
 
 
-def min_lee_weight_sweep(sf, budget, workers=1, stop_at=None):
-    """(minimum nonzero Lee weight, sweep index of its first word) of sf's code.
-
-    stop_at is a trusted lower bound, as in min_weight_sweep.
-    """
+def min_lee_weight_sweep(sf, budget, workers=1):
+    """(minimum nonzero Lee weight, sweep index of its first word) of sf's
+    code, by a sweep of all its words."""
     basis, k = z4_sweep_basis(sf, budget)
     if k == 0:
         raise ZeroCodeError("the zero code has no nonzero codeword")
-    return min_weight_sweep(basis, k, z4_add, lee_weights, workers=workers, stop_at=stop_at)
+    return min_weight_sweep(basis, k, z4_add, lee_weights, workers=workers)
+
+
+# The witness search usually stops in its first block (at index 1 for every
+# dual-side LRM order with m <= 6), so small blocks keep its table build cheap.
+# A code of at most one such block is swept whole by the witness search
+# itself, so for it the dual would only add work.
+WITNESS_BLOCK_LOG2 = 10
+
+
+def min_lee_weight_smaller_side(sf, budget, workers=1):
+    """(minimum nonzero Lee weight, sweep index of its first word) of sf's
+    code, computed from whichever of the code and its dual has fewer words.
+
+    The budget gates the code's own size.  When the dual is smaller and the
+    code is larger than one witness-search block, the dual's Lee weight
+    distribution gives the code's exact distribution through lee_macwilliams,
+    hence the exact minimum d; a sweep of the code that stops at the first
+    block holding a word of weight d then finds the witness.  As d is already
+    proven, stopping there misses no lighter word, and the index is the one
+    the full sweep returns.  Otherwise this is min_lee_weight_sweep.
+    """
+    k = sf.log2_size
+    check_budget(k, budget)
+    if 2 * sf.n - k >= k or k <= WITNESS_BLOCK_LOG2:  # |C⊥| = 4^n / |C|
+        return min_lee_weight_sweep(sf, budget, workers=workers)
+    dual = dual_standard_form(sf)
+    dual_counts = weight_histogram(
+        z4_basis_from_standard_form(dual), dual.log2_size, z4_add, lee_weights, 2 * sf.n,
+        workers=workers,
+    )
+    counts = lee_macwilliams(dual_counts, k)
+    d = next(w for w, a in enumerate(counts) if w and a)
+    return min_weight_sweep(
+        z4_basis_from_standard_form(sf), k, z4_add, lee_weights, workers=workers,
+        stop_at=d, block_log2=WITNESS_BLOCK_LOG2,
+    )
+
+
+def _krawtchouk(w, length):
+    """K_j(w; length) for j = 0..length (length >= 1): the coefficients of
+    (1+z)^(length-w) (1-z)^w, by the three-term recurrence
+    (j+1) K_{j+1} = (length - 2w) K_j - (length - j + 1) K_{j-1}."""
+    out = [1, length - 2 * w]
+    for j in range(1, length):
+        out.append(((length - 2 * w) * out[j] - (length - j + 1) * out[j - 1]) // (j + 1))
+    return out
+
+
+def lee_macwilliams(dual_counts, k):
+    """Lee weight counts of a Z4-linear code C of 2^k words, from the counts
+    dual_counts[w] (w = 0..2n) of its dual C⊥.
+
+    The MacWilliams identity for Lee enumerators,
+    Lee_C(X, Y) = |C⊥|^-1 Lee_C⊥(X+Y, X-Y) (Hammons, Kumar, Calderbank, Sloane,
+    Solé, IEEE Trans. IT 40(2), 1994), gives
+    A_j = |C⊥|^-1 sum_w B_w K_j(w; 2n) with Krawtchouk polynomials K, in exact
+    Python integers (numpy counts are converted first).  Raises ArithmeticError unless every A_j is a whole number and
+    they sum to 2^k, which a wrong dual or size would break.
+    """
+    length = len(dual_counts) - 1
+    dual_size = 1 << (length - k)
+    sums = [0] * (length + 1)
+    for w, b in enumerate(map(int, dual_counts)):
+        if b:
+            for j, kj in enumerate(_krawtchouk(w, length)):
+                sums[j] += b * kj
+    counts = []
+    for s in sums:
+        a, rem = divmod(s, dual_size)
+        if rem:
+            raise ArithmeticError(f"MacWilliams sum {s} is not a multiple of |C⊥| = {dual_size}")
+        counts.append(a)
+    if sum(counts) != 1 << k:
+        raise ArithmeticError(f"MacWilliams counts sum to {sum(counts)}, not 2^{k}")
+    return counts
 
 
 def xor_basis_from_rows(rows, n):

@@ -101,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     budget_arg(sp)
     workers_arg(sp)
     sp.add_argument("--fast", action="store_true",
-                    help="stop the distance sweep once the claimed bound is reached")
+                    help="report mode=fast; the distance check is the same exact one")
     sp.add_argument("--override", action="append", default=[], metavar="NODE=FILE")
 
     sp = sub.add_parser("verify-all", help="verify every order with m <= M")

@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
 from . import _engine
-from .errors import DimensionError, OverrideError
+from .errors import CapacityError, DimensionError, OverrideError
 from .linalg import DEFAULT_BUDGET, GeneratorMatrix, membership, standard_form
 from .z4core import BitWord, Z4Word
 
@@ -164,12 +164,16 @@ def _validate_override(code: Z4Code, r: int, m: int, budget: int) -> None:
         raise OverrideError(
             f"override at ({r},{m}) has log2 size {code.log2_size}, expected {want.k}"
         )
-    if want.k <= budget:
-        d, _ = _engine.min_lee_weight_sweep(code.standard_form, budget)
-        if d != want.d:
-            raise OverrideError(
-                f"override at ({r},{m}) has minimum Lee weight {d}, expected {want.d}"
-            )
+    try:
+        d, _ = _engine.min_lee_weight_smaller_side(code.standard_form, budget)
+    except CapacityError as e:
+        raise CapacityError(
+            f"override at ({r},{m}): {e}", required=e.required, configured=e.configured
+        ) from e
+    if d != want.d:
+        raise OverrideError(
+            f"override at ({r},{m}) has minimum Lee weight {d}, expected {want.d}"
+        )
 
 
 def lrm(
@@ -181,8 +185,9 @@ def lrm(
     """Build the LRM(r,m) family member, honoring per-node overrides.
 
     An override replaces the whole subtree at its (r,m) node and is
-    validated against theorem1_params there (length and size always, the
-    minimum distance whenever the code fits the enumeration budget).
+    validated against theorem1_params there: length, size and the exact
+    minimum distance.  An override larger than the budget raises
+    CapacityError.
     """
     check_order(r, m)
     if overrides:

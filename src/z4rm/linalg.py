@@ -26,6 +26,7 @@ __all__ = [
     "enumerate_codewords",
     "codeword_at",
     "check_budget",
+    "dual_standard_form",
 ]
 
 # log2 of the largest codeword count the enumeration paths will sweep
@@ -208,6 +209,47 @@ def mixed_radix_basis(sf: StandardForm) -> list:
         basis.append(row)
         basis.append(add(row, row))
     return basis
+
+
+def dual_standard_form(sf: StandardForm) -> StandardForm:
+    """Standard form of the dual code {y : x . y = 0 mod 4 for every x in C}.
+
+    In the permuted coordinates that expose C's block shape [[I A B], [0 2I 2C]],
+    the dual is generated by [[-(B+AC)^T, C^T, I], [2A^T, 2I, 0]]: one unit row
+    per free column and one even row per pivot-2 column, so it has 4^n / |C|
+    words.  The rows are returned in original coordinates, already in block
+    shape, with the free columns as unit pivots.  The dual of the full space
+    is the zero code.
+    """
+    k1, k2 = sf.k1, sf.k2
+    unit_rows, two_rows = sf.rows[:k1], sf.rows[k1:]
+    free = sf.column_permutation[k1 + k2 :]
+    dual_units = []
+    for col in free:
+        c = [row[col] // 2 for row in two_rows]  # column of C
+        symbols = [0] * sf.n
+        for u, row in zip(sf.unit_cols, unit_rows):
+            b_plus_ac = row[col] + sum(row[t] * cj for t, cj in zip(sf.two_cols, c))
+            symbols[u] = -b_plus_ac % 4
+        for t, cj in zip(sf.two_cols, c):
+            symbols[t] = cj
+        symbols[col] = 1
+        dual_units.append(Z4Word(symbols))
+    dual_twos = []
+    for t in sf.two_cols:
+        symbols = [0] * sf.n
+        for u, row in zip(sf.unit_cols, unit_rows):
+            symbols[u] = 2 * row[t] % 4
+        symbols[t] = 2
+        dual_twos.append(Z4Word(symbols))
+    return StandardForm(
+        n=sf.n,
+        k1=len(free),
+        k2=k2,
+        rows=tuple(dual_units + dual_twos),
+        unit_cols=tuple(free),
+        two_cols=sf.two_cols,
+    )
 
 
 def check_budget(k: int, budget: int) -> None:

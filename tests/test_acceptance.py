@@ -57,7 +57,7 @@ def test_criterion_2_desk_scale_stress(capsys):
         and "claim=min_lee_distance expected=4 got=4 status=pass" in out
         and "result=pass" in out
     )
-    report(2, ok, "full sweep of 2^26 codewords, min Lee weight 4")
+    report(2, ok, "LRM(3,5), 2^26 codewords, through its 2^6-word dual, min Lee weight 4")
 
 
 def test_criterion_3_base_case_fidelity():
@@ -222,6 +222,7 @@ def test_criterion_9_out_of_desk_scale_substitutes():
 def test_criterion_10_determinism_across_runs_and_workers(capsys):
     commands = [["verify", str(r), str(m)] for m in range(1, 5) for r in range(m + 1)]
     commands.append(["verify", "3", "5", "--budget", "28"])
+    commands.append(["verify-all", "6"])
     failures = []
     for cmd in commands:
         outputs = []

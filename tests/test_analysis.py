@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -147,6 +148,35 @@ def test_verify_fast_mode_matches_audit():
         fast = verify_theorem1(r, m, fast=True)
         assert audit.passed and fast.passed
         assert audit.computed_d == fast.computed_d
+
+
+def test_verify_never_bounds_the_sweep_by_the_claim(monkeypatch):
+    from z4rm import _engine
+    from z4rm.linalg import dual_standard_form
+
+    seen = []
+    real = _engine.min_weight_sweep
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("stop_at"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_engine, "min_weight_sweep", spy)
+    # LRM(1,4) has 2^5 words and a 2^11-word dual: a full direct sweep
+    fast = verify_theorem1(1, 4, fast=True)
+    assert seen == [None]
+    assert fast == dataclasses.replace(verify_theorem1(1, 4), fast=True)
+    # LRM(3,5) has a 2^6-word dual: the witness search stops at the distance
+    # the dual proved, not at the claim
+    seen.clear()
+    verify_theorem1(3, 5, fast=True)
+    sf = lrm(3, 5).standard_form
+    dual = dual_standard_form(sf)
+    hist = _engine.weight_histogram(
+        *_engine.z4_sweep_basis(dual, 28), _engine.z4_add, _engine.lee_weights, 2 * sf.n
+    )
+    counts = _engine.lee_macwilliams(hist, sf.log2_size)
+    assert seen == [next(w for w, a in enumerate(counts) if w and a)] == [4]
 
 
 def test_nonequivalence_examples():

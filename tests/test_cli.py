@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import pytest
 
 from z4rm.cli import main
-from z4rm.codes import lrm
+from z4rm.codes import Z4Code, lrm
 from z4rm.fileformat import render_code
+from z4rm.linalg import GeneratorMatrix
 
 
 @pytest.fixture
@@ -41,6 +44,29 @@ def test_verify_fast_flag(capsys):
     assert code == 0
     assert "mode=fast" in out
     assert "result=pass" in out
+
+
+def test_verify_all_6_stdout_is_pinned(capsys):
+    # captured from the exhaustive-sweep implementation; every line must stay
+    # byte-identical whichever side of the code the distance comes from
+    want = (Path(__file__).parent / "data" / "verify_all_6.txt").read_text(encoding="ascii")
+    assert run(capsys, "verify-all", "6")[:2] == (0, want)
+
+
+def test_override_over_budget_is_refused(capsys, tmp_path):
+    # right length and size for node (2,4), but e1 has Lee weight 1
+    bad = GeneratorMatrix.from_strings(
+        ["10000000", "01000000", "00100000", "00020000",
+         "00002000", "00000200", "00000020", "00000002"]
+    )
+    path = tmp_path / "bad.z4code"
+    path.write_text(render_code(Z4Code(bad, label="bad")), newline="")
+    code, _, err = run(capsys, "build", "3", "5", "--override", f"2,4={path}", "--budget", "10")
+    assert code == 3
+    assert "override at (2,4): code has 2^11 words but the budget allows 2^10" in err
+    code, _, err = run(capsys, "build", "3", "5", "--override", f"2,4={path}")
+    assert code == 1
+    assert "minimum Lee weight 1, expected 4" in err
 
 
 def test_verify_all(capsys):
