@@ -6,9 +6,12 @@ Z4 sweep packs linalg's enumeration basis, so the word at sweep index t is
 the t-th enumerated codeword.  Min-weight and weight-histogram reductions
 are associative, so results are identical for any worker count.
 
-Each worker reuses its own block and kernel buffers from block to block:
-fresh per-block arrays cost page faults that varied with the allocator's
-state from call to call.
+A block's weights are one XOR and one popcount per limb: the sweep keeps
+its low table as images in Hamming space (the Gray map for Z4), so the
+weight of table word t plus offset c is the Hamming weight of
+image(t) ^ image(-c).  Each worker reuses its own kernel buffers from block
+to block: fresh per-block arrays cost page faults that varied with the
+allocator's state from call to call.
 """
 
 from __future__ import annotations
@@ -66,69 +69,111 @@ def z4_add(a, b, out=None):
     return out
 
 
-def lee_weights(words, out=None, scratch=None):
-    """(N,) Lee weights of an (N, limbs) packed Z4 array.
+def z4_negate(words):
+    """Lane-wise negation mod 4: lane (b, a) -> (b^a, a)."""
+    return words ^ ((words & _LO) << _ONE)
 
-    scratch, a dict, keeps the intermediates for the next call.
+
+def gray_lanes(words):
+    """In-lane Gray image of packed Z4 words: lane (b, a) -> (b, a^b).
+
+    Each lane's two image bits stay in the lane, with beta at the high bit
+    and gamma at the low bit.  This is a coordinate permutation of
+    z4core.gray's layout (the beta block, then the gamma block); the sweep
+    uses only the popcount of the image, which the permutation keeps.  The
+    map is its own inverse.
     """
-    s = {} if scratch is None else scratch
-    hi = np.right_shift(words, _ONE, out=_buffer(s, "lee.hi", words.shape, U64))
-    hi &= _LO
-    w = np.bitwise_count(hi, out=_buffer(s, "lee.w", words.shape, np.uint8))
-    hi ^= words
-    hi &= _LO  # hi ^ lo
-    w += np.bitwise_count(hi, out=_buffer(s, "lee.w2", words.shape, np.uint8))
-    return w.sum(axis=1, dtype=np.int64, out=out)
+    return words ^ ((words >> _ONE) & _LO)
+
+
+def lee_weights(words):
+    """(N,) Lee weights of an (N, limbs) packed Z4 array: the Hamming weights
+    of its Gray images."""
+    return bit_weights(gray_lanes(words))
 
 
 def xor_add(a, b, out=None):
     return np.bitwise_xor(a, b, out=out)
 
 
-def bit_weights(words, out=None, scratch=None):
-    s = {} if scratch is None else scratch
-    w = np.bitwise_count(words, out=_buffer(s, "bit.w", words.shape, np.uint8))
-    return w.sum(axis=1, dtype=np.int64, out=out)
+def bit_weights(words):
+    return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+
+
+def _identity(words):
+    return words
+
+
+# combine -> (image, negation) carrying its ring into Hamming space, where
+# wt(x + c) = w_H(image(x) ^ image(-c)).  For Z4 this is the Gray isometry
+# (Hammons, Kumar, Calderbank, Sloane, Solé, IEEE Trans. IT 40(2), 1994);
+# binary words are their own images and negatives.
+_ISOMETRIES = {z4_add: (gray_lanes, z4_negate), xor_add: (_identity, _identity)}
 
 
 class Sweep:
-    """Full enumeration of 2^k coefficient combinations of basis words."""
+    """Full enumeration of 2^k coefficient combinations of basis words.
+
+    The low table holds the images of the first 2^block_log2 words, stored
+    limb-major (order="F") so that each limb column is contiguous.  Block h
+    is the table plus an offset c from the high basis, and its weights are
+    the popcounts of image_table ^ image(-c), summed over limbs.
+    """
 
     def __init__(self, basis, k, combine, block_log2=DEFAULT_BLOCK_LOG2):
         self.k = k
         self.combine = combine
+        self._image, self._negate = _ISOMETRIES[combine]
         self.low_bits = min(k, block_log2)
         self.block_count = 1 << (k - self.low_bits)
         limbs = basis.shape[1] if len(basis) else 1
-        table = np.zeros((1 << self.low_bits, limbs), dtype=U64)
+        table = np.zeros((1 << self.low_bits, limbs), dtype=U64, order="F")
         for j in range(self.low_bits):
             half = 1 << j
             combine(table[:half], basis[j][None, :], out=table[half : 2 * half])
-        self._low_table = table
+        self._images = self._image(table)
         self._high_basis = basis[self.low_bits :]
 
     def block_size(self) -> int:
         return 1 << self.low_bits
 
-    def block(self, h, out=None):
-        """Packed words for sweep indices [h * block_size, (h+1) * block_size).
-
-        out, if given, receives them (unless the sweep is a single block,
-        whose words are returned as they are).
-        """
-        if not len(self._high_basis):
-            return self._low_table
-        offset = np.zeros((1, self._low_table.shape[1]), dtype=U64)
+    def _offset(self, h):
+        """(1, limbs) word at sweep index h * block_size."""
+        offset = np.zeros((1, self._images.shape[1]), dtype=U64)
         j = 0
         while h:
             if h & 1:
                 offset = self.combine(offset, self._high_basis[j][None, :])
             h >>= 1
             j += 1
-        return self.combine(self._low_table, offset, out=out)
+        return offset
+
+    def block(self, h):
+        """Packed words for sweep indices [h * block_size, (h+1) * block_size)."""
+        return self.combine(self._image(self._images), self._offset(h))
+
+    def _mask(self, h):
+        """image(-c) for block h's offset c, one scalar per limb.  Block 0's
+        offset is zero, which both rings map to zero."""
+        offset = self._offset(h)
+        return (self._image(self._negate(offset)) if h else offset)[0]
+
+    def weights(self, h, scratch):
+        """(N,) int64 weights of block h, in buffers kept in the dict scratch."""
+        mask = self._mask(h)
+        n = self._images.shape[0]
+        x = _buffer(scratch, "x", (n,), U64)
+        w = np.bitwise_count(
+            np.bitwise_xor(self._images[:, 0], mask[0], out=x),
+            out=_buffer(scratch, "w", (n,), np.int64),
+        )
+        for limb in range(1, len(mask)):
+            np.bitwise_xor(self._images[:, limb], mask[limb], out=x)
+            w += np.bitwise_count(x, out=_buffer(scratch, "c", (n,), np.uint8))
+        return w
 
 
-def _run_blocks(sweep, weights, job, workers, stop_check=None):
+def _run_blocks(sweep, job, workers, stop_check=None):
     """Apply job(h, weights of block h) to every block, committing results in
     block order.
 
@@ -138,11 +183,9 @@ def _run_blocks(sweep, weights, job, workers, stop_check=None):
     it.
     """
     workers = min(workers, os.cpu_count() or 1)
-    shape = sweep._low_table.shape
 
     def run(h, scratch):
-        words = sweep.block(h, out=_buffer(scratch, "words", shape, U64))
-        return job(h, weights(words, _buffer(scratch, "w", shape[:1], np.int64), scratch))
+        return job(h, sweep.weights(h, scratch))
 
     results = []
     if workers <= 1 or sweep.block_count == 1:
@@ -187,7 +230,9 @@ def min_weight_sweep(
     """(min weight, first sweep index achieving it) over all 2^k words.
 
     skip_zero ignores index 0 (the zero word).  stop_at ends the sweep at
-    the first block whose committed running minimum is <= stop_at.
+    the first block whose committed running minimum is <= stop_at.  The
+    weights follow from combine (Sweep.weights); the weights parameter
+    (lee_weights or bit_weights) stays for the callers that pass it.
     """
     sweep = Sweep(basis, k, combine, block_log2)
     size = sweep.block_size()
@@ -210,21 +255,25 @@ def min_weight_sweep(
             best = r
         return stop_at is not None and best is not None and best[0] <= stop_at
 
-    _run_blocks(sweep, weights, job, workers, stop_check)
+    _run_blocks(sweep, job, workers, stop_check)
     return best
 
 
 def weight_histogram(
     basis, k, combine, weights, max_weight, workers=1, block_log2=DEFAULT_BLOCK_LOG2
 ):
-    """Exact counts of words by weight, as an int64 array of length max_weight+1."""
+    """Exact counts of words by weight, as an int64 array of length max_weight+1.
+
+    As in min_weight_sweep, combine sets the weights and the weights
+    parameter stays for the callers that pass it.
+    """
     sweep = Sweep(basis, k, combine, block_log2)
 
     def job(h, w):
         return np.bincount(w, minlength=max_weight + 1)
 
     total = np.zeros(max_weight + 1, dtype=np.int64)
-    for counts in _run_blocks(sweep, weights, job, workers):
+    for counts in _run_blocks(sweep, job, workers):
         total += counts
     return total
 
@@ -258,9 +307,16 @@ def min_lee_weight_sweep(sf, budget, workers=1):
 
 # The witness search usually stops in its first block (at index 1 for every
 # dual-side LRM order with m <= 6), so small blocks keep its table build cheap.
-# A code of at most one such block is swept whole by the witness search
-# itself, so for it the dual would only add work.
 WITNESS_BLOCK_LOG2 = 10
+
+# Codes of at most 2^14 words sweep directly even when their dual is smaller:
+# the dual route's fixed cost (the dual built in Python ints, a second sweep
+# set-up, the witness search) exceeds a whole sweep of the code.  Measured in
+# one process, median of 40 alternating runs on a 2-vCPU x86 KVM guest, for
+# LRM(2,4), LRM(3,4) and random codes with n = 8 and 10: direct/dual were
+# 76-133/150-241 us at k = 11..13, 134-234/140-237 us at k = 14 and
+# 196-299/133-218 us at k = 15.
+DIRECT_MAX_LOG2 = 14
 
 
 def min_lee_weight_smaller_side(sf, budget, workers=1):
@@ -268,7 +324,7 @@ def min_lee_weight_smaller_side(sf, budget, workers=1):
     code, computed from whichever of the code and its dual has fewer words.
 
     The budget gates the code's own size.  When the dual is smaller and the
-    code is larger than one witness-search block, the dual's Lee weight
+    code has more than 2^DIRECT_MAX_LOG2 words, the dual's Lee weight
     distribution gives the code's exact distribution through lee_macwilliams,
     hence the exact minimum d; a sweep of the code that stops at the first
     block holding a word of weight d then finds the witness.  As d is already
@@ -277,7 +333,7 @@ def min_lee_weight_smaller_side(sf, budget, workers=1):
     """
     k = sf.log2_size
     check_budget(k, budget)
-    if 2 * sf.n - k >= k or k <= WITNESS_BLOCK_LOG2:  # |C⊥| = 4^n / |C|
+    if 2 * sf.n - k >= k or k <= DIRECT_MAX_LOG2:  # |C⊥| = 4^n / |C|
         return min_lee_weight_sweep(sf, budget, workers=workers)
     dual = dual_standard_form(sf)
     dual_counts = weight_histogram(

@@ -187,24 +187,34 @@ def lrm(
     An override replaces the whole subtree at its (r,m) node and is
     validated against theorem1_params there: length, size and the exact
     minimum distance.  An override larger than the budget raises
-    CapacityError.
+    CapacityError.  Each node is built (and each override validated) once
+    per call, however many paths of the recursion reach it.
     """
     check_order(r, m)
-    if overrides:
-        code = overrides.get((r, m))
+    built = {}
+
+    def node(r, m):
+        if (r, m) not in built:
+            built[r, m] = build(r, m)
+        return built[r, m]
+
+    def build(r, m):
+        code = overrides.get((r, m)) if overrides else None
         if code is not None:
             _validate_override(code, r, m, budget)
             return Z4Code(
                 code.generators,
                 label=f"LRM({r},{m}):override[{code.label or 'unlabeled'}]",
             )
-    if r == 0:
-        return _repetition(r, m)
-    if r == m:
-        return _full_space(m)
-    left = lrm(r, m - 1, overrides, budget)
-    right = lrm(r - 1, m - 1, overrides, budget)
-    return plotkin(left, right, label=f"LRM({r},{m}):plotkin[{left.label};{right.label}]")
+        if r == 0:
+            return _repetition(r, m)
+        if r == m:
+            return _full_space(m)
+        left = node(r, m - 1)
+        right = node(r - 1, m - 1)
+        return plotkin(left, right, label=f"LRM({r},{m}):plotkin[{left.label};{right.label}]")
+
+    return node(r, m)
 
 
 def rm_binary(r: int, m: int) -> tuple:

@@ -53,6 +53,21 @@ def test_verify_all_6_stdout_is_pinned(capsys):
     assert run(capsys, "verify-all", "6")[:2] == (0, want)
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("r, m", [(1, 7), (2, 6)])
+def test_mindist_wdist_stdout_is_pinned(capsys, tmp_path, r, m, workers):
+    # captured from the lane-wise combine and Lee kernel: LRM(1,7) is one
+    # two-limb block, LRM(2,6) sixteen 2^18-word blocks
+    want = (Path(__file__).parent / "data" / f"lrm_{r}_{m}_mindist_wdist.txt").read_text(
+        encoding="ascii"
+    )
+    path = str(tmp_path / "code.z4code")
+    assert run(capsys, "build", str(r), str(m), "-o", path)[:2] == (0, "")
+    code_min, out_min, _ = run(capsys, "mindist", path, "--workers", workers)
+    code_w, out_w, _ = run(capsys, "wdist", path, "--workers", workers)
+    assert (code_min, code_w, out_min + out_w) == (0, 0, want)
+
+
 def test_override_over_budget_is_refused(capsys, tmp_path):
     # right length and size for node (2,4), but e1 has Lee weight 1
     bad = GeneratorMatrix.from_strings(

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from z4rm import codes
 from z4rm.codes import (
     CodeParams,
     Z4Code,
@@ -211,3 +212,19 @@ def test_z4code_type_cached():
     assert c.standard_form is c.standard_form
     assert c.contains(Z4Word.from_string("20"))
     assert not c.contains(Z4Word.from_string("10"))
+
+
+def test_lrm_validates_each_override_once(monkeypatch):
+    # (2,4) lies under both LRM(3,5) and LRM(2,5) on the way to LRM(3,6)
+    calls = []
+    real = codes._validate_override
+
+    def spy(code, r, m, budget):
+        calls.append((r, m))
+        return real(code, r, m, budget)
+
+    monkeypatch.setattr(codes, "_validate_override", spy)
+    base = shipped_nonlinear_base()
+    got = lrm(3, 6, {(2, 4): base})
+    assert calls == [(2, 4)]
+    assert got.label.count("LRM(2,4):override") == 2

@@ -98,8 +98,11 @@ def test_dual_and_macwilliams_properties(g):
     assert _engine.lee_macwilliams(direct, 2 * n - k) == dual_direct
 
     if k:
-        # a 4-word witness block makes the early stop cut a multi-block sweep
-        with mock.patch.object(_engine, "WITNESS_BLOCK_LOG2", 2):
+        # a 4-word witness block makes the early stop cut a multi-block sweep,
+        # and a 4-word direct cutoff sends every code with k > 2 whose dual is
+        # smaller through the dual
+        with mock.patch.object(_engine, "WITNESS_BLOCK_LOG2", 2), \
+                mock.patch.object(_engine, "DIRECT_MAX_LOG2", 2):
             assert _engine.min_lee_weight_smaller_side(sf, 28) == _engine.min_lee_weight_sweep(
                 sf, 28
             )

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from z4rm.errors import DimensionError
 from z4rm.z4core import (
@@ -185,3 +187,19 @@ def test_indexing_and_iteration():
     assert list(b) == [1, 0, 1]
     assert b[0] == 1 and b.weight() == 2
     assert (b ^ B([1, 1, 1])) == B([0, 1, 0])
+
+
+@st.composite
+def _same_length_pairs(draw):
+    n = draw(st.integers(1, 100))
+    digits = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    return W(draw(digits)), W(draw(digits))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_same_length_pairs())
+def test_lee_weight_of_sum_is_hamming_weight_of_gray_xor(pair):
+    # wt_L(x + c) = d_L(x, -c) = w_H(gray(x) ^ gray(-c))
+    x, c = pair
+    assert lee_weight(add(x, c)) == (gray(x)._packed ^ gray(negate(c))._packed).bit_count()
+    assert lee_weight(add(x, c)) == hamming_distance(gray(x), gray(negate(c)))
