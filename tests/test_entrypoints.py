@@ -1,5 +1,18 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def checkout_env():
+    """The environment with this checkout's src first on PYTHONPATH, so the
+    child interpreter imports z4rm without an install (pytest's own
+    pythonpath setting does not reach child processes)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
 
 
 def test_python_dash_m_entry():
@@ -7,6 +20,7 @@ def test_python_dash_m_entry():
         [sys.executable, "-m", "z4rm", "verify", "1", "2"],
         capture_output=True,
         text=True,
+        env=checkout_env(),
     )
     assert proc.returncode == 0
     assert "result=pass" in proc.stdout
@@ -17,5 +31,6 @@ def test_usage_exit_code_via_subprocess():
         [sys.executable, "-m", "z4rm", "no-such-command"],
         capture_output=True,
         text=True,
+        env=checkout_env(),
     )
     assert proc.returncode == 2

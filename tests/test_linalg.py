@@ -186,6 +186,42 @@ def test_engine_order_and_codeword_at_match_enumeration(g, block_log2):
         codeword_at(sf, 1 << k)
 
 
+@st.composite
+def _small_generator_sets(draw):
+    # half the rows doubled, so that order-2 generators (k2 > 0) are common;
+    # at most 4 rows keeps the brute-force span at 4^4 combinations
+    n = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        row = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        rows.append(Z4Word([2 * s % 4 for s in row] if draw(st.booleans()) else row))
+    return GeneratorMatrix(rows, n=n)
+
+
+def brute_span(rows, n):
+    """Every Z4 combination of rows, as tuples of symbols."""
+    return {
+        tuple(sum(c * row[i] for c, row in zip(coeffs, rows)) % 4 for i in range(n))
+        for coeffs in itertools.product(range(4), repeat=len(rows))
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=_small_generator_sets(), data=st.data())
+def test_standard_form_invariants(g, data):
+    sf = standard_form(g)
+    assert all(membership(sf, row) for row in g)
+    span = brute_span(g.rows, g.n)
+    assert len(span) == 1 << sf.log2_size == 1 << (2 * sf.k1 + sf.k2)
+    assert brute_span(sf.rows, g.n) == span
+    # reordering the rows and multiplying some by the unit 3 keeps the code,
+    # and the form is the same
+    order = data.draw(st.permutations(range(len(g))))
+    negated = data.draw(st.lists(st.booleans(), min_size=len(g), max_size=len(g)))
+    moved = [-g.rows[i] if neg else g.rows[i] for i, neg in zip(order, negated)]
+    assert standard_form(GeneratorMatrix(moved, n=g.n)) == sf
+
+
 class _InlinePool:
     """ThreadPoolExecutor stand-in that runs each job at submit time."""
 
