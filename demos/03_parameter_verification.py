@@ -2,8 +2,9 @@
 """Walkthrough: exhaustive verification of the claimed parameters.
 
 Each LRM(r,m) claims (n, 2^k, d) = (2^(m-1), 2^(sum of binomials), 2^(m-r)).
-The verifier enumerates every codeword, computes the minimum Lee weight,
-and cross-checks the Gray image weight of the minimum witness.
+The verifier computes the exact minimum Lee weight from whichever of the
+code and its dual has fewer words, and cross-checks the Gray image weight of
+the minimum witness.
 """
 
 import time
@@ -36,6 +37,7 @@ print()
 print("== desk-scale stress: 2^26 codewords of length 16 ==")
 t0 = time.time()
 rep = verify_theorem1(3, 5, budget=28, workers=4)
-print(f"LRM(3,5) swept in {time.time() - t0:.1f}s: computed "
+print(f"LRM(3,5), 2^26 codewords, checked through its 2^6-word dual in "
+      f"{time.time() - t0:.1f}s: computed "
       f"(n={rep.computed_n}, k={rep.computed_k}, d={rep.computed_d}), "
       f"passed={rep.passed}")

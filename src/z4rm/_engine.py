@@ -79,9 +79,9 @@ def gray_lanes(words):
 
     Each lane's two image bits stay in the lane, with beta at the high bit
     and gamma at the low bit.  This is a coordinate permutation of
-    z4core.gray's layout (the beta block, then the gamma block); the sweep
-    uses only the popcount of the image, which the permutation keeps.  The
-    map is its own inverse.
+    z4core.gray's layout (the beta block, then the gamma block), so it keeps
+    the weights, pairwise distances, size and XOR closure of any set of
+    images.  The map is its own inverse.
     """
     return words ^ ((words >> _ONE) & _LO)
 
@@ -391,28 +391,3 @@ def xor_basis_from_rows(rows, n):
     """Packed basis for a binary code sweep: index bit j toggles rows[-1-j]."""
     return pack_rows(rows, n, 1)[::-1].copy()
 
-
-_GATHER_MASKS = [
-    (U64(1), U64(0x3333333333333333)),
-    (U64(2), U64(0x0F0F0F0F0F0F0F0F)),
-    (U64(4), U64(0x00FF00FF00FF00FF)),
-    (U64(8), U64(0x0000FFFF0000FFFF)),
-    (U64(16), U64(0x00000000FFFFFFFF)),
-]
-
-
-def _gather_even_bits_u64(x):
-    x = x & _LO
-    for shift, mask in _GATHER_MASKS:
-        x = (x | (x >> shift)) & mask
-    return x
-
-
-def gray_images(words, n):
-    """Gray images of packed Z4 words (single limb, n <= 32) as uint64 bit masks."""
-    if words.shape[1] != 1:
-        raise ValueError("bulk Gray mapping supports quaternary length <= 32 only")
-    w = words[:, 0]
-    b = _gather_even_bits_u64(w >> _ONE)
-    g = _gather_even_bits_u64(w ^ (w >> _ONE))
-    return b | (g << U64(n))

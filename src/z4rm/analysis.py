@@ -166,28 +166,23 @@ def image_is_linear(c: Z4Code) -> bool:
 
 
 def _collect_images(c: Z4Code, budget: int):
+    """(2^k, limbs) packed Gray images of every codeword, in the in-lane
+    layout of _engine.gray_lanes.  That layout permutes the coordinates of
+    z4core.gray, so the image set keeps its size, XOR closure and distances."""
     basis, k = _engine.z4_sweep_basis(c.standard_form, min(budget, MATERIALIZE_BUDGET))
-    if c.n > 32:
-        raise CapacityError(
-            f"bulk Gray mapping supports length <= 32, code has {c.n}",
-            required=c.n,
-            configured=32,
-        )
-    words = _engine.collect_words(basis, k, _engine.z4_add)
-    return _engine.gray_images(words, c.n)
+    return _engine.gray_lanes(_engine.collect_words(basis, k, _engine.z4_add))
 
 
 def image_is_linear_bruteforce(c: Z4Code, budget: int = BRUTE_ORACLE_BUDGET) -> bool:
-    """Oracle: enumerate all Gray images and test XOR closure pair by pair."""
-    images = _collect_images(c, budget)
-    table = np.sort(images)
-    last = len(table) - 1
-    for i in range(len(images)):
-        xors = images ^ images[i]
-        pos = np.minimum(np.searchsorted(table, xors), last)
-        if not np.array_equal(table[pos], xors):
-            return False
-    return True
+    """Oracle: enumerate every Gray image and decide XOR closure from the
+    image set S alone.
+
+    S lies in its GF(2) span, which has 2^rank(S) words, so S is XOR-closed
+    (S contains the zero word's image) iff |S| = 2^rank(S).  Each image row
+    is read as one int; any fixed bit order keeps size and rank.
+    """
+    images = {int.from_bytes(row.tobytes(), "little") for row in _collect_images(c, budget)}
+    return len(images) == 1 << len(_gf2_row_basis(images))
 
 
 def verify_theorem1(
@@ -248,14 +243,14 @@ def gray_image_params(c: Z4Code, budget: int = MATERIALIZE_BUDGET) -> CodeParams
     pairwise sweep otherwise.
     """
     images = _collect_images(c, budget)
-    distinct = np.unique(images)
+    distinct = np.unique(images, axis=0)
     size = len(distinct)
     if size != 1 << c.log2_size:
         raise AssertionError("Gray map failed to be injective")  # pragma: no cover
     if size == 1:
         raise ZeroCodeError("the zero code's image has no distance")
     if image_is_linear(c):
-        weights = np.bitwise_count(images)
+        weights = _engine.bit_weights(images)
         d = int(np.min(weights[weights > 0]))
     else:
         if size > 4096:
@@ -267,7 +262,7 @@ def gray_image_params(c: Z4Code, budget: int = MATERIALIZE_BUDGET) -> CodeParams
             )
         d = None
         for i in range(size):
-            dist = np.bitwise_count(distinct ^ distinct[i])
+            dist = _engine.bit_weights(distinct ^ distinct[i])
             dist[i] = np.iinfo(dist.dtype).max
             row_min = int(dist.min())
             if d is None or row_min < d:
@@ -276,10 +271,10 @@ def gray_image_params(c: Z4Code, budget: int = MATERIALIZE_BUDGET) -> CodeParams
 
 
 def _gf2_row_basis(rows):
-    """Independent packed rows after GF(2) elimination, leading bit descending."""
+    """Independent rows after GF(2) elimination of int bit masks, leading bit
+    descending."""
     lead = {}
-    for w in rows:
-        r = w._packed
+    for r in rows:
         while r:
             top = r.bit_length()
             if top not in lead:
@@ -291,7 +286,7 @@ def _gf2_row_basis(rows):
 
 def binary_log2_size(rows) -> int:
     """GF(2) rank of the generator rows (log2 of the binary code size)."""
-    return len(_gf2_row_basis(rows))
+    return len(_gf2_row_basis(w._packed for w in rows))
 
 
 def binary_code_params(
@@ -303,7 +298,7 @@ def binary_code_params(
     if not rows:
         raise ZeroCodeError("no generator rows")
     n = rows[0].n
-    basis_ints = _gf2_row_basis(rows)
+    basis_ints = _gf2_row_basis([w._packed for w in rows])
     k = len(basis_ints)
     if k == 0:
         raise ZeroCodeError("the zero code has no nonzero codeword")

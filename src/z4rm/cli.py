@@ -23,7 +23,7 @@ from .analysis import (
     search_nonlinear_base,
     verify_theorem1,
 )
-from .codes import CodeParams, Z4Code, lrm, rm_binary
+from .codes import CodeParams, Z4Code, check_order, lrm, rm_binary
 from .errors import CapacityError, CodeFileError, DimensionError, OverrideError, ZeroCodeError
 from .fileformat import parse_code, render_code
 from .linalg import DEFAULT_BUDGET, enumerate_codewords
@@ -76,7 +76,7 @@ def _parse_overrides(pairs):
         parts = node.split(",")
         if len(parts) != 2 or not all(s.lstrip("-").isdigit() for s in parts):
             raise _UsageError(f"override node {node!r} is not of the form r,m")
-        overrides[(int(parts[0]), int(parts[1]))] = _load_code(path)
+        overrides[check_order(int(parts[0]), int(parts[1]))] = _load_code(path)
     return overrides
 
 

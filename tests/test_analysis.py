@@ -4,6 +4,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from z4rm.analysis import (
     gray_image_params,
@@ -107,6 +109,42 @@ def test_image_is_linear_bruteforce_examples():
 def test_oracle_agreement_on_corpus():
     for c in corpus():
         assert image_is_linear(c) == image_is_linear_bruteforce(c), c
+
+
+@st.composite
+def _small_codes(draw):
+    # at most 4 rows keeps the code at <= 2^8 words
+    n = draw(st.integers(1, 6))
+    rows = draw(
+        st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=1, max_size=4)
+    )
+    return Z4Code(GeneratorMatrix([Z4Word(r) for r in rows], n=n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(c=_small_codes())
+def test_oracle_matches_pairwise_closure(c):
+    images = {gray(w)._packed for w in enumerate_codewords(c.standard_form)}
+    closed = all(a ^ b in images for a in images for b in images)
+    assert image_is_linear_bruteforce(c) is closed
+
+
+@pytest.mark.parametrize("r", [0, 1])
+def test_image_oracle_and_params_past_32_coordinates(r):
+    c = lrm(r, 7)  # 64 coordinates: two limbs per image
+    assert image_is_linear_bruteforce(c) is True
+    assert gray_image_params(c) == binary_code_params(rm_binary(r, 7))
+
+
+def test_nonlinear_image_past_32_coordinates():
+    # WITNESS with 36 zero coordinates appended: n = 40
+    padded = Z4Code(
+        GeneratorMatrix.from_strings([w.digits() + "0" * 36 for w in WITNESS.generators])
+    )
+    assert image_is_linear_bruteforce(padded) is False
+    images = [gray(w) for w in enumerate_codewords(padded.standard_form)]
+    want = min(hamming_distance(a, b) for a, b in itertools.combinations(images, 2))
+    assert gray_image_params(padded) == CodeParams(80, 4, want, binary=True)
 
 
 def test_gray_xor_identity_validates_criterion():

@@ -143,6 +143,20 @@ def test_verify_with_override(capsys, tmp_path):
     assert "result=pass" in out
 
 
+@pytest.mark.parametrize("node", ["5,3", "-1,2", "0,0"])
+@pytest.mark.parametrize("command", ["verify", "build"])
+def test_override_at_invalid_node_is_usage_error(capsys, lrm12_file, command, node):
+    code, out, err = run(capsys, command, "1", "3", f"--override={node}={lrm12_file}")
+    assert (code, out) == (2, "")
+    assert "invalid order" in err
+
+
+def test_brute_oracle_past_32_coordinates(capsys, tmp_path):
+    path = tmp_path / "lrm17.z4code"
+    path.write_text(render_code(lrm(1, 7)), newline="")
+    assert run(capsys, "image-linear", str(path), "--brute") == (0, "image_linear=true\n", "")
+
+
 def test_enumerate_and_mindist_and_wdist(capsys, lrm12_file):
     code, out, _ = run(capsys, "enumerate", lrm12_file)
     assert code == 0
