@@ -18,7 +18,7 @@ from . import _engine
 from .codes import CodeParams, RMOrder, Z4Code, check_order, lrm, qrm_log2_size, theorem1_params
 from .errors import CapacityError, ZeroCodeError
 from .linalg import DEFAULT_BUDGET, GeneratorMatrix, check_budget, codeword_at
-from .z4core import BitWord, Z4Word, alpha, gray, _spread_bits
+from .z4core import BitWord, Z4Word, alpha, beta, gray
 
 __all__ = [
     "WeightDistribution",
@@ -143,26 +143,30 @@ def lee_weight_distribution(
     return WeightDistribution(tuple(int(x) for x in hist))
 
 
-def _even_product_word(u: Z4Word, v: Z4Word) -> Z4Word:
-    # 2 * (alpha(u) . alpha(v)) coordinatewise: symbol 2 where both are odd
-    au = alpha(u)._packed & alpha(v)._packed
-    return Z4Word._raw(u.n, _spread_bits(au, u.n) << 1)
-
-
 def image_is_linear(c: Z4Code) -> bool:
     """Whether the Gray image is closed under XOR, decided from generators.
 
-    Uses the identity gray(u) ^ gray(v) = gray(u + v + 2*alpha(u)*alpha(v)):
-    the image is linear iff every generator pair's correction word lies in
-    the code.  The correction word is symmetric in u and v, so unordered
-    pairs, each row with itself included, suffice.  The identity is
-    validated against the brute-force oracle in the test suite.
+    The image is linear iff 2*(alpha(u)*alpha(v)) lies in the code for every
+    generator pair (Hammons et al. 1994); of the standard-form rows only
+    distinct unit rows matter.  Their a = alpha(u) & alpha(v) has no bit in a
+    unit-pivot column, so 2a is a codeword iff a is the XOR of beta(w_t) over
+    the pivot-2 columns t where a has a bit, w_t being the even row with
+    pivot t.  The brute-force oracle is its reference in the tests.
     """
-    rows = c.standard_form.rows
-    return all(
-        c.contains(_even_product_word(u, v))
-        for u, v in itertools.combinations_with_replacement(rows, 2)
-    )
+    sf = c.standard_form
+    units = [alpha(u)._packed for u in sf.rows[: sf.k1]]
+    halves = {1 << t: beta(w)._packed for t, w in zip(sf.two_cols, sf.rows[sf.k1 :])}
+    two_mask = sum(halves)
+    for au, av in itertools.combinations(units, 2):
+        a = au & av
+        rest, span = a & two_mask, 0
+        while rest:
+            low = rest & -rest
+            span ^= halves[low]
+            rest ^= low
+        if span != a:
+            return False
+    return True
 
 
 def _collect_images(c: Z4Code, budget: int):
@@ -406,7 +410,7 @@ def _search_shape(n, k1, k2, d, results, stop_after):
                 GeneratorMatrix(rows, n=n),
                 label=f"search[n={n},k={2 * k1 + k2},d={d},type=({k1},{k2})]",
             )
-            if not image_is_linear_bruteforce(code):
+            if not image_is_linear(code):
                 results.append(code)
             return
         kind, pos = plan[depth]

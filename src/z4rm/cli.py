@@ -254,7 +254,7 @@ _COMMANDS = {
     "image-linear": (_cmd_image_linear, "is the Gray image closed under XOR?", (
         _FILE,
         _arg("--brute", action="store_true",
-             help="use the exhaustive pairwise oracle instead of the generator test"),
+             help="use the exhaustive image-set oracle instead of the generator test"),
         _BUDGET)),
     "enumerate": (_cmd_enumerate, "list every codeword in the frozen order", (_FILE, _BUDGET)),
     "compare-qrm": (_cmd_compare_qrm, "size comparison against QRM for all m <= M",

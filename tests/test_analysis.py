@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from z4rm.analysis import (
@@ -127,6 +127,43 @@ def test_oracle_matches_pairwise_closure(c):
     images = {gray(w)._packed for w in enumerate_codewords(c.standard_form)}
     closed = all(a ^ b in images for a in images for b in images)
     assert image_is_linear_bruteforce(c) is closed
+
+
+@st.composite
+def _unit_and_even_codes(draw):
+    # all-even rows next to arbitrary ones: after reduction the unit rows
+    # carry 1s in pivot-2 columns, where beta of the even rows decides.  The
+    # optional last row is the first two rows' correction word
+    # 2*(alpha(u)*alpha(v)), so that images closed by even rows are common.
+    n = draw(st.integers(1, 6))
+    any_row = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    even_row = st.lists(st.sampled_from((0, 2)), min_size=n, max_size=n)
+    rows = draw(st.lists(st.one_of(any_row, even_row), min_size=1, max_size=3))
+    if len(rows) > 1 and draw(st.booleans()):
+        rows.append([2 * (a & b & 1) for a, b in zip(rows[0], rows[1])])
+    return Z4Code(GeneratorMatrix([Z4Word(r) for r in rows], n=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=_unit_and_even_codes())
+@example(c=WITNESS)
+# linear: alpha(1011) & alpha(0111) = 0011 = beta(0022), free bit included
+@example(c=Z4Code(GeneratorMatrix.from_strings(["1011", "0111", "0022"])))
+def test_generator_criterion_matches_oracle(c):
+    assert image_is_linear(c) is image_is_linear_bruteforce(c)
+
+
+# orders whose image is nonlinear with the shipped base at node (2,4),
+# captured with the per-pair Z4 membership test of image linearity
+_NONLINEAR_WITH_BASE = {
+    (2, 4), (2, 5), (3, 5), (2, 6), (3, 6), (4, 6), (2, 7), (3, 7), (4, 7), (5, 7),
+}
+
+
+@pytest.mark.parametrize("r, m", [(r, m) for m in range(1, 8) for r in range(m + 1)])
+def test_image_linearity_with_shipped_base_is_pinned(r, m):
+    code = lrm(r, m, {(2, 4): shipped_nonlinear_base()})
+    assert image_is_linear(code) is ((r, m) not in _NONLINEAR_WITH_BASE)
 
 
 @pytest.mark.parametrize("r", [0, 1])

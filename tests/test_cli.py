@@ -53,6 +53,14 @@ def test_verify_all_6_stdout_is_pinned(capsys):
     assert run(capsys, "verify-all", "6")[:2] == (0, want)
 
 
+def test_verify_all_7_stdout_is_pinned(capsys):
+    # captured with the per-pair Z4 membership test of image linearity; the
+    # m = 7 lines carry image_linear for codes of up to 2^128 words, far past
+    # the brute-force oracle's budget
+    want = (Path(__file__).parent / "data" / "verify_all_7.txt").read_text(encoding="ascii")
+    assert run(capsys, "verify-all", "7")[:2] == (0, want)
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("r, m", [(1, 7), (2, 6)])
 def test_mindist_wdist_stdout_is_pinned(capsys, tmp_path, r, m, workers):
