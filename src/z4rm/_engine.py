@@ -319,31 +319,48 @@ WITNESS_BLOCK_LOG2 = 10
 DIRECT_MAX_LOG2 = 14
 
 
+def _dual_is_cheaper(sf):
+    """Whether the smaller-side routes sweep the dual: it has fewer words
+    (|C⊥| = 4^n / |C|) and the code has more than 2^DIRECT_MAX_LOG2."""
+    k = sf.log2_size
+    return 2 * sf.n - k < k and k > DIRECT_MAX_LOG2
+
+
+def lee_distribution_smaller_side(sf, budget, workers=1):
+    """Exact Lee weight counts (w = 0..2n, Python ints) of sf's code,
+    computed from whichever of the code and its dual has fewer words.
+
+    The budget gates the code's own size.  When _dual_is_cheaper, a sweep of
+    the dual gives the dual's counts and lee_macwilliams turns them into the
+    code's; otherwise the code itself is swept.
+    """
+    k = sf.log2_size
+    check_budget(k, budget)
+    side = dual_standard_form(sf) if _dual_is_cheaper(sf) else sf
+    counts = weight_histogram(
+        z4_basis_from_standard_form(side), side.log2_size, z4_add, lee_weights, 2 * sf.n,
+        workers=workers,
+    )
+    return lee_macwilliams(counts, k) if side is not sf else [int(a) for a in counts]
+
+
 def min_lee_weight_smaller_side(sf, budget, workers=1):
     """(minimum nonzero Lee weight, sweep index of its first word) of sf's
     code, computed from whichever of the code and its dual has fewer words.
 
-    The budget gates the code's own size.  When the dual is smaller and the
-    code has more than 2^DIRECT_MAX_LOG2 words, the dual's Lee weight
-    distribution gives the code's exact distribution through lee_macwilliams,
-    hence the exact minimum d; a sweep of the code that stops at the first
-    block holding a word of weight d then finds the witness.  As d is already
+    The budget gates the code's own size.  When _dual_is_cheaper,
+    lee_distribution_smaller_side gives the code's exact distribution, hence
+    the exact minimum d; a sweep of the code that stops at the first block
+    holding a word of weight d then finds the witness.  As d is already
     proven, stopping there misses no lighter word, and the index is the one
     the full sweep returns.  Otherwise this is min_lee_weight_sweep.
     """
-    k = sf.log2_size
-    check_budget(k, budget)
-    if 2 * sf.n - k >= k or k <= DIRECT_MAX_LOG2:  # |C⊥| = 4^n / |C|
+    if not _dual_is_cheaper(sf):
         return min_lee_weight_sweep(sf, budget, workers=workers)
-    dual = dual_standard_form(sf)
-    dual_counts = weight_histogram(
-        z4_basis_from_standard_form(dual), dual.log2_size, z4_add, lee_weights, 2 * sf.n,
-        workers=workers,
-    )
-    counts = lee_macwilliams(dual_counts, k)
+    counts = lee_distribution_smaller_side(sf, budget, workers=workers)
     d = next(w for w, a in enumerate(counts) if w and a)
     return min_weight_sweep(
-        z4_basis_from_standard_form(sf), k, z4_add, lee_weights, workers=workers,
+        z4_basis_from_standard_form(sf), sf.log2_size, z4_add, lee_weights, workers=workers,
         stop_at=d, block_log2=WITNESS_BLOCK_LOG2,
     )
 

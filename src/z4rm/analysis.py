@@ -121,26 +121,27 @@ class VerificationReport:
 
 def min_lee_weight_witness(c: Z4Code, budget: int = DEFAULT_BUDGET, workers: int = 1):
     """(minimum nonzero Lee weight, first codeword in the frozen order
-    achieving it), by a sweep of every codeword."""
+    achieving it), exact, from whichever of C and C⊥ has fewer words
+    (_engine.min_lee_weight_smaller_side).  The budget gates C's own size."""
     sf = c.standard_form
-    d, t = _engine.min_lee_weight_sweep(sf, budget, workers=workers)
+    d, t = _engine.min_lee_weight_smaller_side(sf, budget, workers=workers)
     return d, codeword_at(sf, t)
 
 
 def min_lee_weight(c: Z4Code, budget: int = DEFAULT_BUDGET, workers: int = 1) -> int:
-    """Minimum Lee weight over all nonzero codewords (exhaustive)."""
+    """Minimum Lee weight over all nonzero codewords (exact)."""
     return min_lee_weight_witness(c, budget=budget, workers=workers)[0]
 
 
 def lee_weight_distribution(
     c: Z4Code, budget: int = DEFAULT_BUDGET, workers: int = 1
 ) -> WeightDistribution:
-    """Exact codeword counts by Lee weight."""
-    basis, k = _engine.z4_sweep_basis(c.standard_form, budget)
-    hist = _engine.weight_histogram(
-        basis, k, _engine.z4_add, _engine.lee_weights, max_weight=2 * c.n, workers=workers
-    )
-    return WeightDistribution(tuple(int(x) for x in hist))
+    """Exact codeword counts by Lee weight, from whichever of C and C⊥ has
+    fewer words (_engine.lee_distribution_smaller_side: a sweep of C, or the
+    Lee MacWilliams transform of a sweep of C⊥).  The budget gates C's own
+    size."""
+    counts = _engine.lee_distribution_smaller_side(c.standard_form, budget, workers=workers)
+    return WeightDistribution(tuple(counts))
 
 
 def image_is_linear(c: Z4Code) -> bool:
@@ -200,8 +201,8 @@ def verify_theorem1(
     """Build LRM(r,m) and compare its computed parameters with the claim.
 
     The minimum Lee distance is exact, computed from whichever of the code
-    and its dual has fewer words (_engine.min_lee_weight_smaller_side), for
-    any code within the budget.  The claim never bounds the computation, so
+    and its dual has fewer words (min_lee_weight_witness), for any code
+    within the budget.  The claim never bounds the computation, so
     fast=True computes what the default audit does and only changes the mode
     shown in the report.  On the minimum-weight witness the Gray image weight
     must reproduce the Lee weight (isometry cross-check).
@@ -209,13 +210,12 @@ def verify_theorem1(
     order = check_order(r, m)
     claimed = theorem1_params(r, m)
     code = lrm(r, m, overrides, budget)
-    sf = code.standard_form
-    computed_k = sf.log2_size
+    computed_k = code.log2_size
     computed_d = None
     witness_hamming = None
     if computed_k <= budget:
-        computed_d, t = _engine.min_lee_weight_smaller_side(sf, budget, workers=workers)
-        witness_hamming = gray(codeword_at(sf, t)).weight()
+        computed_d, witness = min_lee_weight_witness(code, budget, workers=workers)
+        witness_hamming = gray(witness).weight()
     return VerificationReport(
         order=order,
         label=code.label,
@@ -338,11 +338,18 @@ def search_nonlinear_base(
             required=n,
             configured=length_limit,
         )
-    if n > 32 or k > BRUTE_ORACLE_BUDGET:
+    if n > 32:
         raise CapacityError(
-            f"search supports length <= 32 and log2 size <= {BRUTE_ORACLE_BUDGET}",
+            f"target length {n} exceeds 32, the search's single-limb candidate rows",
+            required=n,
+            configured=32,
+        )
+    if k > MATERIALIZE_BUDGET:
+        raise CapacityError(
+            f"target log2 size {k} exceeds {MATERIALIZE_BUDGET}: the search "
+            f"materializes 2^k-word spans",
             required=k,
-            configured=BRUTE_ORACLE_BUDGET,
+            configured=MATERIALIZE_BUDGET,
         )
     results = []
     if k == 0:

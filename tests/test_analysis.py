@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from z4rm.analysis import (
+    MATERIALIZE_BUDGET,
     gray_image_params,
     binary_code_params,
     image_is_linear,
@@ -279,6 +280,19 @@ def test_search_small_targets():
 def test_search_limit_exceeded():
     with pytest.raises(CapacityError):
         search_nonlinear_base(CodeParams(9, 2, 2), length_limit=8)
+
+
+def test_search_refuses_long_rows_and_large_spans():
+    # candidate rows are single uint64 limbs: 32 Z4 lanes
+    with pytest.raises(CapacityError, match="target length 33 exceeds 32") as e:
+        search_nonlinear_base(CodeParams(33, 2, 2), length_limit=40)
+    assert (e.value.required, e.value.configured) == (33, 32)
+    # the search materializes spans of 2^k words
+    with pytest.raises(CapacityError, match="target log2 size 21 exceeds 20") as e:
+        search_nonlinear_base(CodeParams(12, 21, 2), length_limit=12)
+    assert (e.value.required, e.value.configured) == (21, MATERIALIZE_BUDGET)
+    # a log2 size past the old oracle bound of 14 is searched (here: none exist)
+    assert search_nonlinear_base(CodeParams(8, 16, 2), length_limit=8) == []
 
 
 def test_search_stop_after():

@@ -62,10 +62,11 @@ def test_verify_all_7_stdout_is_pinned(capsys):
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-@pytest.mark.parametrize("r, m", [(1, 7), (2, 6)])
+@pytest.mark.parametrize("r, m", [(1, 7), (2, 6), (3, 5)])
 def test_mindist_wdist_stdout_is_pinned(capsys, tmp_path, r, m, workers):
-    # captured from the lane-wise combine and Lee kernel: LRM(1,7) is one
-    # two-limb block, LRM(2,6) sixteen 2^18-word blocks
+    # captured from direct sweeps of every codeword: LRM(1,7) is one two-limb
+    # block, LRM(2,6) sixteen 2^18-word blocks; LRM(3,5) (2^26 words) was
+    # swept directly at capture and now goes through its 2^6-word dual
     want = (Path(__file__).parent / "data" / f"lrm_{r}_{m}_mindist_wdist.txt").read_text(
         encoding="ascii"
     )
@@ -74,6 +75,17 @@ def test_mindist_wdist_stdout_is_pinned(capsys, tmp_path, r, m, workers):
     code_min, out_min, _ = run(capsys, "mindist", path, "--workers", workers)
     code_w, out_w, _ = run(capsys, "wdist", path, "--workers", workers)
     assert (code_min, code_w, out_min + out_w) == (0, 0, want)
+
+
+@pytest.mark.parametrize("command", ["mindist", "wdist"])
+def test_budget_gates_the_code_not_its_dual(capsys, tmp_path, command):
+    # LRM(3,5) is computed through its 2^6-word dual, but its own 2^26 words
+    # are what the budget admits or refuses
+    path = str(tmp_path / "code.z4code")
+    assert run(capsys, "build", "3", "5", "-o", path)[0] == 0
+    assert run(capsys, command, path, "--budget", "20") == (
+        3, "", "error: code has 2^26 words but the budget allows 2^20\n"
+    )
 
 
 def test_override_over_budget_is_refused(capsys, tmp_path):
@@ -292,6 +304,19 @@ def test_search_nonlinear_subcommand(capsys):
 
     code, out, _ = run(capsys, "search-nonlinear", "9", "2", "2", "--limit", "8")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["33", "2", "2", "--limit", "40"],
+         "target length 33 exceeds 32, the search's single-limb candidate rows"),
+        (["12", "21", "2", "--limit", "12"],
+         "target log2 size 21 exceeds 20: the search materializes 2^k-word spans"),
+    ],
+)
+def test_search_nonlinear_refusals(capsys, argv, message):
+    assert run(capsys, "search-nonlinear", *argv) == (3, "", f"error: {message}\n")
 
 
 def test_usage_errors(capsys):

@@ -1,7 +1,11 @@
 """The dual-code route: the dual of a standard form, the Lee MacWilliams
-transform, and the side choice in _engine.min_lee_weight_smaller_side, each
-checked against the exhaustive direct sweep."""
+transform, and the side choice in _engine.lee_distribution_smaller_side and
+_engine.min_lee_weight_smaller_side, each checked against the exhaustive
+direct sweep.  The public lee_weight_distribution and min_lee_weight_witness
+take that route, so the direct references here call the engine's sweeps of
+the code's own basis."""
 
+import functools
 from unittest import mock
 
 import pytest
@@ -9,9 +13,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from z4rm import _engine
-from z4rm.analysis import lee_weight_distribution
+from z4rm.analysis import lee_weight_distribution, min_lee_weight_witness
 from z4rm.codes import Z4Code, lrm, shipped_nonlinear_base, theorem1_params
-from z4rm.linalg import GeneratorMatrix, dual_standard_form, standard_form
+from z4rm.linalg import GeneratorMatrix, codeword_at, dual_standard_form, standard_form
 from z4rm.z4core import Z4Word
 
 
@@ -29,6 +33,16 @@ def macwilliams_counts(code):
     return _engine.lee_macwilliams(hist, sf.log2_size)
 
 
+def direct_counts(code, workers=1):
+    """code's Lee weight counts, computed from a sweep of its own words."""
+    sf = code.standard_form
+    hist = _engine.weight_histogram(
+        *_engine.z4_sweep_basis(sf, 28), _engine.z4_add, _engine.lee_weights, 2 * sf.n,
+        workers=workers,
+    )
+    return [int(a) for a in hist]
+
+
 def monomial_copy(code, perm, negate):
     """Coordinates permuted by perm, then negated where negate is set: the
     Lee weights, hence all claimed parameters, are unchanged."""
@@ -41,6 +55,7 @@ def monomial_copy(code, perm, negate):
 
 LRM24_COPY = monomial_copy(lrm(2, 4), [3, 0, 6, 1, 7, 2, 5, 4], [1, 0, 0, 1, 1, 0, 1, 0])
 OVERRIDES = [None, {(2, 4): shipped_nonlinear_base()}, {(2, 4): LRM24_COPY}]
+OVERRIDE_IDS = ["plain", "shipped-base", "lrm24-copy"]
 
 
 @pytest.mark.parametrize(
@@ -52,7 +67,7 @@ OVERRIDES = [None, {(2, 4): shipped_nonlinear_base()}, {(2, 4): LRM24_COPY}]
 def test_macwilliams_matches_direct_distribution(code):
     sf = code.standard_form
     assert max(sf.log2_size, 2 * sf.n - sf.log2_size) <= 16
-    assert macwilliams_counts(code) == list(lee_weight_distribution(code).counts)
+    assert macwilliams_counts(code) == direct_counts(code)
 
 
 @st.composite
@@ -92,17 +107,18 @@ def test_dual_and_macwilliams_properties(g):
     assert k + dual.log2_size == 2 * n
 
     code, dual_c = Z4Code(g), dual_code(sf)
-    direct = list(lee_weight_distribution(code).counts)
-    dual_direct = list(lee_weight_distribution(dual_c).counts)
+    direct = direct_counts(code)
+    dual_direct = direct_counts(dual_c)
     assert _engine.lee_macwilliams(dual_direct, k) == direct
     assert _engine.lee_macwilliams(direct, 2 * n - k) == dual_direct
 
-    if k:
-        # a 4-word witness block makes the early stop cut a multi-block sweep,
-        # and a 4-word direct cutoff sends every code with k > 2 whose dual is
-        # smaller through the dual
-        with mock.patch.object(_engine, "WITNESS_BLOCK_LOG2", 2), \
-                mock.patch.object(_engine, "DIRECT_MAX_LOG2", 2):
+    # a 4-word witness block makes the early stop cut a multi-block sweep,
+    # and a 4-word direct cutoff sends every code with k > 2 whose dual is
+    # smaller through the dual
+    with mock.patch.object(_engine, "WITNESS_BLOCK_LOG2", 2), \
+            mock.patch.object(_engine, "DIRECT_MAX_LOG2", 2):
+        assert list(lee_weight_distribution(code).counts) == direct
+        if k:
             assert _engine.min_lee_weight_smaller_side(sf, 28) == _engine.min_lee_weight_sweep(
                 sf, 28
             )
@@ -129,7 +145,7 @@ def test_krawtchouk_recurrence_matches_binomial_sum():
             assert _engine._krawtchouk(w, length) == want
 
 
-@pytest.mark.parametrize("overrides", OVERRIDES, ids=["plain", "shipped-base", "lrm24-copy"])
+@pytest.mark.parametrize("overrides", OVERRIDES, ids=OVERRIDE_IDS)
 def test_smaller_side_matches_exhaustive_sweep(overrides):
     orders = [
         (r, m)
@@ -142,3 +158,26 @@ def test_smaller_side_matches_exhaustive_sweep(overrides):
         assert _engine.min_lee_weight_smaller_side(sf, 28, workers=2) == (
             _engine.min_lee_weight_sweep(sf, 28, workers=2)
         ), (r, m)
+
+
+@functools.cache
+def _direct_reference(r, m, override_index):
+    """(code, direct counts, (d, witness) of the direct min sweep)."""
+    code = lrm(r, m, OVERRIDES[override_index])
+    sf = code.standard_form
+    d, t = _engine.min_lee_weight_sweep(sf, 28, workers=2)
+    return code, direct_counts(code, workers=2), (d, codeword_at(sf, t))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("override_index", range(len(OVERRIDES)), ids=OVERRIDE_IDS)
+@pytest.mark.parametrize("r, m", [(3, 4), (4, 4), (3, 5)])
+def test_public_calls_match_direct_sweep(r, m, override_index, workers):
+    # LRM(3,4) (2^15 words), LRM(4,4) (2^16, the whole space) and LRM(3,5)
+    # (2^26) have smaller duals, so the public calls go through MacWilliams;
+    # of the three, only LRM(3,5) contains the overridden (2,4) node
+    code, counts, (d, witness) = _direct_reference(r, m, override_index)
+    assert _engine._dual_is_cheaper(code.standard_form)
+    assert list(lee_weight_distribution(code, workers=workers).counts) == counts
+    got_d, got_witness = min_lee_weight_witness(code, workers=workers)
+    assert (got_d, got_witness.digits()) == (d, witness.digits())
