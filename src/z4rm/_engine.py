@@ -223,22 +223,22 @@ def min_weight_sweep(
     combine,
     weights,
     workers=1,
-    skip_zero=True,
     stop_at=None,
     block_log2=DEFAULT_BLOCK_LOG2,
 ):
-    """(min weight, first sweep index achieving it) over all 2^k words.
+    """(min weight, first sweep index achieving it) over the 2^k - 1 words
+    after index 0 (the zero word), or None when k = 0.
 
-    skip_zero ignores index 0 (the zero word).  stop_at ends the sweep at
-    the first block whose committed running minimum is <= stop_at.  The
-    weights follow from combine (Sweep.weights); the weights parameter
-    (lee_weights or bit_weights) stays for the callers that pass it.
+    stop_at ends the sweep at the first block whose committed running
+    minimum is <= stop_at.  The weights follow from combine (Sweep.weights);
+    the weights parameter (lee_weights or bit_weights) stays for the callers
+    that pass it.
     """
     sweep = Sweep(basis, k, combine, block_log2)
     size = sweep.block_size()
 
     def job(h, w):
-        if h == 0 and skip_zero:
+        if h == 0:
             if len(w) == 1:
                 return None
             w = w[1:]

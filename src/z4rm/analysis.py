@@ -36,7 +36,7 @@ __all__ = [
     "binary_log2_size",
 ]
 
-# materializing sweeps (image collection, pairwise distance) stay below this
+# sweeps that materialize every word (image sets, search spans) stay below this
 MATERIALIZE_BUDGET = 20
 BRUTE_ORACLE_BUDGET = 14
 
@@ -242,35 +242,19 @@ def nonequivalence_report(r: int, m: int) -> NonequivalenceRecord:
 def gray_image_params(c: Z4Code, budget: int = MATERIALIZE_BUDGET) -> CodeParams:
     """Computed (length, log2 size, minimum Hamming distance) of the Gray image.
 
-    The image size is counted from the materialized image set; the distance
-    uses weights when the image is XOR-closed and falls back to the full
-    pairwise sweep otherwise.
+    The image size is counted from the materialized image set.  The Gray
+    image of a Z4-linear code is distance invariant, d_H(gray(x), gray(y)) =
+    wt_L(x - y) with x - y a codeword (Hammons et al. 1994), so its minimum
+    distance is its least nonzero weight, whether or not it is linear.
     """
     images = _collect_images(c, budget)
-    distinct = np.unique(images, axis=0)
-    size = len(distinct)
+    size = len(np.unique(images, axis=0))
     if size != 1 << c.log2_size:
         raise AssertionError("Gray map failed to be injective")  # pragma: no cover
     if size == 1:
         raise ZeroCodeError("the zero code's image has no distance")
-    if image_is_linear(c):
-        weights = _engine.bit_weights(images)
-        d = int(np.min(weights[weights > 0]))
-    else:
-        if size > 4096:
-            raise CapacityError(
-                "pairwise distance sweep of a nonlinear image supports at most "
-                f"2^12 words, image has {size}",
-                required=size.bit_length() - 1,
-                configured=12,
-            )
-        d = None
-        for i in range(size):
-            dist = _engine.bit_weights(distinct ^ distinct[i])
-            dist[i] = np.iinfo(dist.dtype).max
-            row_min = int(dist.min())
-            if d is None or row_min < d:
-                d = row_min
+    weights = _engine.bit_weights(images)
+    d = int(np.min(weights[weights > 0]))
     return CodeParams(n=2 * c.n, k=c.log2_size, d=d, binary=True)
 
 
@@ -310,7 +294,7 @@ def binary_code_params(
     bit_rows = [BitWord._raw(n, p) for p in basis_ints]
     basis = _engine.xor_basis_from_rows(bit_rows, n)
     best = _engine.min_weight_sweep(
-        basis, k, _engine.xor_add, _engine.bit_weights, workers=workers, skip_zero=True
+        basis, k, _engine.xor_add, _engine.bit_weights, workers=workers
     )
     return CodeParams(n=n, k=k, d=best[0], binary=True)
 

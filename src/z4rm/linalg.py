@@ -129,6 +129,8 @@ def standard_form(g: GeneratorMatrix) -> StandardForm:
     p = 0
     unit_cols = []
     for col in range(n):
+        if p == len(rows):  # no row left to pivot; n may be huge
+            break
         pivot = next(
             (i for i in range(p, len(rows)) if rows[i][col] in (1, 3)), None
         )
@@ -145,6 +147,8 @@ def standard_form(g: GeneratorMatrix) -> StandardForm:
     k1 = p
     two_cols = []
     for col in range(n):
+        if p == len(rows):
+            break
         pivot = next((i for i in range(p, len(rows)) if rows[i][col] == 2), None)
         if pivot is None:
             continue

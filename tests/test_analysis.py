@@ -371,6 +371,37 @@ def test_gray_image_params_nonlinear_path():
     assert img == CodeParams(8, 4, want, binary=True)
 
 
+def test_gray_image_params_of_a_large_nonlinear_image():
+    # 2^16 words, nonlinear image: the distance comes from the least nonzero
+    # image weight (distance invariance), checked against the Lee route
+    c = lrm(2, 5, {(2, 4): shipped_nonlinear_base()})
+    assert image_is_linear(c) is False
+    assert gray_image_params(c) == CodeParams(32, 16, 8, binary=True)
+    assert gray_image_params(c).d == min_lee_weight(c)
+
+
+@st.composite
+def _codes_up_to_2_8(draw):
+    # two to four rows of length 3..8: about a quarter of these codes have
+    # nonlinear Gray images
+    n = draw(st.integers(3, 8))
+    row = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=2, max_size=4))
+    return Z4Code(GeneratorMatrix([Z4Word(r) for r in rows], n=n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=_codes_up_to_2_8())
+@example(c=WITNESS)
+def test_gray_image_distance_is_min_pairwise_distance(c):
+    # pure-Python pairwise reference, for linear and nonlinear images alike
+    images = [gray(w) for w in enumerate_codewords(c.standard_form)]
+    if len(images) == 1:
+        return
+    want = min(hamming_distance(a, b) for a, b in itertools.combinations(images, 2))
+    assert gray_image_params(c).d == want
+
+
 def test_binary_code_params_reference_values():
     p = binary_code_params(rm_binary(1, 3))
     assert (p.n, p.k, p.d) == (8, 4, 4)

@@ -1,3 +1,4 @@
+import signal
 from pathlib import Path
 
 import pytest
@@ -332,3 +333,24 @@ def test_malformed_file_usage_error(capsys, tmp_path):
     assert run(capsys, "mindist", str(bad))[0] == 2
     missing = tmp_path / "missing.z4code"
     assert run(capsys, "mindist", str(missing))[0] == 2
+
+
+def test_empty_code_of_huge_length_is_answered_at_once(capsys, tmp_path):
+    # standard_form stops once no row is left to pivot instead of scanning
+    # all 10^13 columns; the alarm turns a regression into a failure
+    path = tmp_path / "huge.z4code"
+    path.write_text("Z4CODE v1 n=10000000000000 rows=0\n")
+
+    def hang(signum, frame):
+        raise TimeoutError("standard_form scanned the columns of an empty code")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        assert run(capsys, "image-linear", str(path)) == (0, "image_linear=true\n", "")
+        assert run(capsys, "mindist", str(path)) == (
+            1, "", "error: the zero code has no nonzero codeword\n"
+        )
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)

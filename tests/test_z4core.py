@@ -203,3 +203,98 @@ def test_lee_weight_of_sum_is_hamming_weight_of_gray_xor(pair):
     x, c = pair
     assert lee_weight(add(x, c)) == (gray(x)._packed ^ gray(negate(c))._packed).bit_count()
     assert lee_weight(add(x, c)) == hamming_distance(gray(x), gray(negate(c)))
+
+
+# The word contract: these messages reach CLI stderr through gray, ungray,
+# member and code files, so they stay byte-identical.
+_WORD_ERRORS = [
+    (lambda: W([4]), ValueError, "symbol 4 at position 0 is not in 0..3"),
+    (lambda: W([1, -1]), ValueError, "symbol -1 at position 1 is not in 0..3"),
+    (lambda: W([]), ValueError, "a Z4Word needs at least one coordinate"),
+    (lambda: W.zero(0), ValueError, "length must be positive"),
+    (lambda: W.from_string("104"), ValueError, "bad symbol character '4' at position 2"),
+    (lambda: W.from_string("1 2"), ValueError, "bad symbol character ' ' at position 1"),
+    (lambda: W.from_string(""), ValueError, "a Z4Word needs at least one coordinate"),
+    (lambda: B([2]), ValueError, "bit 2 at position 0 is not 0 or 1"),
+    (lambda: B([0, 1, -1]), ValueError, "bit -1 at position 2 is not 0 or 1"),
+    (lambda: B([]), ValueError, "a BitWord needs at least one coordinate"),
+    (lambda: B.zero(0), ValueError, "length must be positive"),
+    (lambda: B.from_string("012"), ValueError, "bad bit character '2' at position 2"),
+    (lambda: B.from_string("x"), ValueError, "bad bit character 'x' at position 0"),
+    (lambda: B.from_string(""), ValueError, "a BitWord needs at least one coordinate"),
+    (lambda: W([1, 2])[2], IndexError, "2"),
+    (lambda: W([1, 2])[-1], IndexError, "-1"),
+    (lambda: B([1])[1], IndexError, "1"),
+    (lambda: B([1])[-1], IndexError, "-1"),
+]
+
+
+@pytest.mark.parametrize("make, exc, message", _WORD_ERRORS)
+def test_word_error_messages_are_pinned(make, exc, message):
+    with pytest.raises(exc) as e:
+        make()
+    assert type(e.value) is exc
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize(
+    "cls, lanes, message",
+    [(W, [1, 2], "Z4Word is immutable"), (B, [1, 0], "BitWord is immutable")],
+)
+@pytest.mark.parametrize("attr", ["n", "_packed", "extra"])
+def test_word_setattr_is_refused(cls, lanes, message, attr):
+    word = cls(lanes)
+    with pytest.raises(AttributeError) as e:
+        setattr(word, attr, 1)
+    assert str(e.value) == message
+    assert not hasattr(word, "__dict__")
+    assert list(word) == lanes
+
+
+def test_word_repr_is_pinned():
+    assert repr(W([1, 0, 2, 3])) == "Z4Word('1023')"
+    assert repr(B([0, 1, 1, 0])) == "BitWord('0110')"
+    assert repr(W.zero(3)) == "Z4Word('000')"
+
+
+_z4_lanes = st.lists(st.integers(0, 3), min_size=1, max_size=70)
+_bit_lanes = st.lists(st.integers(0, 1), min_size=1, max_size=140)
+_classes_and_lanes = st.one_of(
+    st.tuples(st.just(W), _z4_lanes), st.tuples(st.just(B), _bit_lanes)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_classes_and_lanes)
+def test_word_round_trips(case):
+    cls, lanes = case
+    x = cls(lanes)
+    text = "".join(map(str, lanes))
+    assert len(x) == x.n == len(lanes)
+    assert list(x) == lanes
+    assert [x[i] for i in range(len(x))] == lanes
+    assert x.digits() == text
+    assert cls.from_string(text) == x
+    assert cls.from_string(x.digits()).digits() == text
+    assert cls._raw(x.n, x._packed) == x
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_classes_and_lanes, b=_classes_and_lanes)
+def test_word_eq_and_hash_agree(a, b):
+    x, y = a[0](a[1]), b[0](b[1])
+    same = a[0] is b[0] and a[1] == b[1]
+    assert (x == y) is same
+    assert (x != y) is not same
+    if same:
+        assert hash(x) == hash(y)
+    assert x == a[0](a[1]) and hash(x) == hash(a[0](a[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 80), data=st.data())
+def test_z4word_never_equals_bitword(n, data):
+    packed = data.draw(st.integers(0, (1 << n) - 1))
+    z, b = W._raw(n, packed), B._raw(n, packed)
+    assert z != b and b != z
+    assert len({z, b}) == 2
