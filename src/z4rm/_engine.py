@@ -12,10 +12,19 @@ weight of table word t plus offset c is the Hamming weight of
 image(t) ^ image(-c).  Each worker reuses its own kernel buffers from block
 to block: fresh per-block arrays cost page faults that varied with the
 allocator's state from call to call.
+
+Three exact routes give a code's Lee weight distribution, and lee_route
+takes the one that sweeps the fewest words: a sweep of the code, a sweep of
+its dual that lee_macwilliams turns into the code's counts, or, for a code
+that codes.plotkin built from parts A and B, one sweep of A, whose low index
+bits enumerate A ∩ B, plus one of the cosets of B it meets unless B ⊆ A.
+Their per-coset histograms combine into the code's counts
+(plotkin_lee_distribution).
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from collections import defaultdict
@@ -24,7 +33,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import ZeroCodeError
-from .linalg import check_budget, dual_standard_form, mixed_radix_basis
+from .linalg import check_budget, dual_standard_form, intersection, mixed_radix_basis
+from .z4core import add, alpha, beta, negate
 
 U64 = np.uint64
 _LO = U64(0x5555555555555555)
@@ -318,46 +328,214 @@ WITNESS_BLOCK_LOG2 = 10
 # 196-299/133-218 us at k = 15.
 DIRECT_MAX_LOG2 = 14
 
+# Codes of at most 2^16 words sweep directly even when the Plotkin route
+# sweeps fewer: its fixed cost (the parts' standard forms, A ∩ B, the coset
+# basis, two sweep set-ups, the histogram product) is not repaid.  Measured
+# through min_lee_weight_smaller_side in one process, median of 40
+# alternating runs on a 2-vCPU x86 KVM guest, plotkin/direct: at k = 16,
+# 0.55/0.83 ms for LRM(2,5), 1.06/0.92 and 1.26/1.10 ms for LRM(2,5) with two
+# overrides at (2,4) that make B ⊄ A, and 3.0/0.76 ms for a random Plotkin
+# code; at k = 17..22, 0.57-5.3 ms against 1.5-11.9 ms for four random ones.
+PLOTKIN_MIN_LOG2 = 16
 
-def _dual_is_cheaper(sf):
-    """Whether the smaller-side routes sweep the dual: it has fewer words
-    (|C⊥| = 4^n / |C|) and the code has more than 2^DIRECT_MAX_LOG2."""
-    k = sf.log2_size
-    return 2 * sf.n - k < k and k > DIRECT_MAX_LOG2
 
+def lee_route(sf, parts=None):
+    """(method, log2 cost, A ∩ B) of the cheapest exact route to the Lee
+    weight distribution of sf's code C, the cost being log2 of the words it
+    sweeps:
 
-def lee_distribution_smaller_side(sf, budget, workers=1):
-    """Exact Lee weight counts (w = 0..2n, Python ints) of sf's code,
-    computed from whichever of the code and its dual has fewer words.
+    - "direct": a sweep of C's 2^k words;
+    - "dual": a sweep of C⊥'s 2^(2n-k) words, taken when C has more than
+      2^DIRECT_MAX_LOG2 words;
+    - "plotkin": when C = {(x, x+y) : x in A, y in B} with parts = (A, B),
+      codes with a standard_form, a sweep of A's 2^k_A words and, unless
+      B ⊆ A, of the 2^(k_A - k_I + k_B) words of the cosets of B it meets,
+      k_I being log2 |A ∩ B| (plotkin_lee_distribution).  Taken when C has
+      more than 2^PLOTKIN_MIN_LOG2 words.
 
-    The budget gates the code's own size.  When _dual_is_cheaper, a sweep of
-    the dual gives the dual's counts and lee_macwilliams turns them into the
-    code's; otherwise the code itself is swept.
+    The third field is A ∩ B on the plotkin route and None otherwise.  Ties
+    go to the earlier method in that list.
     """
     k = sf.log2_size
-    check_budget(k, budget)
-    side = dual_standard_form(sf) if _dual_is_cheaper(sf) else sf
+    best = ("direct", k, None)
+    if k > DIRECT_MAX_LOG2 and 2 * sf.n - k < k:
+        best = ("dual", 2 * sf.n - k, None)
+    # The plotkin route's int64 counts reach 2^k.  B has at most 4^(n/2)
+    # words, so A has at least 2^(k-n) and the route costs at least k - n.
+    if parts is not None and PLOTKIN_MIN_LOG2 < k < 63 and k - sf.n < best[1]:
+        a, b = (p.standard_form for p in parts)
+        ka, kb = a.log2_size, b.log2_size
+        if ka < best[1]:
+            inter = intersection(a, b)
+            ki = inter.log2_size
+            cost = math.log2((1 << ka) + ((1 << (ka - ki + kb)) if ki < kb else 0))
+            if cost < best[1]:
+                best = ("plotkin", cost, inter)
+    return best
+
+
+class _Span:
+    """A subgroup S of Z4^n that grows word by word, with a membership test
+    that needs no row reduction of S.
+
+    It keeps two GF(2) echelons of int bit masks, keyed by leading bit: the
+    residue code {s mod 2 : s in S}, each row with a word of S that is the
+    row mod 2, and the torsion code {t mod 2 : 2t in S}.  Reducing x mod 2
+    against the residue rows, and x by their words, leaves x - s = 2t with s
+    in S when x mod 2 lies in the residue code; x is then in S iff t mod 2
+    lies in the torsion code.
+    """
+
+    def __init__(self):
+        self.residue = {}
+        self.torsion = {}
+
+    def _reduce(self, x):
+        """(x mod 2 reduced against the residue rows, x minus their words)."""
+        bits = alpha(x)._packed
+        while bits and (row := self.residue.get(bits.bit_length())):
+            bits ^= row[0]
+            x = add(x, negate(row[1]))
+        return bits, x
+
+    def _torsion_bits(self, even):
+        bits = beta(even)._packed
+        while bits and (row := self.torsion.get(bits.bit_length())):
+            bits ^= row
+        return bits
+
+    def __contains__(self, x):
+        bits, rest = self._reduce(x)
+        return not bits and not self._torsion_bits(rest)
+
+    def extend(self, g):
+        """Grow S until it holds g; returns the words added, in order.
+
+        Each added b is g if 2g is in S, else 2g.  So b is not in S and 2b is,
+        and S ∪ (b + S) is again a subgroup, twice as large: either b mod 2
+        joins the residue code, or (b - s)/2 mod 2 joins the torsion code.
+        """
+        added = []
+        while g not in self:
+            b = g if add(g, g) in self else add(g, g)
+            bits, rest = self._reduce(b)
+            if bits:
+                self.residue[bits.bit_length()] = (bits, rest)
+            else:
+                t = self._torsion_bits(rest)
+                self.torsion[t.bit_length()] = t
+            added.append(b)
+        return added
+
+
+def plotkin_bit_basis(a, inter):
+    """Words b_0..b_{k_A - 1} whose 0/1 combinations give each word of the
+    code A once, the first k_I of them being mixed_radix_basis(inter) for a
+    subcode inter of A.  Sweep index c * 2^k_I + j is then word j of inter
+    plus a representative of the c-th coset of inter in A.  The rest are
+    the words _Span.extend adds for the rows of A's standard form."""
+    span = _Span()
+    for g in inter.rows:
+        span.extend(g)
+    basis = mixed_radix_basis(inter)
+    for g in a.rows:
+        basis += span.extend(g)
+    return basis
+
+
+def coset_histograms(basis, k, low, max_weight, workers=1, block_log2=DEFAULT_BLOCK_LOG2):
+    """(2^(k - low), max_weight + 1) int64 counts by Lee weight: row c counts
+    the words at sweep indices c * 2^low .. (c + 1) * 2^low - 1 of the
+    packed basis."""
+    sweep = Sweep(basis, k, z4_add, block_log2)
+    size = sweep.block_size()
+    width = max_weight + 1
+    rows = max(1, size >> low)  # a block spans whole rows, or lies in one
+    cells = (np.arange(size) >> low) * width
+
+    def job(h, w):
+        return np.bincount(cells + w, minlength=rows * width).reshape(rows, width)
+
+    counts = np.concatenate(_run_blocks(sweep, job, workers))
+    return counts.reshape(1 << (k - low), -1, width).sum(axis=1)
+
+
+def plotkin_lee_distribution(a, b, inter, workers=1):
+    """Exact Lee weight counts (w = 0..4n, Python ints) of the code
+    C = {(x, x+y) : x in A, y in B} of length 2n, from the standard forms
+    a, b of A and B and inter of A ∩ B.
+
+    For x in a coset D of A ∩ B in A, x + B is one coset D + B, so
+    W_C = sum over D of W_D ⊛ W_{D+B} (the (u|u+v) recursion, MacWilliams
+    and Sloane ch. 13).  One sweep of A in the basis of plotkin_bit_basis
+    gives the per-coset histograms H_A[D, w]; unless B ⊆ A, one sweep of
+    B's basis below the same coset bits gives H_B[D, w] for D + B, and
+    otherwise D + B = D.  W_C[s] is the sum of (H_A^T H_B)[u, v] over
+    u + v = s.  Each entry is at most |C| = 2^(k_A + k_B) words, so the
+    int64 product is exact below 2^63 words (lee_route keeps to that).
+    Raises ArithmeticError unless the counts sum to |C|.
+    """
+    ka, kb, ki = a.log2_size, b.log2_size, inter.log2_size
+    basis = plotkin_bit_basis(a, inter)
+    max_weight = 2 * a.n
+    h_a = coset_histograms(pack_rows(basis, a.n, 2), ka, ki, max_weight, workers)
+    if ki == kb:
+        h_b = h_a
+    else:
+        b_basis = pack_rows(mixed_radix_basis(b) + basis[ki:], a.n, 2)
+        h_b = coset_histograms(b_basis, kb + ka - ki, kb, max_weight, workers)
+    # The product runs over the weights that occur, in einsum: numpy's int64
+    # matmul loop took 1.5-8x as long for 2^11..2^15 cosets.
+    u, v = (np.flatnonzero(h.any(axis=0)) for h in (h_a, h_b))
+    counts = np.zeros(2 * max_weight + 1, dtype=np.int64)
+    np.add.at(counts, u[:, None] + v, np.einsum("cu,cv->uv", h_a[:, u], h_b[:, v]))
+    counts = [int(c) for c in counts]
+    if sum(counts) != 1 << (ka + kb):
+        raise ArithmeticError(f"Plotkin counts sum to {sum(counts)}, not 2^{ka + kb}")
+    return counts
+
+
+def _lee_distribution(sf, parts, route, workers):
+    """Exact Lee weight counts (Python ints) of sf's code along route."""
+    method, _, inter = route
+    if method == "plotkin":
+        a, b = (p.standard_form for p in parts)
+        return plotkin_lee_distribution(a, b, inter, workers=workers)
+    side = dual_standard_form(sf) if method == "dual" else sf
     counts = weight_histogram(
         z4_basis_from_standard_form(side), side.log2_size, z4_add, lee_weights, 2 * sf.n,
         workers=workers,
     )
-    return lee_macwilliams(counts, k) if side is not sf else [int(a) for a in counts]
+    return lee_macwilliams(counts, sf.log2_size) if method == "dual" else [int(a) for a in counts]
 
 
-def min_lee_weight_smaller_side(sf, budget, workers=1):
-    """(minimum nonzero Lee weight, sweep index of its first word) of sf's
-    code, computed from whichever of the code and its dual has fewer words.
+def lee_distribution_smaller_side(sf, budget, workers=1, parts=None):
+    """Exact Lee weight counts (w = 0..2n, Python ints) of sf's code, along
+    the cheapest route of lee_route (parts as there).
 
-    The budget gates the code's own size.  When _dual_is_cheaper,
-    lee_distribution_smaller_side gives the code's exact distribution, hence
-    the exact minimum d; a sweep of the code that stops at the first block
-    holding a word of weight d then finds the witness.  As d is already
-    proven, stopping there misses no lighter word, and the index is the one
-    the full sweep returns.  Otherwise this is min_lee_weight_sweep.
+    The budget gates the code's own size.  On the dual route,
+    lee_macwilliams turns the dual's counts into the code's.
     """
-    if not _dual_is_cheaper(sf):
+    check_budget(sf.log2_size, budget)
+    return _lee_distribution(sf, parts, lee_route(sf, parts), workers)
+
+
+def min_lee_weight_smaller_side(sf, budget, workers=1, parts=None):
+    """(minimum nonzero Lee weight, sweep index of its first word) of sf's
+    code, along the cheapest route of lee_route (parts as there).
+
+    The budget gates the code's own size.  On the dual and plotkin routes
+    the code's exact distribution gives the exact minimum d; a sweep of the
+    code that stops at the first block holding a word of weight d then finds
+    the witness.  As d is already proven, stopping there misses no lighter
+    word, and the index is the one the full sweep returns.  On the direct
+    route this is min_lee_weight_sweep.
+    """
+    check_budget(sf.log2_size, budget)
+    route = lee_route(sf, parts)
+    if route[0] == "direct":
         return min_lee_weight_sweep(sf, budget, workers=workers)
-    counts = lee_distribution_smaller_side(sf, budget, workers=workers)
+    counts = _lee_distribution(sf, parts, route, workers)
     d = next(w for w, a in enumerate(counts) if w and a)
     return min_weight_sweep(
         z4_basis_from_standard_form(sf), sf.log2_size, z4_add, lee_weights, workers=workers,

@@ -121,10 +121,11 @@ class VerificationReport:
 
 def min_lee_weight_witness(c: Z4Code, budget: int = DEFAULT_BUDGET, workers: int = 1):
     """(minimum nonzero Lee weight, first codeword in the frozen order
-    achieving it), exact, from whichever of C and C⊥ has fewer words
-    (_engine.min_lee_weight_smaller_side).  The budget gates C's own size."""
+    achieving it), exact, along the cheapest of the direct, dual and Plotkin
+    routes (_engine.min_lee_weight_smaller_side).  The budget gates C's own
+    size."""
     sf = c.standard_form
-    d, t = _engine.min_lee_weight_smaller_side(sf, budget, workers=workers)
+    d, t = _engine.min_lee_weight_smaller_side(sf, budget, workers=workers, parts=c.parts)
     return d, codeword_at(sf, t)
 
 
@@ -136,11 +137,14 @@ def min_lee_weight(c: Z4Code, budget: int = DEFAULT_BUDGET, workers: int = 1) ->
 def lee_weight_distribution(
     c: Z4Code, budget: int = DEFAULT_BUDGET, workers: int = 1
 ) -> WeightDistribution:
-    """Exact codeword counts by Lee weight, from whichever of C and C⊥ has
-    fewer words (_engine.lee_distribution_smaller_side: a sweep of C, or the
-    Lee MacWilliams transform of a sweep of C⊥).  The budget gates C's own
-    size."""
-    counts = _engine.lee_distribution_smaller_side(c.standard_form, budget, workers=workers)
+    """Exact codeword counts by Lee weight, along the cheapest route
+    (_engine.lee_distribution_smaller_side: a sweep of C, the Lee
+    MacWilliams transform of a sweep of C⊥, or, for a code plotkin built,
+    the coset sums of _engine.plotkin_lee_distribution).  The budget gates
+    C's own size."""
+    counts = _engine.lee_distribution_smaller_side(
+        c.standard_form, budget, workers=workers, parts=c.parts
+    )
     return WeightDistribution(tuple(counts))
 
 

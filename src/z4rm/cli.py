@@ -3,7 +3,8 @@
 Exit codes: 0 pass, 1 claim failure or absence, 2 usage error, 3 budget
 exceeded.  The default enumeration budget is 28 (log2 of codeword count),
 overridable by the Z4RM_BUDGET environment variable and the --budget flag;
-a budget outside 0..MAX_BUDGET or a worker count below 1 is a usage error.
+a budget outside 0..MAX_BUDGET, a worker count below 1, a level m above
+MAX_M and a code file longer than MAX_LENGTH are usage errors.
 """
 
 from __future__ import annotations
@@ -34,6 +35,13 @@ ENV_BUDGET = "Z4RM_BUDGET"
 # A direct sweep of 2^40 words takes about 40 minutes at the ~5x10^8 words/s
 # measured on 2 workers, so the bound keeps every admitted sweep under an hour.
 MAX_BUDGET = 40
+# Each step of m doubles the code length 2^(m-1), and the work done before
+# any budget check grows faster: `verify 1 14` (2^15 words of length 2^13,
+# a low table that quadruples per step) took 0.5 s and 158 MB, against 62 MB
+# at m = 13; `rm 1 16` took 3 s and `rm 1 18` 42 s (2-vCPU x86 KVM guest).
+# So orders stop at m = 14, and code files at the same length.
+MAX_M = 14
+MAX_LENGTH = 1 << (MAX_M - 1)
 
 
 class _UsageError(Exception):
@@ -67,6 +75,16 @@ def _worker_count(text: str) -> int:
     return workers
 
 
+def _level(text: str) -> int:
+    try:
+        m = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if m > MAX_M:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_M}, got {m}")
+    return m
+
+
 def _parse_overrides(pairs):
     overrides = {}
     for item in pairs:
@@ -89,7 +107,12 @@ def _read_text(path) -> str:
 
 
 def _load_code(path) -> Z4Code:
-    return parse_code(_read_text(path))
+    code = parse_code(_read_text(path))
+    if code.n > MAX_LENGTH:
+        raise _UsageError(
+            f"{path}: code length {code.n} exceeds {MAX_LENGTH}, the length at m = {MAX_M}"
+        )
+    return code
 
 
 def _read_words(path):
@@ -219,7 +242,7 @@ def _arg(*flags, **options):
 
 
 _ORDER = (_arg("r", type=int, help="order"),
-          _arg("m", type=int, help="level (code length 2^(m-1))"))
+          _arg("m", type=_level, help="level (code length 2^(m-1))"))
 _FILE = _arg("file")
 _BUDGET = _arg("--budget", type=int, default=None,
                help="log2 of the largest enumerable codeword count")
@@ -243,7 +266,7 @@ _COMMANDS = {
              help="report mode=fast; the distance check is the same exact one"),
         _arg("--override", **_OVERRIDE))),
     "verify-all": (_cmd_verify_all, "verify every order with m <= M",
-                   (_arg("M", type=int), _BUDGET, _WORKERS)),
+                   (_arg("M", type=_level), _BUDGET, _WORKERS)),
     "gray": (_cmd_gray, "map a code file or word list through the Gray isometry", (_FILE,)),
     "ungray": (_cmd_ungray, "map binary words back through the inverse Gray map", (_FILE,)),
     "mindist": (_cmd_mindist, "exact minimum Lee distance (smaller of C and its dual)",

@@ -73,8 +73,12 @@ class Z4Code:
     """Quaternary linear code given by generator rows.
 
     The label is a human-readable construction trace; every override
-    applied along an LRM recursion shows up in it.
+    applied along an LRM recursion shows up in it.  parts is (A, B) on a
+    code that plotkin built as {(x, x+y) : x in A, y in B}, and None on
+    every other code.
     """
+
+    parts = None
 
     def __init__(self, generators: GeneratorMatrix | Iterable[Z4Word], label: str = "",
                  n: int | None = None):
@@ -125,7 +129,9 @@ def plotkin(c1: Z4Code, c2: Z4Code, label: str | None = None) -> Z4Code:
     rows += [_concat(zero, h) for h in c2.generators]
     if label is None:
         label = f"plotkin[{c1.label or '?'};{c2.label or '?'}]"
-    return Z4Code(GeneratorMatrix(rows, n=2 * c1.n), label=label)
+    code = Z4Code(GeneratorMatrix(rows, n=2 * c1.n), label=label)
+    code.parts = (c1, c2)
+    return code
 
 
 def theorem1_params(r: int, m: int) -> CodeParams:
@@ -165,7 +171,7 @@ def _validate_override(code: Z4Code, r: int, m: int, budget: int) -> None:
             f"override at ({r},{m}) has log2 size {code.log2_size}, expected {want.k}"
         )
     try:
-        d, _ = _engine.min_lee_weight_smaller_side(code.standard_form, budget)
+        d, _ = _engine.min_lee_weight_smaller_side(code.standard_form, budget, parts=code.parts)
     except CapacityError as e:
         raise CapacityError(
             f"override at ({r},{m}): {e}", required=e.required, configured=e.configured

@@ -27,6 +27,7 @@ __all__ = [
     "codeword_at",
     "check_budget",
     "dual_standard_form",
+    "intersection",
 ]
 
 # log2 of the largest codeword count the enumeration paths will sweep
@@ -254,6 +255,21 @@ def dual_standard_form(sf: StandardForm) -> StandardForm:
         unit_cols=tuple(free),
         two_cols=sf.two_cols,
     )
+
+
+def intersection(a: StandardForm, b: StandardForm) -> StandardForm:
+    """Standard form of the code A ∩ B, for codes A and B of one length.
+
+    B itself when every row of B reduces to zero against A.  Otherwise the
+    dual of A⊥ + B⊥: over Z4 every code is its own double dual, so
+    (A ∩ B)⊥ = A⊥ + B⊥.
+    """
+    if a.n != b.n:
+        raise DimensionError(f"length mismatch: {a.n} vs {b.n}")
+    if all(membership(a, row) for row in b.rows):
+        return b
+    duals = dual_standard_form(a).rows + dual_standard_form(b).rows
+    return dual_standard_form(standard_form(GeneratorMatrix(duals, n=a.n)))
 
 
 def check_budget(k: int, budget: int) -> None:

@@ -135,6 +135,9 @@ class _PackedWord:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
     def __len__(self) -> int:
         return self.n
 

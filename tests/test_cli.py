@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from z4rm.cli import main
+from z4rm.analysis import image_is_linear, min_lee_weight
+from z4rm.cli import MAX_LENGTH, MAX_M, main
 from z4rm.codes import Z4Code, lrm
+from z4rm.errors import ZeroCodeError
 from z4rm.fileformat import render_code
 from z4rm.linalg import GeneratorMatrix
 
@@ -335,11 +337,12 @@ def test_malformed_file_usage_error(capsys, tmp_path):
     assert run(capsys, "mindist", str(missing))[0] == 2
 
 
-def test_empty_code_of_huge_length_is_answered_at_once(capsys, tmp_path):
+def test_empty_code_of_huge_length_is_answered_at_once():
     # standard_form stops once no row is left to pivot instead of scanning
-    # all 10^13 columns; the alarm turns a regression into a failure
-    path = tmp_path / "huge.z4code"
-    path.write_text("Z4CODE v1 n=10000000000000 rows=0\n")
+    # all 10^13 columns; the alarm turns a regression into a failure.  The
+    # CLI refuses such a file before it builds the code
+    # (test_code_file_length_is_bounded).
+    code = Z4Code(GeneratorMatrix([], n=10**13))
 
     def hang(signum, frame):
         raise TimeoutError("standard_form scanned the columns of an empty code")
@@ -347,10 +350,46 @@ def test_empty_code_of_huge_length_is_answered_at_once(capsys, tmp_path):
     old = signal.signal(signal.SIGALRM, hang)
     signal.alarm(10)
     try:
-        assert run(capsys, "image-linear", str(path)) == (0, "image_linear=true\n", "")
-        assert run(capsys, "mindist", str(path)) == (
-            1, "", "error: the zero code has no nonzero codeword\n"
-        )
+        assert image_is_linear(code)
+        with pytest.raises(ZeroCodeError, match="the zero code has no nonzero codeword"):
+            min_lee_weight(code)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("command", ["wdist", "mindist", "image-linear", "enumerate"])
+def test_code_file_length_is_bounded(capsys, tmp_path, command):
+    # wdist's weight counts for a length-10^13 code would take 146 TiB
+    huge = tmp_path / "huge.z4code"
+    huge.write_text("Z4CODE v1 n=10000000000000 rows=0\n")
+    assert run(capsys, command, str(huge)) == (
+        2, "", f"error: {huge}: code length 10000000000000 exceeds 8192, the length at m = 14\n"
+    )
+
+
+def test_code_file_length_bound_is_the_length_at_max_m(capsys, tmp_path):
+    assert MAX_LENGTH == len(lrm(0, MAX_M).generators.rows[0])
+    at, over = tmp_path / "at.z4code", tmp_path / "over.z4code"
+    at.write_text(f"Z4CODE v1 n={MAX_LENGTH} rows=0\n")
+    over.write_text(f"Z4CODE v1 n={MAX_LENGTH + 1} rows=0\n")
+    assert run(capsys, "wdist", str(at)) == (0, "weight=0 count=1\n", "")
+    assert run(capsys, "wdist", str(over))[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, argument",
+    [(["rm", "1", "40"], "m"), (["build", "1", "40"], "m"), (["verify", "1", "15"], "m"),
+     (["verify-all", "15"], "M")],
+)
+def test_level_is_bounded_before_work_starts(capsys, argv, argument):
+    # rm 1 40 would run a 2^40-step loop; the refusal is a usage error
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        f"z4rm {argv[0]}: error: argument {argument}: must be at most {MAX_M}, got {argv[-1]}\n"
+    )
+
+
+def test_level_at_the_bound_runs(capsys):
+    assert run(capsys, "verify", "0", str(MAX_M))[0] == 0

@@ -1,7 +1,7 @@
 """The dual-code route: the dual of a standard form, the Lee MacWilliams
-transform, and the side choice in _engine.lee_distribution_smaller_side and
-_engine.min_lee_weight_smaller_side, each checked against the exhaustive
-direct sweep.  The public lee_weight_distribution and min_lee_weight_witness
+transform, and the route choice (_engine.lee_route) in
+_engine.lee_distribution_smaller_side and _engine.min_lee_weight_smaller_side,
+each checked against the exhaustive direct sweep.  The public lee_weight_distribution and min_lee_weight_witness
 take that route, so the direct references here call the engine's sweeps of
 the code's own basis."""
 
@@ -177,7 +177,7 @@ def test_public_calls_match_direct_sweep(r, m, override_index, workers):
     # (2^26) have smaller duals, so the public calls go through MacWilliams;
     # of the three, only LRM(3,5) contains the overridden (2,4) node
     code, counts, (d, witness) = _direct_reference(r, m, override_index)
-    assert _engine._dual_is_cheaper(code.standard_form)
+    assert _engine.lee_route(code.standard_form, code.parts)[0] == "dual"
     assert list(lee_weight_distribution(code, workers=workers).counts) == counts
     got_d, got_witness = min_lee_weight_witness(code, workers=workers)
     assert (got_d, got_witness.digits()) == (d, witness.digits())

@@ -251,6 +251,20 @@ def test_word_setattr_is_refused(cls, lanes, message, attr):
     assert list(word) == lanes
 
 
+@pytest.mark.parametrize(
+    "cls, lanes, message",
+    [(W, [1, 2], "Z4Word is immutable"), (B, [1, 0], "BitWord is immutable")],
+)
+@pytest.mark.parametrize("attr", ["n", "_packed", "extra"])
+def test_word_delattr_is_refused(cls, lanes, message, attr):
+    word = cls(lanes)
+    with pytest.raises(AttributeError) as e:
+        delattr(word, attr)
+    assert str(e.value) == message
+    assert list(word) == lanes
+    assert repr(word) == f"{cls.__name__}({''.join(map(str, lanes))!r})"
+
+
 def test_word_repr_is_pinned():
     assert repr(W([1, 0, 2, 3])) == "Z4Word('1023')"
     assert repr(B([0, 1, 1, 0])) == "BitWord('0110')"
