@@ -14,12 +14,13 @@ to block: fresh per-block arrays cost page faults that varied with the
 allocator's state from call to call.
 
 Three exact routes give a code's Lee weight distribution, and lee_route
-takes the one that sweeps the fewest words: a sweep of the code, a sweep of
-its dual that lee_macwilliams turns into the code's counts, or, for a code
-that codes.plotkin built from parts A and B, one sweep of A, whose low index
-bits enumerate A ∩ B, plus one of the cosets of B it meets unless B ⊆ A.
-Their per-coset histograms combine into the code's counts
-(plotkin_lee_distribution).
+takes the cheapest in words swept: a sweep of the code, a sweep of its dual
+that lee_macwilliams turns into the code's counts, or, for a code that
+codes.plotkin built from parts A and B, one sweep of A, whose low index bits
+enumerate A ∩ B, plus one of the cosets of B it meets unless B ⊆ A.  Their
+per-coset histograms combine, one chunk of cosets at a time, into the code's
+counts (plotkin_lee_distribution); plotkin_cost prices the histogram cells
+and product terms with the words.
 """
 
 from __future__ import annotations
@@ -183,48 +184,35 @@ class Sweep:
         return w
 
 
-def _run_blocks(sweep, job, workers, stop_check=None):
-    """Apply job(h, weights of block h) to every block, committing results in
-    block order.
+def _run_blocks(sweep, job, workers):
+    """Yield job(h, weights of block h) for every block, in block order.
 
-    Returns the list of per-block results (prefix only, if stop_check cuts
-    the sweep short).  Worker count never changes the committed sequence.
-    Threads beyond the CPU count only add overhead, so workers is clamped to
-    it.
+    Worker count never changes the sequence.  At most 4 * workers results
+    are computed ahead of the one consumed, so a consumer that reduces as it
+    goes holds a bounded number of them, and one that stops early (closing
+    the generator) waits only for those.  Threads beyond the CPU count only
+    add overhead, so workers is clamped to it.
     """
     workers = min(workers, os.cpu_count() or 1)
 
     def run(h, scratch):
         return job(h, sweep.weights(h, scratch))
 
-    results = []
     if workers <= 1 or sweep.block_count == 1:
         scratch = {}
         for h in range(sweep.block_count):
-            r = run(h, scratch)
-            results.append(r)
-            if stop_check is not None and stop_check(r):
-                break
-        return results
+            yield run(h, scratch)
+        return
     scratches = defaultdict(dict)  # per pool thread
     window = 4 * workers
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        stopped = False
         for start in range(0, sweep.block_count, window):
             hs = range(start, min(start + window, sweep.block_count))
             futures = [
                 pool.submit(lambda h=h: run(h, scratches[threading.get_ident()])) for h in hs
             ]
             for f in futures:
-                r = f.result()
-                if stopped:
-                    continue
-                results.append(r)
-                if stop_check is not None and stop_check(r):
-                    stopped = True
-            if stopped:
-                break
-    return results
+                yield f.result()
 
 
 def min_weight_sweep(
@@ -258,14 +246,13 @@ def min_weight_sweep(
         return int(w[i]), h * size + i
 
     best = None
-
-    def stop_check(r):
-        nonlocal best
+    blocks = _run_blocks(sweep, job, workers)
+    for r in blocks:
         if r is not None and (best is None or r < best):
             best = r
-        return stop_at is not None and best is not None and best[0] <= stop_at
-
-    _run_blocks(sweep, job, workers, stop_check)
+        if stop_at is not None and best is not None and best[0] <= stop_at:
+            break
+    blocks.close()
     return best
 
 
@@ -329,29 +316,45 @@ WITNESS_BLOCK_LOG2 = 10
 DIRECT_MAX_LOG2 = 14
 
 # Codes of at most 2^16 words sweep directly even when the Plotkin route
-# sweeps fewer: its fixed cost (the parts' standard forms, A ∩ B, the coset
+# costs less: its fixed cost (the parts' standard forms, A ∩ B, the coset
 # basis, two sweep set-ups, the histogram product) is not repaid.  Measured
 # through min_lee_weight_smaller_side in one process, median of 40
 # alternating runs on a 2-vCPU x86 KVM guest, plotkin/direct: at k = 16,
 # 0.55/0.83 ms for LRM(2,5), 1.06/0.92 and 1.26/1.10 ms for LRM(2,5) with two
 # overrides at (2,4) that make B ⊄ A, and 3.0/0.76 ms for a random Plotkin
 # code; at k = 17..22, 0.57-5.3 ms against 1.5-11.9 ms for four random ones.
+# With plotkin_cost, the k = 16 codes it still picks were 0.55/0.85,
+# 0.61/0.85 and 0.92/0.85 ms (median of 30), and every pick above k = 16
+# was faster (2.2-35 ms against 5.4-2840 ms).
 PLOTKIN_MIN_LOG2 = 16
+
+
+def plotkin_cost(ka, kb, ki, n):
+    """log2 of the work of plotkin_lee_distribution for parts of length n
+    with 2^ka and 2^kb words meeting in 2^ki, in words swept: A's 2^ka
+    words, the 2^(ka - ki + kb) words of the cosets of B unless B ⊆ A, and
+    one unit per histogram cell and per product term.  Each of the
+    2^(ka - ki) cosets has 2n + 1 cells and at most (2n + 1)^2 terms in
+    H_A^T H_B.  Measured on a 2-vCPU x86 KVM guest, a word swept took
+    3.6-8 ns, a cell 1-6 ns and a term 0.7-3.5 ns.
+    """
+    cosets = 1 << (ka - ki)
+    width = 2 * n + 1
+    words = (1 << ka) + ((cosets << kb) if ki < kb else 0)
+    return math.log2(words + cosets * width * (width + 1))
 
 
 def lee_route(sf, parts=None):
     """(method, log2 cost, A ∩ B) of the cheapest exact route to the Lee
     weight distribution of sf's code C, the cost being log2 of the words it
-    sweeps:
+    sweeps, or their equivalent:
 
     - "direct": a sweep of C's 2^k words;
     - "dual": a sweep of C⊥'s 2^(2n-k) words, taken when C has more than
       2^DIRECT_MAX_LOG2 words;
     - "plotkin": when C = {(x, x+y) : x in A, y in B} with parts = (A, B),
-      codes with a standard_form, a sweep of A's 2^k_A words and, unless
-      B ⊆ A, of the 2^(k_A - k_I + k_B) words of the cosets of B it meets,
-      k_I being log2 |A ∩ B| (plotkin_lee_distribution).  Taken when C has
-      more than 2^PLOTKIN_MIN_LOG2 words.
+      codes with a standard_form, plotkin_lee_distribution at the cost of
+      plotkin_cost.  Taken when C has more than 2^PLOTKIN_MIN_LOG2 words.
 
     The third field is A ∩ B on the plotkin route and None otherwise.  Ties
     go to the earlier method in that list.
@@ -364,11 +367,9 @@ def lee_route(sf, parts=None):
     # words, so A has at least 2^(k-n) and the route costs at least k - n.
     if parts is not None and PLOTKIN_MIN_LOG2 < k < 63 and k - sf.n < best[1]:
         a, b = (p.standard_form for p in parts)
-        ka, kb = a.log2_size, b.log2_size
-        if ka < best[1]:
+        if a.log2_size < best[1]:
             inter = intersection(a, b)
-            ki = inter.log2_size
-            cost = math.log2((1 << ka) + ((1 << (ka - ki + kb)) if ki < kb else 0))
+            cost = plotkin_cost(a.log2_size, b.log2_size, inter.log2_size, a.n)
             if cost < best[1]:
                 best = ("plotkin", cost, inter)
     return best
@@ -444,20 +445,40 @@ def plotkin_bit_basis(a, inter):
 
 
 def coset_histograms(basis, k, low, max_weight, workers=1, block_log2=DEFAULT_BLOCK_LOG2):
-    """(2^(k - low), max_weight + 1) int64 counts by Lee weight: row c counts
-    the words at sweep indices c * 2^low .. (c + 1) * 2^low - 1 of the
-    packed basis."""
-    sweep = Sweep(basis, k, z4_add, block_log2)
-    size = sweep.block_size()
+    """Yield the (2^(k - low), max_weight + 1) int64 counts by Lee weight,
+    row c counting the words at sweep indices c * 2^low .. (c + 1) * 2^low - 1
+    of the packed basis, as consecutive chunks of whole rows.
+
+    A block spans whole rows, or lies in one row, which its blocks then sum.
+    Blocks are cut to at most 2^block_log2 / (max_weight + 1) rows, so a
+    chunk holds no more counts than a full block holds words.
+    """
     width = max_weight + 1
-    rows = max(1, size >> low)  # a block spans whole rows, or lies in one
+    rows_log2 = max(0, block_log2 - (width - 1).bit_length())
+    sweep = Sweep(basis, k, z4_add, min(block_log2, low + rows_log2))
+    size = sweep.block_size()
+    rows = max(1, size >> low)
     cells = (np.arange(size) >> low) * width
+    blocks_per_row = max(1, (1 << low) // size)
 
     def job(h, w):
-        return np.bincount(cells + w, minlength=rows * width).reshape(rows, width)
+        w += cells  # w is the block's own scratch buffer, refilled per block
+        return np.bincount(w, minlength=rows * width).reshape(rows, width)
 
-    counts = np.concatenate(_run_blocks(sweep, job, workers))
-    return counts.reshape(1 << (k - low), -1, width).sum(axis=1)
+    for h, counts in enumerate(_run_blocks(sweep, job, workers)):
+        chunk = counts if h % blocks_per_row == 0 else chunk + counts
+        if (h + 1) % blocks_per_row == 0:
+            yield chunk
+
+
+def _next_rows(chunks, count):
+    """The next count rows of an iterator of row chunks, as one array; the
+    chunk sizes must add up to count exactly."""
+    taken = []
+    while count > 0:
+        taken.append(next(chunks))
+        count -= len(taken[-1])
+    return taken[0] if len(taken) == 1 else np.concatenate(taken)
 
 
 def plotkin_lee_distribution(a, b, inter, workers=1):
@@ -471,24 +492,29 @@ def plotkin_lee_distribution(a, b, inter, workers=1):
     gives the per-coset histograms H_A[D, w]; unless B ⊆ A, one sweep of
     B's basis below the same coset bits gives H_B[D, w] for D + B, and
     otherwise D + B = D.  W_C[s] is the sum of (H_A^T H_B)[u, v] over
-    u + v = s.  Each entry is at most |C| = 2^(k_A + k_B) words, so the
-    int64 product is exact below 2^63 words (lee_route keeps to that).
-    Raises ArithmeticError unless the counts sum to |C|.
+    u + v = s, reduced chunk by chunk of cosets as the sweeps yield them.
+    Each entry is at most |C| = 2^(k_A + k_B) words, so the int64 product
+    is exact below 2^63 words (lee_route keeps to that).  Raises
+    ArithmeticError unless the counts sum to |C|.
     """
     ka, kb, ki = a.log2_size, b.log2_size, inter.log2_size
     basis = plotkin_bit_basis(a, inter)
     max_weight = 2 * a.n
     h_a = coset_histograms(pack_rows(basis, a.n, 2), ka, ki, max_weight, workers)
     if ki == kb:
-        h_b = h_a
+        pairs = ((h, h) for h in h_a)
     else:
+        # B's chunks hold at most as many cosets as A's (kb > ki), so whole
+        # chunks of B make up each chunk of A
         b_basis = pack_rows(mixed_radix_basis(b) + basis[ki:], a.n, 2)
         h_b = coset_histograms(b_basis, kb + ka - ki, kb, max_weight, workers)
-    # The product runs over the weights that occur, in einsum: numpy's int64
-    # matmul loop took 1.5-8x as long for 2^11..2^15 cosets.
-    u, v = (np.flatnonzero(h.any(axis=0)) for h in (h_a, h_b))
+        pairs = ((h, _next_rows(h_b, len(h))) for h in h_a)
     counts = np.zeros(2 * max_weight + 1, dtype=np.int64)
-    np.add.at(counts, u[:, None] + v, np.einsum("cu,cv->uv", h_a[:, u], h_b[:, v]))
+    for ha, hb in pairs:
+        # The product runs over the weights that occur, in einsum: numpy's
+        # int64 matmul loop took 1.5-8x as long for 2^11..2^15 cosets.
+        u, v = (np.flatnonzero(h.any(axis=0)) for h in (ha, hb))
+        np.add.at(counts, u[:, None] + v, np.einsum("cu,cv->uv", ha[:, u], hb[:, v]))
     counts = [int(c) for c in counts]
     if sum(counts) != 1 << (ka + kb):
         raise ArithmeticError(f"Plotkin counts sum to {sum(counts)}, not 2^{ka + kb}")

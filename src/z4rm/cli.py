@@ -4,7 +4,8 @@ Exit codes: 0 pass, 1 claim failure or absence, 2 usage error, 3 budget
 exceeded.  The default enumeration budget is 28 (log2 of codeword count),
 overridable by the Z4RM_BUDGET environment variable and the --budget flag;
 a budget outside 0..MAX_BUDGET, a worker count below 1, a level m above
-MAX_M and a code file longer than MAX_LENGTH are usage errors.
+MAX_M (MAX_RM_M for rm) and a code file longer than MAX_LENGTH are usage
+errors.
 """
 
 from __future__ import annotations
@@ -38,10 +39,13 @@ MAX_BUDGET = 40
 # Each step of m doubles the code length 2^(m-1), and the work done before
 # any budget check grows faster: `verify 1 14` (2^15 words of length 2^13,
 # a low table that quadruples per step) took 0.5 s and 158 MB, against 62 MB
-# at m = 13; `rm 1 16` took 3 s and `rm 1 18` 42 s (2-vCPU x86 KVM guest).
-# So orders stop at m = 14, and code files at the same length.
+# at m = 13 (2-vCPU x86 KVM guest).  So orders stop at m = 14, and code
+# files at the same length.
 MAX_M = 14
 MAX_LENGTH = 1 << (MAX_M - 1)
+# `rm` prints the binary RM(r,m), of length 2^m, with no budget: `rm 1 16`
+# took 3 s and `rm 1 18` 42 s on the same guest, so its m stops at 16.
+MAX_RM_M = 16
 
 
 class _UsageError(Exception):
@@ -75,14 +79,22 @@ def _worker_count(text: str) -> int:
     return workers
 
 
-def _level(text: str) -> int:
+def _bounded_level(text: str, bound: int) -> int:
     try:
         m = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if m > MAX_M:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_M}, got {m}")
+    if m > bound:
+        raise argparse.ArgumentTypeError(f"must be at most {bound}, got {m}")
     return m
+
+
+def _level(text: str) -> int:
+    return _bounded_level(text, MAX_M)
+
+
+def _rm_level(text: str) -> int:
+    return _bounded_level(text, MAX_RM_M)
 
 
 def _parse_overrides(pairs):
@@ -282,7 +294,8 @@ _COMMANDS = {
     "enumerate": (_cmd_enumerate, "list every codeword in the frozen order", (_FILE, _BUDGET)),
     "compare-qrm": (_cmd_compare_qrm, "size comparison against QRM for all m <= M",
                     (_arg("M", type=int),)),
-    "rm": (_cmd_rm, "emit binary Reed-Muller RM(r,m) generator rows", _ORDER),
+    "rm": (_cmd_rm, "emit binary Reed-Muller RM(r,m) generator rows", (
+        _ORDER[0], _arg("m", type=_rm_level, help="level (code length 2^m)"))),
     "search-nonlinear": (
         _cmd_search, "search for codes with the given parameters and nonlinear image", (
             _arg("n", type=int), _arg("k", type=int), _arg("d", type=int),

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from z4rm.analysis import image_is_linear, min_lee_weight
-from z4rm.cli import MAX_LENGTH, MAX_M, main
+from z4rm.cli import MAX_LENGTH, MAX_M, MAX_RM_M, main
 from z4rm.codes import Z4Code, lrm
 from z4rm.errors import ZeroCodeError
 from z4rm.fileformat import render_code
@@ -378,18 +378,23 @@ def test_code_file_length_bound_is_the_length_at_max_m(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, argument",
-    [(["rm", "1", "40"], "m"), (["build", "1", "40"], "m"), (["verify", "1", "15"], "m"),
-     (["verify-all", "15"], "M")],
+    "argv, argument, bound",
+    [(["rm", "1", "40"], "m", MAX_RM_M), (["rm", "1", "17"], "m", MAX_RM_M),
+     (["build", "1", "40"], "m", MAX_M), (["verify", "1", "15"], "m", MAX_M),
+     (["verify-all", "15"], "M", MAX_M)],
 )
-def test_level_is_bounded_before_work_starts(capsys, argv, argument):
+def test_level_is_bounded_before_work_starts(capsys, argv, argument, bound):
     # rm 1 40 would run a 2^40-step loop; the refusal is a usage error
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.endswith(
-        f"z4rm {argv[0]}: error: argument {argument}: must be at most {MAX_M}, got {argv[-1]}\n"
+        f"z4rm {argv[0]}: error: argument {argument}: must be at most {bound}, got {argv[-1]}\n"
     )
 
 
 def test_level_at_the_bound_runs(capsys):
     assert run(capsys, "verify", "0", str(MAX_M))[0] == 0
+    # rm's m is the binary level, of length 2^m, with its own bound
+    assert MAX_RM_M > MAX_M
+    code, out, _ = run(capsys, "rm", "0", str(MAX_M + 1))
+    assert (code, out) == (0, "1" * (1 << (MAX_M + 1)) + "\n")

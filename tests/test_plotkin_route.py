@@ -129,11 +129,52 @@ def test_coset_histograms_across_block_sizes(block_log2, workers):
     want = np.zeros((1 << (sf.log2_size - 3), 2 * sf.n + 1), dtype=np.int64)
     for t, w in enumerate(lee):
         want[t >> 3, w] += 1
-    got = _engine.coset_histograms(
+    chunks = list(_engine.coset_histograms(
         _engine.pack_rows(basis, sf.n, 2), sf.log2_size, 3, 2 * sf.n,
         workers=workers, block_log2=block_log2,
-    )
-    assert (got == want).all()
+    ))
+    assert (np.concatenate(chunks) == want).all()
+    # a chunk holds at most 2^block_log2 counts (rows of 17, rounded up to
+    # 32), or one coset
+    assert max(len(c) for c in chunks) == min(len(want), max(1, (1 << block_log2) // 32))
+
+
+def test_next_rows_joins_whole_chunks():
+    chunks = iter(np.full((1, 2), i) for i in range(4))
+    assert _engine._next_rows(chunks, 2).tolist() == [[0, 0], [1, 1]]
+    assert _engine._next_rows(chunks, 1).tolist() == [[2, 2]]
+    assert _engine._next_rows(chunks, 1).tolist() == [[3, 3]]
+
+
+@pytest.mark.parametrize("block_log2", [3, 18])
+def test_route_pairs_chunks_of_cosets(block_log2):
+    # with 8-word blocks each coset of A ∩ B in A spans several blocks of
+    # A's sweep and each coset of B more of B's, so the product pairs
+    # one-coset chunks that each sum several blocks
+    code = lrm(2, 5, VARIANTS["nonnested-copy"])
+    real = _engine.coset_histograms
+    with mock.patch.object(
+        _engine, "coset_histograms", lambda *args: real(*args, block_log2=block_log2)
+    ):
+        assert route_distribution(code) == direct_counts(code)
+
+
+def test_route_holds_one_chunk_of_cosets_at_a_time():
+    # LRM(2,7) has 2^15 cosets of LRM(1,6) in LRM(2,6), 65 weights each;
+    # the product takes them 2^11 at a time, as the sweep yields them
+    code = lrm(2, 7)
+    real = _engine.coset_histograms
+    shapes = []
+
+    def recorded(*args):
+        for chunk in real(*args):
+            shapes.append(chunk.shape)
+            yield chunk
+
+    with mock.patch.object(_engine, "coset_histograms", recorded):
+        counts = route_distribution(code)
+    assert sum(counts) == 1 << 29
+    assert shapes == [(1 << 11, 65)] * 16
 
 
 def test_route_refuses_counts_that_miss_the_code_size():
@@ -141,7 +182,7 @@ def test_route_refuses_counts_that_miss_the_code_size():
     code = lrm(2, 6)
     a, b = (p.standard_form for p in code.parts)
     double = _engine.coset_histograms
-    with mock.patch.object(_engine, "coset_histograms", lambda *args: 2 * double(*args)):
+    with mock.patch.object(_engine, "coset_histograms", lambda *args: (2 * h for h in double(*args))):
         with pytest.raises(ArithmeticError, match="not 2\\^22"):
             _engine.plotkin_lee_distribution(a, b, intersection(a, b))
 
@@ -149,8 +190,36 @@ def test_route_refuses_counts_that_miss_the_code_size():
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("r, m, method", [(2, 6, "plotkin"), (2, 5, "direct"), (3, 5, "dual")])
 def test_route_choice(r, m, method, variant):
+    if (r, m, variant) == (2, 6, "shipped-base"):
+        # A ∩ B has 2^4 words, so A has 2^12 cosets of 33 weights: up to
+        # 2^22.2 units against 2^22 words (13 and 15 ms when measured)
+        method = "direct"
     code = lrm(r, m, VARIANTS[variant])
     assert _engine.lee_route(code.standard_form, code.parts)[0] == method
+
+
+def test_route_for_lrm_2_8_is_chosen_without_a_sweep():
+    # at budget 37 the route sweeps LRM(2,7)'s 2^29 words and bins them in
+    # 2^21 cosets of 129 weights, 2^35.06 units in all against 2^37 words
+    # for the direct sweep
+    code = lrm(2, 8)
+    method, cost, inter = _engine.lee_route(code.standard_form, code.parts)
+    assert (method, round(cost, 2), inter.log2_size) == ("plotkin", 35.06, 8)
+
+
+def test_route_counts_cells_and_products_of_small_cosets():
+    # A = Z4^10 x 2Z4 x {0} (2^21 words) and B = 2Z4 at coordinate 10:
+    # sweeping A alone is 2^21 words, but its 2^20 cosets of A ∩ B = B
+    # would take 25 cells and up to 625 product terms each, so the 2^22
+    # words of C sweep directly
+    n = 12
+    unit = [Z4Word([1 if j == i else 0 for j in range(n)]) for i in range(10)]
+    two = Z4Word([2 if j == 10 else 0 for j in range(n)])
+    a_code = Z4Code(GeneratorMatrix(unit + [two], n=n))
+    b_code = Z4Code(GeneratorMatrix([two], n=n))
+    code = plotkin(a_code, b_code)
+    assert _engine.plotkin_cost(21, 1, 1, n) > 29
+    assert _engine.lee_route(code.standard_form, code.parts) == ("direct", 22, None)
 
 
 def test_route_skips_parts_that_cannot_win():
