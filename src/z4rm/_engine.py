@@ -16,11 +16,11 @@ allocator's state from call to call.
 Three exact routes give a code's Lee weight distribution, and lee_route
 takes the cheapest in words swept: a sweep of the code, a sweep of its dual
 that lee_macwilliams turns into the code's counts, or, for a code that
-codes.plotkin built from parts A and B, one sweep of A, whose low index bits
-enumerate A ∩ B, plus one of the cosets of B it meets unless B ⊆ A.  Their
-per-coset histograms combine, one chunk of cosets at a time, into the code's
-counts (plotkin_lee_distribution); plotkin_cost prices the histogram cells
-and product terms with the words.
+codes.plotkin built from parts A and B, one sweep of A + B (A itself when
+B ⊆ A) whose index rows are the cosets of B and whose row heads are the
+cosets of A ∩ B in A.  Their per-coset histograms combine, one chunk of
+cosets at a time, into the code's counts (plotkin_lee_distribution);
+plotkin_cost prices the histogram cells and product terms with the words.
 """
 
 from __future__ import annotations
@@ -331,17 +331,17 @@ PLOTKIN_MIN_LOG2 = 16
 
 def plotkin_cost(ka, kb, ki, n):
     """log2 of the work of plotkin_lee_distribution for parts of length n
-    with 2^ka and 2^kb words meeting in 2^ki, in words swept: A's 2^ka
-    words, the 2^(ka - ki + kb) words of the cosets of B unless B ⊆ A, and
-    one unit per histogram cell and per product term.  Each of the
-    2^(ka - ki) cosets has 2n + 1 cells and at most (2n + 1)^2 terms in
-    H_A^T H_B.  Measured on a 2-vCPU x86 KVM guest, a word swept took
-    3.6-8 ns, a cell 1-6 ns and a term 0.7-3.5 ns.
+    with 2^ka and 2^kb words meeting in 2^ki, in words swept: the
+    2^(ka - ki + kb) words of A + B, and one unit per histogram cell and
+    per product term.  Each of the 2^(ka - ki) cosets has 2n + 1 cells
+    (twice that unless B ⊆ A: its head and its tail) and at most
+    (2n + 1)^2 terms in H_A^T H_B.  Measured on a 2-vCPU x86 KVM guest, a
+    word swept took 3.6-8 ns, a cell 1-6 ns and a term 0.7-3.5 ns.
     """
     cosets = 1 << (ka - ki)
     width = 2 * n + 1
-    words = (1 << ka) + ((cosets << kb) if ki < kb else 0)
-    return math.log2(words + cosets * width * (width + 1))
+    cells = width * (2 if ki < kb else 1)
+    return math.log2((cosets << kb) + cosets * (cells + width * width))
 
 
 def lee_route(sf, parts=None):
@@ -429,56 +429,89 @@ class _Span:
         return added
 
 
-def plotkin_bit_basis(a, inter):
-    """Words b_0..b_{k_A - 1} whose 0/1 combinations give each word of the
-    code A once, the first k_I of them being mixed_radix_basis(inter) for a
-    subcode inter of A.  Sweep index c * 2^k_I + j is then word j of inter
-    plus a representative of the c-th coset of inter in A.  The rest are
-    the words _Span.extend adds for the rows of A's standard form."""
+def plotkin_bit_basis(a, b, inter):
+    """Words b_0..b_{K-1} whose 0/1 combinations give each word of A + B
+    once, for codes A and B and their intersection inter: first
+    mixed_radix_basis(inter), then words of B completing B, then words of A
+    completing A + B, as _Span.extend adds them for the rows of b and a.
+    Sweep index c * 2^k_B + j then runs over a coset x_c + B of B as j
+    runs over its row, x_c in A, and over x_c + A ∩ B, a coset of A ∩ B in
+    A, as j runs over the row's first 2^k_I indices."""
     span = _Span()
     for g in inter.rows:
         span.extend(g)
     basis = mixed_radix_basis(inter)
-    for g in a.rows:
+    for g in b.rows + a.rows:
         basis += span.extend(g)
     return basis
 
 
-def coset_histograms(basis, k, low, max_weight, workers=1, block_log2=DEFAULT_BLOCK_LOG2):
-    """Yield the (2^(k - low), max_weight + 1) int64 counts by Lee weight,
-    row c counting the words at sweep indices c * 2^low .. (c + 1) * 2^low - 1
-    of the packed basis, as consecutive chunks of whole rows.
+# Blocks of the coset sweeps.  A block's buffers (images, XOR, weights,
+# cells, counts) sit in a 2 MiB L2 at 2^14 words; from 2^15 up LRM(2,6)'s
+# route slows by 40% or more.  Smaller blocks cost more per word swept, and
+# LRM(2,7)'s larger sweep is fastest at 2^15-2^16.  plotkin_lee_distribution,
+# medians of interleaved runs on a 2-vCPU x86 KVM guest, at block_log2
+# 13/14/15/16: LRM(2,6) with
+# the family benchmark's seed-3 (2,4) override (B ⊆ A, 2^16 words swept)
+# 1.19/1.14/1.77/2.14 ms, with its seed-1 override (B ⊄ A, 2^17 words)
+# 1.88/1.76/2.47/3.37 ms; LRM(2,7) 51/32/27/28 ms, with the seed-1 copy at
+# (2,4) 97/67/60/58 ms.
+HISTOGRAM_BLOCK_LOG2 = 14
+
+
+def coset_histograms(basis, k, low, head, max_weight, workers=1,
+                     block_log2=HISTOGRAM_BLOCK_LOG2):
+    """Yield pairs (H_head, H) of (rows, max_weight + 1) int64 counts by Lee
+    weight, as consecutive chunks of whole rows: row c of H counts the words
+    at sweep indices c * 2^low .. (c + 1) * 2^low - 1 of the packed basis,
+    and row c of H_head the first 2^head of them (head <= low; H_head is H
+    when head == low).
 
     A block spans whole rows, or lies in one row, which its blocks then sum.
-    Blocks are cut to at most 2^block_log2 / (max_weight + 1) rows, so a
-    chunk holds no more counts than a full block holds words.
+    Each row bins its head and its tail apart, in one bincount of the block.
+    Blocks are cut to at most 2^block_log2 / (max_weight + 1) rows, so H in
+    a chunk holds no more counts than a full block holds words.
     """
     width = max_weight + 1
+    split = 1 if head == low else 2  # cell groups per row: head, then tail
     rows_log2 = max(0, block_log2 - (width - 1).bit_length())
     sweep = Sweep(basis, k, z4_add, min(block_log2, low + rows_log2))
     size = sweep.block_size()
     rows = max(1, size >> low)
-    cells = (np.arange(size) >> low) * width
+    group = rows * width  # the heads' cells, then the tails'
+    # a block that starts a row bins by these cells; one that lies inside a
+    # row's head or tail, by one offset
+    tail = (np.arange(min(size, 1 << low)) >> head != 0) * group
+    cells = (np.arange(0, group, width)[:, None] + tail).ravel()
     blocks_per_row = max(1, (1 << low) // size)
 
     def job(h, w):
-        w += cells  # w is the block's own scratch buffer, refilled per block
-        return np.bincount(w, minlength=rows * width).reshape(rows, width)
+        start = (h * size) % (1 << low)
+        # w is the block's own scratch buffer, refilled per block
+        w += cells if start == 0 else (group if start >> head else 0)
+        counts = np.bincount(w, minlength=split * group).reshape(split, rows, width)
+        heads = counts[0]
+        return heads, heads + counts[1] if split == 2 else heads
 
-    for h, counts in enumerate(_run_blocks(sweep, job, workers)):
-        chunk = counts if h % blocks_per_row == 0 else chunk + counts
+    for h, (part, full) in enumerate(_run_blocks(sweep, job, workers)):
+        if h % blocks_per_row:
+            chunk = (chunk[0] + part, chunk[1] + full)
+        else:
+            chunk = (part, full)
         if (h + 1) % blocks_per_row == 0:
             yield chunk
 
 
-def _next_rows(chunks, count):
-    """The next count rows of an iterator of row chunks, as one array; the
-    chunk sizes must add up to count exactly."""
-    taken = []
-    while count > 0:
-        taken.append(next(chunks))
-        count -= len(taken[-1])
-    return taken[0] if len(taken) == 1 else np.concatenate(taken)
+# Every partial sum of a product entry in plotkin_lee_distribution is a
+# whole number of at most |C| words, so for |C| up to 2^53 a float64 (BLAS)
+# product over all weight pairs is exact.  It is summed over the chunks in
+# one (2n + 1)^2 matrix, taken while that holds no more entries than a
+# histogram block holds words (n_A <= 63).  verify(2,6) with the family
+# benchmark's seed-1/seed-3 overrides took 3.48/2.74 ms this way and
+# 3.60/2.69 ms with a product per chunk in int64 einsum over the weights
+# that occur (medians of 100 interleaved runs, 2-vCPU x86 KVM guest), which
+# larger codes keep; numpy's int64 matmul loop took 1.5-8x as long as einsum.
+FLOAT_PRODUCT_MAX_LOG2 = 53
 
 
 def plotkin_lee_distribution(a, b, inter, workers=1):
@@ -488,33 +521,33 @@ def plotkin_lee_distribution(a, b, inter, workers=1):
 
     For x in a coset D of A ∩ B in A, x + B is one coset D + B, so
     W_C = sum over D of W_D ⊛ W_{D+B} (the (u|u+v) recursion, MacWilliams
-    and Sloane ch. 13).  One sweep of A in the basis of plotkin_bit_basis
-    gives the per-coset histograms H_A[D, w]; unless B ⊆ A, one sweep of
-    B's basis below the same coset bits gives H_B[D, w] for D + B, and
-    otherwise D + B = D.  W_C[s] is the sum of (H_A^T H_B)[u, v] over
-    u + v = s, reduced chunk by chunk of cosets as the sweeps yield them.
-    Each entry is at most |C| = 2^(k_A + k_B) words, so the int64 product
-    is exact below 2^63 words (lee_route keeps to that).  Raises
-    ArithmeticError unless the counts sum to |C|.
+    and Sloane ch. 13).  One sweep of A + B in the basis of
+    plotkin_bit_basis gives the histograms H_B[D, w] of the cosets D + B
+    as its rows and H_A[D, w] of the cosets D as the rows' heads; when
+    B ⊆ A the sweep is of A alone and D + B = D.  W_C[s] is the sum of
+    (H_A^T H_B)[u, v] over u + v = s, reduced chunk by chunk of cosets as
+    the sweep yields them.  Each entry is at most |C| = 2^(k_A + k_B)
+    words, so the product is exact in float64 up to 2^53 words and in int64
+    below 2^63 (lee_route keeps to that).  Raises ArithmeticError unless the
+    counts sum to |C|.
     """
     ka, kb, ki = a.log2_size, b.log2_size, inter.log2_size
-    basis = plotkin_bit_basis(a, inter)
+    basis = pack_rows(plotkin_bit_basis(a, b, inter), a.n, 2)
     max_weight = 2 * a.n
-    h_a = coset_histograms(pack_rows(basis, a.n, 2), ka, ki, max_weight, workers)
-    if ki == kb:
-        pairs = ((h, h) for h in h_a)
-    else:
-        # B's chunks hold at most as many cosets as A's (kb > ki), so whole
-        # chunks of B make up each chunk of A
-        b_basis = pack_rows(mixed_radix_basis(b) + basis[ki:], a.n, 2)
-        h_b = coset_histograms(b_basis, kb + ka - ki, kb, max_weight, workers)
-        pairs = ((h, _next_rows(h_b, len(h))) for h in h_a)
-    counts = np.zeros(2 * max_weight + 1, dtype=np.int64)
-    for ha, hb in pairs:
-        # The product runs over the weights that occur, in einsum: numpy's
-        # int64 matmul loop took 1.5-8x as long for 2^11..2^15 cosets.
-        u, v = (np.flatnonzero(h.any(axis=0)) for h in (ha, hb))
-        np.add.at(counts, u[:, None] + v, np.einsum("cu,cv->uv", ha[:, u], hb[:, v]))
+    width = max_weight + 1
+    counts = np.zeros(2 * width - 1, dtype=np.int64)
+    dense = ka + kb <= FLOAT_PRODUCT_MAX_LOG2 and width * width <= 1 << HISTOGRAM_BLOCK_LOG2
+    total = np.zeros((width, width)) if dense else None
+    for ha, hb in coset_histograms(basis, ka + kb - ki, kb, ki, max_weight, workers):
+        if dense:
+            total += ha.T.astype(np.float64) @ hb.astype(np.float64)
+        else:
+            # over the weights that occur in H_B, which counts every word H_A does
+            u = np.flatnonzero(hb.any(axis=0))
+            np.add.at(counts, u[:, None] + u, np.einsum("cu,cv->uv", ha[:, u], hb[:, u]))
+    if dense:
+        w = np.arange(width)
+        np.add.at(counts, w[:, None] + w, total.astype(np.int64))
     counts = [int(c) for c in counts]
     if sum(counts) != 1 << (ka + kb):
         raise ArithmeticError(f"Plotkin counts sum to {sum(counts)}, not 2^{ka + kb}")

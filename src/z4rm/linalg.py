@@ -257,19 +257,51 @@ def dual_standard_form(sf: StandardForm) -> StandardForm:
     )
 
 
+def _syndromes(sf: StandardForm, ys: Sequence[Z4Word]) -> list:
+    """Images of the words ys under a Z4-linear map whose kernel is sf's code.
+
+    Subtracting y[u] times each unit row leaves v, zero at the unit
+    columns; y is in the code iff v is a sum of the pivot-2 rows s_t, with
+    coefficient v[t] / 2 at each pivot-2 column t.  So the map gives
+    2 v[t] for each t, and v[c] - sum_t v[t] (s_t[c] / 2) for each free
+    column c: all are 0 mod 4 iff y is in the code.
+    """
+    pivots = set(sf.unit_cols + sf.two_cols)
+    free = [c for c in range(sf.n) if c not in pivots]
+    halves = [(t, [x // 2 for x in s]) for t, s in zip(sf.two_cols, sf.rows[sf.k1:])]
+    out = []
+    for y in ys:
+        for row, col in zip(sf.rows, sf.unit_cols):
+            if y[col]:
+                y = add(y, _scale(negate(row), y[col]))
+        v = list(y)
+        out.append([(v[c] - sum(v[t] * h[c] for t, h in halves)) % 4 for c in free]
+                   + [2 * v[t] % 4 for t in sf.two_cols])
+    return out
+
+
 def intersection(a: StandardForm, b: StandardForm) -> StandardForm:
     """Standard form of the code A ∩ B, for codes A and B of one length.
 
-    B itself when every row of B reduces to zero against A.  Otherwise the
-    dual of A⊥ + B⊥: over Z4 every code is its own double dual, so
-    (A ∩ B)⊥ = A⊥ + B⊥.
+    A word y = sum c_j b_j of the rows b_j of B lies in A iff its syndrome
+    (_syndromes, Z4-linear) is zero, that is iff M c = 0 for the matrix M
+    whose column j is the syndrome of b_j.  So A ∩ B is the image of the
+    kernel of M, which is the dual of M's row space: codes of length
+    len(b.rows), not n.  B itself when M is zero.
     """
     if a.n != b.n:
         raise DimensionError(f"length mismatch: {a.n} vs {b.n}")
-    if all(membership(a, row) for row in b.rows):
+    m = sorted({row for row in zip(*_syndromes(a, b.rows)) if any(row)})
+    if not m:
         return b
-    duals = dual_standard_form(a).rows + dual_standard_form(b).rows
-    return dual_standard_form(standard_form(GeneratorMatrix(duals, n=a.n)))
+    words = []
+    for c in dual_standard_form(standard_form(GeneratorMatrix([Z4Word(row) for row in m]))).rows:
+        w = Z4Word.zero(a.n)
+        for cj, row in zip(c, b.rows):
+            if cj:
+                w = add(w, _scale(row, cj))
+        words.append(w)
+    return standard_form(GeneratorMatrix(words, n=a.n))
 
 
 def check_budget(k: int, budget: int) -> None:

@@ -1,4 +1,4 @@
-"""The Plotkin coset route: A ∩ B, the coset basis of A, the per-coset
+"""The Plotkin coset route: A ∩ B, the coset basis of A + B, the per-coset
 histograms and the coset sums W_C = sum over D of W_D ⊛ W_{D+B} for
 C = plotkin(A, B), each checked against the exhaustive direct sweep of C and,
 where C⊥ is small, the dual's MacWilliams transform; the route choice; and
@@ -16,6 +16,7 @@ from test_macwilliams import direct_counts, macwilliams_counts, monomial_copy
 from z4rm import _engine
 from z4rm.analysis import lee_weight_distribution, min_lee_weight_witness
 from z4rm.codes import Z4Code, lrm, plotkin, shipped_nonlinear_base, theorem1_params
+from z4rm import linalg
 from z4rm.linalg import GeneratorMatrix, enumerate_codewords, intersection, mixed_radix_basis
 from z4rm.z4core import Z4Word, add, lee_weight
 
@@ -87,21 +88,41 @@ def _part_pairs(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(parts=_part_pairs())
+def test_syndrome_is_linear_with_the_code_as_kernel(parts):
+    # intersection's kernel is only A ∩ B if the syndrome map is Z4-linear
+    # and vanishes exactly on A; B's rows and their sum stand in for any y
+    a_code, b_code = parts
+    a = a_code.standard_form
+    ys = list(b_code.generators) or [Z4Word.zero(a.n)]
+    ys.append(add(ys[0], ys[-1]))
+    syndromes = linalg._syndromes(a, ys)
+    for y, syn in zip(ys, syndromes):
+        assert (not any(syn)) == linalg.membership(a, y)
+    assert syndromes[-1] == [(s + t) % 4 for s, t in zip(syndromes[0], syndromes[-2])]
+
+
+@settings(max_examples=120, deadline=None)
+@given(parts=_part_pairs())
 def test_route_properties_on_random_parts(parts):
     a_code, b_code = parts
     a, b = a_code.standard_form, b_code.standard_form
     inter = intersection(a, b)
     assert _words(inter) == _words(a) & _words(b)
 
-    # the coset basis enumerates A once, the first 2^k_I words being A ∩ B
-    basis = _engine.plotkin_bit_basis(a, inter)
-    assert basis[: inter.log2_size] == mixed_radix_basis(inter)
+    # the coset basis enumerates A + B once, the first 2^k_I words being
+    # A ∩ B and the first 2^k_B being B; the first 2^k_I words of each run
+    # of 2^k_B are one coset of A ∩ B in A, and together they are A
+    ka, kb, ki = a.log2_size, b.log2_size, inter.log2_size
+    basis = _engine.plotkin_bit_basis(a, b, inter)
+    assert basis[:ki] == mixed_radix_basis(inter)
     packed = _engine.pack_rows(basis, a.n, 2)
-    words = _engine.collect_words(packed, a.log2_size, _engine.z4_add, block_log2=2)
+    words = _engine.collect_words(packed, ka + kb - ki, _engine.z4_add, block_log2=2)
     as_ints = [int.from_bytes(row.tobytes(), "little") for row in words]
-    assert len(set(as_ints)) == 1 << a.log2_size
-    assert set(as_ints) == _words(a)
-    assert set(as_ints[: 1 << inter.log2_size]) == _words(inter)
+    assert len(set(as_ints)) == len(as_ints) == 1 << (ka + kb - ki)
+    assert set(as_ints[: 1 << ki]) == _words(inter)
+    assert set(as_ints[: 1 << kb]) == _words(b)
+    heads = [t for t in range(len(as_ints)) if t % (1 << kb) < 1 << ki]
+    assert {as_ints[t] for t in heads} == _words(a)
 
     code = plotkin(a_code, b_code)
     direct = direct_counts(code)
@@ -119,38 +140,36 @@ def test_route_properties_on_random_parts(parts):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("head", [0, 1, 3])
 @pytest.mark.parametrize("block_log2", [1, 2, 3, 18])
-def test_coset_histograms_across_block_sizes(block_log2, workers):
-    # 2-, 4- and 8-word blocks put one coset of 2^3 words in several blocks,
-    # in exactly one, or several cosets in one block
+def test_coset_histograms_across_block_sizes(block_log2, head, workers):
+    # 2-, 4- and 8-word blocks put one row of 2^3 words in several blocks,
+    # in exactly one, or several rows in one block; a head of 1, 2 or 8
+    # words lies in one block, spans several, or is the whole row
     sf = lrm(2, 4).standard_form
     basis = mixed_radix_basis(sf)
     lee = [lee_weight(w) for w in enumerate_codewords(sf)]
-    want = np.zeros((1 << (sf.log2_size - 3), 2 * sf.n + 1), dtype=np.int64)
+    want = np.zeros((2, 1 << (sf.log2_size - 3), 2 * sf.n + 1), dtype=np.int64)
     for t, w in enumerate(lee):
-        want[t >> 3, w] += 1
+        want[1, t >> 3, w] += 1
+        if t % 8 < 1 << head:
+            want[0, t >> 3, w] += 1
     chunks = list(_engine.coset_histograms(
-        _engine.pack_rows(basis, sf.n, 2), sf.log2_size, 3, 2 * sf.n,
+        _engine.pack_rows(basis, sf.n, 2), sf.log2_size, 3, head, 2 * sf.n,
         workers=workers, block_log2=block_log2,
     ))
-    assert (np.concatenate(chunks) == want).all()
+    for i in (0, 1):
+        assert (np.concatenate([c[i] for c in chunks]) == want[i]).all()
     # a chunk holds at most 2^block_log2 counts (rows of 17, rounded up to
-    # 32), or one coset
-    assert max(len(c) for c in chunks) == min(len(want), max(1, (1 << block_log2) // 32))
-
-
-def test_next_rows_joins_whole_chunks():
-    chunks = iter(np.full((1, 2), i) for i in range(4))
-    assert _engine._next_rows(chunks, 2).tolist() == [[0, 0], [1, 1]]
-    assert _engine._next_rows(chunks, 1).tolist() == [[2, 2]]
-    assert _engine._next_rows(chunks, 1).tolist() == [[3, 3]]
+    # 32), or one row
+    assert max(len(c[1]) for c in chunks) == min(want.shape[1], max(1, (1 << block_log2) // 32))
 
 
 @pytest.mark.parametrize("block_log2", [3, 18])
 def test_route_pairs_chunks_of_cosets(block_log2):
-    # with 8-word blocks each coset of A ∩ B in A spans several blocks of
-    # A's sweep and each coset of B more of B's, so the product pairs
-    # one-coset chunks that each sum several blocks
+    # with 8-word blocks each coset of B, and each coset of A ∩ B in A at its
+    # head, spans several blocks of the sweep of A + B, so the product
+    # takes one-coset chunks that each sum several blocks
     code = lrm(2, 5, VARIANTS["nonnested-copy"])
     real = _engine.coset_histograms
     with mock.patch.object(
@@ -159,30 +178,43 @@ def test_route_pairs_chunks_of_cosets(block_log2):
         assert route_distribution(code) == direct_counts(code)
 
 
+@pytest.mark.parametrize("variant", ["plain", "nonnested-copy"])
+def test_route_product_in_int64_above_the_float_bound(variant):
+    # codes of more than 2^53 words take the int64 einsum product; here the
+    # bound is lowered so that LRM(2,6) takes it
+    code = lrm(2, 6, VARIANTS[variant])
+    with mock.patch.object(_engine, "FLOAT_PRODUCT_MAX_LOG2", 0):
+        assert route_distribution(code) == direct_counts(code, workers=2)
+
+
 def test_route_holds_one_chunk_of_cosets_at_a_time():
     # LRM(2,7) has 2^15 cosets of LRM(1,6) in LRM(2,6), 65 weights each;
-    # the product takes them 2^11 at a time, as the sweep yields them
+    # the product takes them 2^7 at a time, as the sweep's 2^14-word blocks
+    # yield them
     code = lrm(2, 7)
     real = _engine.coset_histograms
     shapes = []
 
     def recorded(*args):
-        for chunk in real(*args):
+        for head, chunk in real(*args):
+            assert head is chunk  # B ⊆ A, so the heads are the rows
             shapes.append(chunk.shape)
-            yield chunk
+            yield head, chunk
 
     with mock.patch.object(_engine, "coset_histograms", recorded):
         counts = route_distribution(code)
     assert sum(counts) == 1 << 29
-    assert shapes == [(1 << 11, 65)] * 16
+    assert shapes == [(1 << 7, 65)] * (1 << 8)
 
 
 def test_route_refuses_counts_that_miss_the_code_size():
     # a histogram that counts each word twice breaks sum W_C = |C|
     code = lrm(2, 6)
     a, b = (p.standard_form for p in code.parts)
-    double = _engine.coset_histograms
-    with mock.patch.object(_engine, "coset_histograms", lambda *args: (2 * h for h in double(*args))):
+    real = _engine.coset_histograms
+    with mock.patch.object(
+        _engine, "coset_histograms", lambda *args: ((h, 2 * c) for h, c in real(*args))
+    ):
         with pytest.raises(ArithmeticError, match="not 2\\^22"):
             _engine.plotkin_lee_distribution(a, b, intersection(a, b))
 
