@@ -19,8 +19,12 @@ that lee_macwilliams turns into the code's counts, or, for a code that
 codes.plotkin built from parts A and B, one sweep of A + B (A itself when
 B ⊆ A) whose index rows are the cosets of B and whose row heads are the
 cosets of A ∩ B in A.  Their per-coset histograms combine, one chunk of
-cosets at a time, into the code's counts (plotkin_lee_distribution);
-plotkin_cost prices the histogram cells and product terms with the words.
+cosets at a time, in one int64 product, into the code's counts
+(plotkin_lee_distribution); plotkin_cost prices the histogram cells and
+product terms with the words.  Every route to the minimum weight ends in
+one min_weight_sweep of the code: the whole sweep on the direct route, and
+on the others a sweep that stops at the distance the route's counts prove
+(min_lee_weight_smaller_side).
 """
 
 from __future__ import annotations
@@ -286,22 +290,6 @@ def z4_basis_from_standard_form(sf):
     return pack_rows(mixed_radix_basis(sf), sf.n, 2)
 
 
-def z4_sweep_basis(sf, budget):
-    """(packed basis, k) for sweeping the 2^k words of sf, within the budget."""
-    k = sf.log2_size
-    check_budget(k, budget)
-    return z4_basis_from_standard_form(sf), k
-
-
-def min_lee_weight_sweep(sf, budget, workers=1):
-    """(minimum nonzero Lee weight, sweep index of its first word) of sf's
-    code, by a sweep of all its words."""
-    basis, k = z4_sweep_basis(sf, budget)
-    if k == 0:
-        raise ZeroCodeError("the zero code has no nonzero codeword")
-    return min_weight_sweep(basis, k, z4_add, lee_weights, workers=workers)
-
-
 # The witness search usually stops in its first block (at index 1 for every
 # dual-side LRM order with m <= 6), so small blocks keep its table build cheap.
 WITNESS_BLOCK_LOG2 = 10
@@ -502,18 +490,6 @@ def coset_histograms(basis, k, low, head, max_weight, workers=1,
             yield chunk
 
 
-# Every partial sum of a product entry in plotkin_lee_distribution is a
-# whole number of at most |C| words, so for |C| up to 2^53 a float64 (BLAS)
-# product over all weight pairs is exact.  It is summed over the chunks in
-# one (2n + 1)^2 matrix, taken while that holds no more entries than a
-# histogram block holds words (n_A <= 63).  verify(2,6) with the family
-# benchmark's seed-1/seed-3 overrides took 3.48/2.74 ms this way and
-# 3.60/2.69 ms with a product per chunk in int64 einsum over the weights
-# that occur (medians of 100 interleaved runs, 2-vCPU x86 KVM guest), which
-# larger codes keep; numpy's int64 matmul loop took 1.5-8x as long as einsum.
-FLOAT_PRODUCT_MAX_LOG2 = 53
-
-
 def plotkin_lee_distribution(a, b, inter, workers=1):
     """Exact Lee weight counts (w = 0..4n, Python ints) of the code
     C = {(x, x+y) : x in A, y in B} of length 2n, from the standard forms
@@ -526,28 +502,19 @@ def plotkin_lee_distribution(a, b, inter, workers=1):
     as its rows and H_A[D, w] of the cosets D as the rows' heads; when
     B ⊆ A the sweep is of A alone and D + B = D.  W_C[s] is the sum of
     (H_A^T H_B)[u, v] over u + v = s, reduced chunk by chunk of cosets as
-    the sweep yields them.  Each entry is at most |C| = 2^(k_A + k_B)
-    words, so the product is exact in float64 up to 2^53 words and in int64
-    below 2^63 (lee_route keeps to that).  Raises ArithmeticError unless the
-    counts sum to |C|.
+    the sweep yields them, in int64 einsum over the weights that occur in
+    H_B.  Each entry is at most |C| = 2^(k_A + k_B) words, so the product is
+    exact below 2^63 words (lee_route keeps to that).  Raises
+    ArithmeticError unless the counts sum to |C|.
     """
     ka, kb, ki = a.log2_size, b.log2_size, inter.log2_size
     basis = pack_rows(plotkin_bit_basis(a, b, inter), a.n, 2)
     max_weight = 2 * a.n
-    width = max_weight + 1
-    counts = np.zeros(2 * width - 1, dtype=np.int64)
-    dense = ka + kb <= FLOAT_PRODUCT_MAX_LOG2 and width * width <= 1 << HISTOGRAM_BLOCK_LOG2
-    total = np.zeros((width, width)) if dense else None
+    counts = np.zeros(2 * max_weight + 1, dtype=np.int64)
     for ha, hb in coset_histograms(basis, ka + kb - ki, kb, ki, max_weight, workers):
-        if dense:
-            total += ha.T.astype(np.float64) @ hb.astype(np.float64)
-        else:
-            # over the weights that occur in H_B, which counts every word H_A does
-            u = np.flatnonzero(hb.any(axis=0))
-            np.add.at(counts, u[:, None] + u, np.einsum("cu,cv->uv", ha[:, u], hb[:, u]))
-    if dense:
-        w = np.arange(width)
-        np.add.at(counts, w[:, None] + w, total.astype(np.int64))
+        # H_B counts every word H_A does, so its weights cover both
+        u = np.flatnonzero(hb.any(axis=0))
+        np.add.at(counts, u[:, None] + u, np.einsum("cu,cv->uv", ha[:, u], hb[:, u]))
     counts = [int(c) for c in counts]
     if sum(counts) != 1 << (ka + kb):
         raise ArithmeticError(f"Plotkin counts sum to {sum(counts)}, not 2^{ka + kb}")
@@ -583,22 +550,26 @@ def min_lee_weight_smaller_side(sf, budget, workers=1, parts=None):
     """(minimum nonzero Lee weight, sweep index of its first word) of sf's
     code, along the cheapest route of lee_route (parts as there).
 
-    The budget gates the code's own size.  On the dual and plotkin routes
-    the code's exact distribution gives the exact minimum d; a sweep of the
-    code that stops at the first block holding a word of weight d then finds
-    the witness.  As d is already proven, stopping there misses no lighter
-    word, and the index is the one the full sweep returns.  On the direct
-    route this is min_lee_weight_sweep.
+    The budget gates the code's own size.  Every route ends in one sweep of
+    the code.  On the direct route that sweep is the whole computation.  On
+    the dual and plotkin routes the code's exact distribution gives the
+    exact minimum d, and the sweep stops at the first block holding a word
+    of weight d: as d is already proven, it misses no lighter word, and the
+    index is the one the full sweep returns.
     """
-    check_budget(sf.log2_size, budget)
+    k = sf.log2_size
+    check_budget(k, budget)
+    if k == 0:
+        raise ZeroCodeError("the zero code has no nonzero codeword")
     route = lee_route(sf, parts)
-    if route[0] == "direct":
-        return min_lee_weight_sweep(sf, budget, workers=workers)
-    counts = _lee_distribution(sf, parts, route, workers)
-    d = next(w for w, a in enumerate(counts) if w and a)
+    stop_at, block_log2 = None, DEFAULT_BLOCK_LOG2
+    if route[0] != "direct":
+        counts = _lee_distribution(sf, parts, route, workers)
+        stop_at = next(w for w, a in enumerate(counts) if w and a)
+        block_log2 = WITNESS_BLOCK_LOG2
     return min_weight_sweep(
-        z4_basis_from_standard_form(sf), sf.log2_size, z4_add, lee_weights, workers=workers,
-        stop_at=d, block_log2=WITNESS_BLOCK_LOG2,
+        z4_basis_from_standard_form(sf), k, z4_add, lee_weights, workers=workers,
+        stop_at=stop_at, block_log2=block_log2,
     )
 
 

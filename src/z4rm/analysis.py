@@ -92,27 +92,33 @@ class VerificationReport:
         return self.computed_d is None
 
     @property
+    def claims(self) -> list:
+        """(claim, expected, got, status) per claim, in report order:
+        skipped when got is None, else pass or fail.  The witness's image
+        weight is expected to be the computed distance, else the claim."""
+        d = self.computed_d
+        rows = [
+            ("length", self.claimed.n, self.computed_n),
+            ("log2_size", self.claimed.k, self.computed_k),
+            ("min_lee_distance", self.claimed.d, d),
+            ("witness_isometry", self.claimed.d if d is None else d, self.witness_hamming),
+        ]
+        return [
+            (name, want, got, "skipped" if got is None else "pass" if got == want else "fail")
+            for name, want, got in rows
+        ]
+
+    @property
     def failures(self) -> list:
-        """(claim, expected, got) for every computed field that disagrees."""
-        out = []
-        if self.computed_n != self.claimed.n:
-            out.append(("length", self.claimed.n, self.computed_n))
-        if self.computed_k != self.claimed.k:
-            out.append(("log2_size", self.claimed.k, self.computed_k))
-        if self.computed_d is not None:
-            if self.computed_d != self.claimed.d:
-                out.append(("min_lee_distance", self.claimed.d, self.computed_d))
-            if self.witness_hamming != self.computed_d:
-                out.append(("witness_isometry", self.computed_d, self.witness_hamming))
-        return out
+        """(claim, expected, got) for every claim that fails."""
+        return [(name, want, got) for name, want, got, status in self.claims if status == "fail"]
 
     @property
     def status(self) -> str:
-        """pass, fail (a computed field disagrees with the claim) or skipped
-        (the distance sweep was over budget)."""
-        if self.failures:
-            return "fail"
-        return "skipped" if self.skipped else "pass"
+        """fail if a claim fails, else skipped if one was skipped (the
+        distance sweep was over budget), else pass."""
+        statuses = [claim[3] for claim in self.claims]
+        return "fail" if "fail" in statuses else "skipped" if "skipped" in statuses else "pass"
 
     @property
     def passed(self) -> bool:
@@ -178,8 +184,10 @@ def _collect_images(c: Z4Code, budget: int):
     """(2^k, limbs) packed Gray images of every codeword, in the in-lane
     layout of _engine.gray_lanes.  That layout permutes the coordinates of
     z4core.gray, so the image set keeps its size, XOR closure and distances."""
-    basis, k = _engine.z4_sweep_basis(c.standard_form, min(budget, MATERIALIZE_BUDGET))
-    return _engine.gray_lanes(_engine.collect_words(basis, k, _engine.z4_add))
+    sf = c.standard_form
+    check_budget(sf.log2_size, min(budget, MATERIALIZE_BUDGET))
+    basis = _engine.z4_basis_from_standard_form(sf)
+    return _engine.gray_lanes(_engine.collect_words(basis, sf.log2_size, _engine.z4_add))
 
 
 def image_is_linear_bruteforce(c: Z4Code, budget: int = BRUTE_ORACLE_BUDGET) -> bool:
@@ -204,28 +212,28 @@ def verify_theorem1(
 ) -> VerificationReport:
     """Build LRM(r,m) and compare its computed parameters with the claim.
 
-    The minimum Lee distance is exact, computed from whichever of the code
-    and its dual has fewer words (min_lee_weight_witness), for any code
-    within the budget.  The claim never bounds the computation, so
-    fast=True computes what the default audit does and only changes the mode
-    shown in the report.  On the minimum-weight witness the Gray image weight
-    must reproduce the Lee weight (isometry cross-check).
+    The minimum Lee distance is exact, along the cheapest route of
+    min_lee_weight_witness, which alone decides what fits the budget: the
+    distance claims are skipped when it raises CapacityError.  An override
+    over the budget still raises, from lrm.  The claim never bounds the
+    computation, so fast=True computes what the default audit does and only
+    changes the mode shown in the report.  On the minimum-weight witness the
+    Gray image weight must reproduce the Lee weight (isometry cross-check).
     """
     order = check_order(r, m)
     claimed = theorem1_params(r, m)
     code = lrm(r, m, overrides, budget)
-    computed_k = code.log2_size
-    computed_d = None
-    witness_hamming = None
-    if computed_k <= budget:
+    try:
         computed_d, witness = min_lee_weight_witness(code, budget, workers=workers)
         witness_hamming = gray(witness).weight()
+    except CapacityError:
+        computed_d = witness_hamming = None
     return VerificationReport(
         order=order,
         label=code.label,
         claimed=claimed,
         computed_n=code.n,
-        computed_k=computed_k,
+        computed_k=code.log2_size,
         computed_d=computed_d,
         witness_hamming=witness_hamming,
         image_linear=image_is_linear(code),

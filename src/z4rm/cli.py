@@ -25,7 +25,7 @@ from .analysis import (
     search_nonlinear_base,
     verify_theorem1,
 )
-from .codes import CodeParams, Z4Code, check_order, lrm, rm_binary
+from .codes import MAX_M, MAX_RM_M, CodeParams, Z4Code, check_order, lrm, rm_binary
 from .errors import CapacityError, CodeFileError, DimensionError, OverrideError, ZeroCodeError
 from .fileformat import parse_code, render_code
 from .linalg import DEFAULT_BUDGET, enumerate_codewords
@@ -36,16 +36,8 @@ ENV_BUDGET = "Z4RM_BUDGET"
 # A direct sweep of 2^40 words takes about 40 minutes at the ~5x10^8 words/s
 # measured on 2 workers, so the bound keeps every admitted sweep under an hour.
 MAX_BUDGET = 40
-# Each step of m doubles the code length 2^(m-1), and the work done before
-# any budget check grows faster: `verify 1 14` (2^15 words of length 2^13,
-# a low table that quadruples per step) took 0.5 s and 158 MB, against 62 MB
-# at m = 13 (2-vCPU x86 KVM guest).  So orders stop at m = 14, and code
-# files at the same length.
-MAX_M = 14
+# Code files stop at the length of LRM at m = MAX_M.
 MAX_LENGTH = 1 << (MAX_M - 1)
-# `rm` prints the binary RM(r,m), of length 2^m, with no budget: `rm 1 16`
-# took 3 s and `rm 1 18` 42 s on the same guest, so its m stops at 16.
-MAX_RM_M = 16
 
 
 class _UsageError(Exception):
@@ -293,7 +285,7 @@ _COMMANDS = {
         _BUDGET)),
     "enumerate": (_cmd_enumerate, "list every codeword in the frozen order", (_FILE, _BUDGET)),
     "compare-qrm": (_cmd_compare_qrm, "size comparison against QRM for all m <= M",
-                    (_arg("M", type=int),)),
+                    (_arg("M", type=_level),)),
     "rm": (_cmd_rm, "emit binary Reed-Muller RM(r,m) generator rows", (
         _ORDER[0], _arg("m", type=_rm_level, help="level (code length 2^m)"))),
     "search-nonlinear": (

@@ -36,6 +36,16 @@ __all__ = [
 ]
 
 
+# Each step of m doubles the code length 2^(m-1), and the work done before
+# any budget check grows faster: `verify 1 14` (2^15 words of length 2^13,
+# a low table that quadruples per step) took 0.5 s and 158 MB, against 62 MB
+# at m = 13 (2-vCPU x86 KVM guest).  So lrm stops at m = 14.
+MAX_M = 14
+# rm_binary builds RM(r,m), of length 2^m, with no budget: `z4rm rm 1 16`
+# took 3 s and `z4rm rm 1 18` 42 s on the same guest, so its m stops at 16.
+MAX_RM_M = 16
+
+
 class RMOrder(NamedTuple):
     r: int
     m: int
@@ -194,9 +204,12 @@ def lrm(
     validated against theorem1_params there: length, size and the exact
     minimum distance.  An override larger than the budget raises
     CapacityError.  Each node is built (and each override validated) once
-    per call, however many paths of the recursion reach it.
+    per call, however many paths of the recursion reach it.  m is at most
+    MAX_M.
     """
     check_order(r, m)
+    if m > MAX_M:
+        raise ValueError(f"level m={m} exceeds MAX_M = {MAX_M}")
     built = {}
 
     def node(r, m):
@@ -229,9 +242,11 @@ def rm_binary(r: int, m: int) -> tuple:
     Rows are evaluation vectors, over the 2^m points of Z2^m, of all
     monomials in v_1..v_m of degree at most r.  Points are ordered by the
     integer value of (v_1..v_m) with v_1 most significant; monomials are
-    graded by degree, then lexicographic.
+    graded by degree, then lexicographic.  m is at most MAX_RM_M.
     """
     check_order(r, m)
+    if m > MAX_RM_M:
+        raise ValueError(f"level m={m} exceeds MAX_RM_M = {MAX_RM_M}")
     npts = 1 << m
     var_rows = []
     for i in range(1, m + 1):

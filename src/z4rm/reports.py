@@ -18,25 +18,14 @@ __all__ = [
 ]
 
 
-def _claim(name, expected, got) -> str:
-    if got is None:
-        return f"claim={name} expected={expected} got=- status=skipped"
-    status = "pass" if expected == got else "fail"
-    return f"claim={name} expected={expected} got={got} status={status}"
-
-
 def report_lines(rep: VerificationReport) -> list:
     r, m = rep.order
     mode = "fast" if rep.fast else "audit"
     return [
         f"order=({r},{m}) budget={rep.budget} mode={mode}",
-        _claim("length", rep.claimed.n, rep.computed_n),
-        _claim("log2_size", rep.claimed.k, rep.computed_k),
-        _claim("min_lee_distance", rep.claimed.d, rep.computed_d),
-        _claim(
-            "witness_isometry",
-            rep.computed_d if rep.computed_d is not None else rep.claimed.d,
-            rep.witness_hamming,
+        *(
+            f"claim={name} expected={want} got={'-' if got is None else got} status={status}"
+            for name, want, got, status in rep.claims
         ),
         f"image_linear={'true' if rep.image_linear else 'false'}",
         f"result={rep.status}",

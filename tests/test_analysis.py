@@ -249,10 +249,38 @@ def test_verify_never_bounds_the_sweep_by_the_claim(monkeypatch):
     sf = lrm(3, 5).standard_form
     dual = dual_standard_form(sf)
     hist = _engine.weight_histogram(
-        *_engine.z4_sweep_basis(dual, 28), _engine.z4_add, _engine.lee_weights, 2 * sf.n
+        _engine.z4_basis_from_standard_form(dual), dual.log2_size, _engine.z4_add,
+        _engine.lee_weights, 2 * sf.n,
     )
     counts = _engine.lee_macwilliams(hist, sf.log2_size)
     assert seen == [next(w for w, a in enumerate(counts) if w and a)] == [4]
+
+
+@pytest.mark.parametrize(
+    "overrides", [None, {(2, 4): shipped_nonlinear_base()}], ids=["plain", "shipped-base"]
+)
+def test_verify_skips_exactly_when_the_witness_is_over_budget(overrides):
+    # verify_theorem1 has no budget test of its own: at budgets k - 1 and k
+    # its distance claims are skipped iff min_lee_weight_witness refuses
+    for m in range(1, 7):
+        for r in range(m + 1):
+            code = lrm(r, m, overrides)
+            k = code.log2_size
+            for budget in (k - 1, k):
+                if "override" in code.label and budget < 11:
+                    # the (2,4) override itself is over budget: lrm refuses
+                    with pytest.raises(CapacityError, match=r"override at \(2,4\)"):
+                        verify_theorem1(r, m, overrides, budget=budget)
+                    continue
+                try:
+                    min_lee_weight_witness(code, budget)
+                    refused = False
+                except CapacityError:
+                    refused = True
+                assert refused == (budget < k)
+                rep = verify_theorem1(r, m, overrides, budget=budget)
+                assert rep.skipped == refused, (r, m, budget)
+                assert rep.status == ("skipped" if refused else "pass"), (r, m, budget)
 
 
 def test_nonequivalence_examples():

@@ -5,7 +5,7 @@ import pytest
 
 from z4rm.analysis import image_is_linear, min_lee_weight
 from z4rm.cli import MAX_LENGTH, MAX_M, MAX_RM_M, main
-from z4rm.codes import Z4Code, lrm
+from z4rm.codes import Z4Code, lrm, shipped_nonlinear_base
 from z4rm.errors import ZeroCodeError
 from z4rm.fileformat import render_code
 from z4rm.linalg import GeneratorMatrix
@@ -105,6 +105,16 @@ def test_override_over_budget_is_refused(capsys, tmp_path):
     code, _, err = run(capsys, "build", "3", "5", "--override", f"2,4={path}")
     assert code == 1
     assert "minimum Lee weight 1, expected 4" in err
+
+
+def test_verify_with_override_over_budget_exits_3(capsys, tmp_path):
+    # lrm validates the override outside the distance gate, so the refusal
+    # is a budget error, not a skipped claim
+    path = tmp_path / "ep.z4code"
+    path.write_text(render_code(shipped_nonlinear_base()), newline="")
+    assert run(capsys, "verify", "2", "5", "--override", f"2,4={path}", "--budget", "10") == (
+        3, "", "error: override at (2,4): code has 2^11 words but the budget allows 2^10\n"
+    )
 
 
 def test_verify_all(capsys):
@@ -381,7 +391,7 @@ def test_code_file_length_bound_is_the_length_at_max_m(capsys, tmp_path):
     "argv, argument, bound",
     [(["rm", "1", "40"], "m", MAX_RM_M), (["rm", "1", "17"], "m", MAX_RM_M),
      (["build", "1", "40"], "m", MAX_M), (["verify", "1", "15"], "m", MAX_M),
-     (["verify-all", "15"], "M", MAX_M)],
+     (["verify-all", "15"], "M", MAX_M), (["compare-qrm", "15"], "M", MAX_M)],
 )
 def test_level_is_bounded_before_work_starts(capsys, argv, argument, bound):
     # rm 1 40 would run a 2^40-step loop; the refusal is a usage error

@@ -93,6 +93,17 @@ def test_plotkin_length_mismatch():
         plotkin(lrm(0, 1), lrm(0, 2))
 
 
+@pytest.mark.parametrize(
+    "build, bound, name", [(lrm, codes.MAX_M, "MAX_M"), (rm_binary, codes.MAX_RM_M, "MAX_RM_M")]
+)
+def test_library_level_is_bounded_before_work_starts(monkeypatch, build, bound, name):
+    # a repetition code or RM row built past the bound would fail otherwise
+    monkeypatch.setattr(codes, "_repetition", None)
+    monkeypatch.setattr(codes, "BitWord", None)
+    with pytest.raises(ValueError, match=f"level m={bound + 1} exceeds {name} = {bound}"):
+        build(0, bound + 1)
+
+
 def test_lrm_label_traces_recursion():
     c = lrm(1, 2)
     assert c.label == "LRM(1,2):plotkin[LRM(1,1):full;LRM(0,1):rep]"

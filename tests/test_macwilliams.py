@@ -1,9 +1,11 @@
 """The dual-code route: the dual of a standard form, the Lee MacWilliams
 transform, and the route choice (_engine.lee_route) in
 _engine.lee_distribution_smaller_side and _engine.min_lee_weight_smaller_side,
-each checked against the exhaustive direct sweep.  The public lee_weight_distribution and min_lee_weight_witness
-take that route, so the direct references here call the engine's sweeps of
-the code's own basis."""
+each checked against the exhaustive direct sweep.  The public
+lee_weight_distribution and min_lee_weight_witness take that route, so the
+direct references here (direct_counts, direct_min) call the engine's full
+weight_histogram and min_weight_sweep on the code's own basis,
+z4_basis_from_standard_form."""
 
 import functools
 from unittest import mock
@@ -28,7 +30,8 @@ def macwilliams_counts(code):
     sf = code.standard_form
     dual = dual_standard_form(sf)
     hist = _engine.weight_histogram(
-        *_engine.z4_sweep_basis(dual, 28), _engine.z4_add, _engine.lee_weights, 2 * sf.n
+        _engine.z4_basis_from_standard_form(dual), dual.log2_size, _engine.z4_add,
+        _engine.lee_weights, 2 * sf.n,
     )
     return _engine.lee_macwilliams(hist, sf.log2_size)
 
@@ -37,10 +40,19 @@ def direct_counts(code, workers=1):
     """code's Lee weight counts, computed from a sweep of its own words."""
     sf = code.standard_form
     hist = _engine.weight_histogram(
-        *_engine.z4_sweep_basis(sf, 28), _engine.z4_add, _engine.lee_weights, 2 * sf.n,
-        workers=workers,
+        _engine.z4_basis_from_standard_form(sf), sf.log2_size, _engine.z4_add,
+        _engine.lee_weights, 2 * sf.n, workers=workers,
     )
     return [int(a) for a in hist]
+
+
+def direct_min(sf, workers=1):
+    """(minimum nonzero Lee weight, sweep index of its first word) of sf's
+    code, from a full sweep of its own words."""
+    return _engine.min_weight_sweep(
+        _engine.z4_basis_from_standard_form(sf), sf.log2_size, _engine.z4_add,
+        _engine.lee_weights, workers=workers,
+    )
 
 
 def monomial_copy(code, perm, negate):
@@ -119,9 +131,7 @@ def test_dual_and_macwilliams_properties(g):
             mock.patch.object(_engine, "DIRECT_MAX_LOG2", 2):
         assert list(lee_weight_distribution(code).counts) == direct
         if k:
-            assert _engine.min_lee_weight_smaller_side(sf, 28) == _engine.min_lee_weight_sweep(
-                sf, 28
-            )
+            assert _engine.min_lee_weight_smaller_side(sf, 28) == direct_min(sf)
 
 
 def test_macwilliams_rejects_inconsistent_counts():
@@ -156,7 +166,7 @@ def test_smaller_side_matches_exhaustive_sweep(overrides):
     for r, m in orders:
         sf = lrm(r, m, overrides).standard_form
         assert _engine.min_lee_weight_smaller_side(sf, 28, workers=2) == (
-            _engine.min_lee_weight_sweep(sf, 28, workers=2)
+            direct_min(sf, workers=2)
         ), (r, m)
 
 
@@ -165,7 +175,7 @@ def _direct_reference(r, m, override_index):
     """(code, direct counts, (d, witness) of the direct min sweep)."""
     code = lrm(r, m, OVERRIDES[override_index])
     sf = code.standard_form
-    d, t = _engine.min_lee_weight_sweep(sf, 28, workers=2)
+    d, t = direct_min(sf, workers=2)
     return code, direct_counts(code, workers=2), (d, codeword_at(sf, t))
 
 

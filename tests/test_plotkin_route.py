@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_macwilliams import direct_counts, macwilliams_counts, monomial_copy
+from test_macwilliams import direct_counts, direct_min, macwilliams_counts, monomial_copy
 from z4rm import _engine
 from z4rm.analysis import lee_weight_distribution, min_lee_weight_witness
 from z4rm.codes import Z4Code, lrm, plotkin, shipped_nonlinear_base, theorem1_params
@@ -135,7 +135,7 @@ def test_route_properties_on_random_parts(parts):
         sf = code.standard_form
         if sf.log2_size:
             assert _engine.min_lee_weight_smaller_side(sf, 28, parts=code.parts) == (
-                _engine.min_lee_weight_sweep(sf, 28)
+                direct_min(sf)
             )
 
 
@@ -179,12 +179,10 @@ def test_route_pairs_chunks_of_cosets(block_log2):
 
 
 @pytest.mark.parametrize("variant", ["plain", "nonnested-copy"])
-def test_route_product_in_int64_above_the_float_bound(variant):
-    # codes of more than 2^53 words take the int64 einsum product; here the
-    # bound is lowered so that LRM(2,6) takes it
+def test_route_product_in_int64_einsum(variant):
+    # the one product path, int64 einsum over the weights that occur in H_B
     code = lrm(2, 6, VARIANTS[variant])
-    with mock.patch.object(_engine, "FLOAT_PRODUCT_MAX_LOG2", 0):
-        assert route_distribution(code) == direct_counts(code, workers=2)
+    assert route_distribution(code) == direct_counts(code, workers=2)
 
 
 def test_route_holds_one_chunk_of_cosets_at_a_time():

@@ -78,6 +78,7 @@ LRM12_LABEL = "LRM(1,2):plotkin[LRM(1,1):full;LRM(0,1):rep]"
 def test_report_renderings_by_status(make_report, lines, text, all_line):
     rep = make_report()
     assert report_lines(rep) == lines
+    assert [f"status={claim[3]}" for claim in rep.claims] == [x.split()[-1] for x in lines[1:5]]
     assert report_text(rep) == text
     assert verify_all_line(rep) == all_line
 
