@@ -14,7 +14,8 @@ to block: fresh per-block arrays cost page faults that varied with the
 allocator's state from call to call.
 
 Three exact routes give a code's Lee weight distribution, and lee_route
-takes the cheapest in words swept: a sweep of the code, a sweep of its dual
+takes the cheapest in words swept, every route but the first paying one
+fixed cost (FIXED_COST_LOG2): a sweep of the code, a sweep of its dual
 that lee_macwilliams turns into the code's counts, or, for a code that
 codes.plotkin built from parts A and B, one sweep of A + B (A itself when
 B ⊆ A) whose index rows are the cosets of B and whose row heads are the
@@ -44,6 +45,7 @@ from .z4core import add, alpha, beta, negate
 U64 = np.uint64
 _LO = U64(0x5555555555555555)
 _ONE = U64(1)
+_ALL = 0xFFFFFFFFFFFFFFFF
 
 DEFAULT_BLOCK_LOG2 = 18
 
@@ -59,7 +61,7 @@ def pack_rows(rows, n, lane_bits):
     for r, w in enumerate(rows):
         p = w._packed
         for l in range(limbs):
-            out[r, l] = (p >> (64 * l)) & 0xFFFFFFFFFFFFFFFF
+            out[r, l] = (p >> (64 * l)) & _ALL
     return out
 
 
@@ -82,11 +84,6 @@ def z4_add(a, b, out=None):
     out ^= a
     out ^= b
     return out
-
-
-def z4_negate(words):
-    """Lane-wise negation mod 4: lane (b, a) -> (b^a, a)."""
-    return words ^ ((words & _LO) << _ONE)
 
 
 def gray_lanes(words):
@@ -115,15 +112,29 @@ def bit_weights(words):
     return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
 
 
-def _identity(words):
+def _identity(words, lo=None):
     return words
 
 
-# combine -> (image, negation) carrying its ring into Hamming space, where
-# wt(x + c) = w_H(image(x) ^ image(-c)).  For Z4 this is the Gray isometry
-# (Hammons, Kumar, Calderbank, Sloane, Solé, IEEE Trans. IT 40(2), 1994);
-# binary words are their own images and negatives.
-_ISOMETRIES = {z4_add: (gray_lanes, z4_negate), xor_add: (_identity, _identity)}
+def z4_lane_add(a, b, lo):
+    """z4_add on words packed in Python ints, lo being 0x55..55 over them."""
+    return ((a & b & lo) << 1) ^ a ^ b
+
+
+def z4_lane_mask(c, lo):
+    """gray_lanes(-c) of a Python-int word c: -c takes lane (b, a) to (b^a, a)."""
+    c ^= (c & lo) << 1
+    return c ^ ((c >> 1) & lo)
+
+
+# combine -> (image, add, mask = image of the negation) carrying its ring into
+# Hamming space, where wt(x + c) = w_H(image(x) ^ mask(c)).  For Z4 this is
+# the Gray isometry (Hammons, Kumar, Calderbank, Sloane, Solé, IEEE Trans. IT
+# 40(2), 1994); binary words are their own images and negatives.
+_RINGS = {
+    z4_add: (gray_lanes, z4_lane_add, z4_lane_mask),
+    xor_add: (_identity, lambda a, b, lo: a ^ b, _identity),
+}
 
 
 class Sweep:
@@ -131,59 +142,55 @@ class Sweep:
 
     The low table holds the images of the first 2^block_log2 words, stored
     limb-major (order="F") so that each limb column is contiguous.  Block h
-    is the table plus an offset c from the high basis, and its weights are
-    the popcounts of image_table ^ image(-c), summed over limbs.
+    is the table plus an offset c from the high basis, a Python int (limb l
+    at bits 64l.., as in pack_rows), and its weights are the popcounts of
+    images ^ mask(c), summed over limbs.
     """
 
     def __init__(self, basis, k, combine, block_log2=DEFAULT_BLOCK_LOG2):
-        self.k = k
         self.combine = combine
-        self._image, self._negate = _ISOMETRIES[combine]
+        self._image, self._add, self._mask_of = _RINGS[combine]
         self.low_bits = min(k, block_log2)
         self.block_count = 1 << (k - self.low_bits)
-        limbs = basis.shape[1] if len(basis) else 1
-        table = np.zeros((1 << self.low_bits, limbs), dtype=U64, order="F")
+        self._limbs = basis.shape[1] if len(basis) else 1
+        self._lo = ((1 << 64 * self._limbs) - 1) // 3
+        table = np.zeros((1 << self.low_bits, self._limbs), dtype=U64, order="F")
         for j in range(self.low_bits):
             half = 1 << j
             combine(table[:half], basis[j][None, :], out=table[half : 2 * half])
-        self._images = self._image(table)
-        self._high_basis = basis[self.low_bits :]
+        self.images = self._image(table)
+        high = basis[self.low_bits :]
+        self._high_basis = [sum(int(v) << (64 * l) for l, v in enumerate(r)) for r in high]
 
     def block_size(self) -> int:
         return 1 << self.low_bits
 
     def _offset(self, h):
-        """(1, limbs) word at sweep index h * block_size."""
-        offset = np.zeros((1, self._images.shape[1]), dtype=U64)
-        j = 0
-        while h:
-            if h & 1:
-                offset = self.combine(offset, self._high_basis[j][None, :])
-            h >>= 1
-            j += 1
+        """The word at sweep index h * block_size, as a Python int."""
+        offset = 0
+        for j, row in enumerate(self._high_basis):
+            if h >> j & 1:
+                offset = self._add(offset, row, self._lo)
         return offset
+
+    def _pack(self, word):
+        return np.array([(word >> 64 * l) & _ALL for l in range(self._limbs)], dtype=U64)
 
     def block(self, h):
         """Packed words for sweep indices [h * block_size, (h+1) * block_size)."""
-        return self.combine(self._image(self._images), self._offset(h))
-
-    def _mask(self, h):
-        """image(-c) for block h's offset c, one scalar per limb.  Block 0's
-        offset is zero, which both rings map to zero."""
-        offset = self._offset(h)
-        return (self._image(self._negate(offset)) if h else offset)[0]
+        return self.combine(self._image(self.images), self._pack(self._offset(h))[None, :])
 
     def weights(self, h, scratch):
         """(N,) int64 weights of block h, in buffers kept in the dict scratch."""
-        mask = self._mask(h)
-        n = self._images.shape[0]
+        mask = self._pack(self._mask_of(self._offset(h), self._lo))
+        n = self.images.shape[0]
         x = _buffer(scratch, "x", (n,), U64)
         w = np.bitwise_count(
-            np.bitwise_xor(self._images[:, 0], mask[0], out=x),
+            np.bitwise_xor(self.images[:, 0], mask[0], out=x),
             out=_buffer(scratch, "w", (n,), np.int64),
         )
         for limb in range(1, len(mask)):
-            np.bitwise_xor(self._images[:, limb], mask[limb], out=x)
+            np.bitwise_xor(self.images[:, limb], mask[limb], out=x)
             w += np.bitwise_count(x, out=_buffer(scratch, "c", (n,), np.uint8))
         return w
 
@@ -194,10 +201,12 @@ def _run_blocks(sweep, job, workers):
     Worker count never changes the sequence.  At most 4 * workers results
     are computed ahead of the one consumed, so a consumer that reduces as it
     goes holds a bounded number of them, and one that stops early (closing
-    the generator) waits only for those.  Threads beyond the CPU count only
-    add overhead, so workers is clamped to it.
+    the generator) waits only for those.  Threads beyond the CPUs the
+    process may run on only add overhead, so workers is clamped to them.
     """
-    workers = min(workers, os.cpu_count() or 1)
+    if workers > 1:
+        affinity = getattr(os, "sched_getaffinity", None)
+        workers = min(workers, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
     def run(h, scratch):
         return job(h, sweep.weights(h, scratch))
@@ -279,12 +288,6 @@ def weight_histogram(
     return total
 
 
-def collect_words(basis, k, combine, block_log2=DEFAULT_BLOCK_LOG2):
-    """All 2^k packed words as one (N, limbs) array, in sweep order."""
-    sweep = Sweep(basis, k, combine, block_log2)
-    return np.concatenate([sweep.block(h) for h in range(sweep.block_count)], axis=0)
-
-
 def z4_basis_from_standard_form(sf):
     """Packed per-index-bit contributions of linalg's enumeration order."""
     return pack_rows(mixed_radix_basis(sf), sf.n, 2)
@@ -294,27 +297,17 @@ def z4_basis_from_standard_form(sf):
 # dual-side LRM order with m <= 6), so small blocks keep its table build cheap.
 WITNESS_BLOCK_LOG2 = 10
 
-# Codes of at most 2^14 words sweep directly even when their dual is smaller:
-# the dual route's fixed cost (the dual built in Python ints, a second sweep
-# set-up, the witness search) exceeds a whole sweep of the code.  Measured in
-# one process, median of 40 alternating runs on a 2-vCPU x86 KVM guest, for
-# LRM(2,4), LRM(3,4) and random codes with n = 8 and 10: direct/dual were
-# 76-133/150-241 us at k = 11..13, 134-234/140-237 us at k = 14 and
-# 196-299/133-218 us at k = 15.
-DIRECT_MAX_LOG2 = 14
-
-# Codes of at most 2^16 words sweep directly even when the Plotkin route
-# costs less: its fixed cost (the parts' standard forms, A ∩ B, the coset
-# basis, two sweep set-ups, the histogram product) is not repaid.  Measured
-# through min_lee_weight_smaller_side in one process, median of 40
-# alternating runs on a 2-vCPU x86 KVM guest, plotkin/direct: at k = 16,
-# 0.55/0.83 ms for LRM(2,5), 1.06/0.92 and 1.26/1.10 ms for LRM(2,5) with two
-# overrides at (2,4) that make B ⊄ A, and 3.0/0.76 ms for a random Plotkin
-# code; at k = 17..22, 0.57-5.3 ms against 1.5-11.9 ms for four random ones.
-# With plotkin_cost, the k = 16 codes it still picks were 0.55/0.85,
-# 0.61/0.85 and 0.92/0.85 ms (median of 30), and every pick above k = 16
-# was faster (2.2-35 ms against 5.4-2840 ms).
-PLOTKIN_MIN_LOG2 = 16
+# Every route but the direct one pays 2^FIXED_COST_LOG2 words on top of its
+# own work (the dual's or the parts' standard forms, A ∩ B, a second sweep
+# set-up, the witness search).  At k = 14..16, with the route forced through
+# min_lee_weight_smaller_side (one process, medians of 30 and of 40
+# alternating runs, 2-vCPU x86 KVM guest), route time over direct time per
+# word, less the route's units, gave F = 13.5-15.3, median 14.3-14.4, for the
+# duals of LRM(3,4), LRM(4,4) and six random codes, and the Plotkin routes of
+# LRM(2,5) (plain, the family benchmark's seed-1 and seed-3 (2,4) copies) and
+# a random code.  F in [14.3, 15) keeps the seed-1 LRM(2,5) direct
+# (plotkin/direct 1.33/1.30 ms) and LRM(3,4) on its dual (0.33/0.74 ms).
+FIXED_COST_LOG2 = 14.5
 
 
 def plotkin_cost(ka, kb, ki, n):
@@ -332,32 +325,37 @@ def plotkin_cost(ka, kb, ki, n):
     return math.log2((cosets << kb) + cosets * (cells + width * width))
 
 
+def _plus_fixed(cost):
+    """log2(2^cost + 2^FIXED_COST_LOG2), in log space: 2n - k reaches 16383."""
+    return max(cost, FIXED_COST_LOG2) + math.log2(1 + 2.0 ** -abs(cost - FIXED_COST_LOG2))
+
+
 def lee_route(sf, parts=None):
     """(method, log2 cost, A ∩ B) of the cheapest exact route to the Lee
     weight distribution of sf's code C, the cost being log2 of the words it
-    sweeps, or their equivalent:
+    sweeps or their equivalent, plus FIXED_COST_LOG2's on all but "direct":
 
     - "direct": a sweep of C's 2^k words;
-    - "dual": a sweep of C⊥'s 2^(2n-k) words, taken when C has more than
-      2^DIRECT_MAX_LOG2 words;
+    - "dual": a sweep of C⊥'s 2^(2n-k) words;
     - "plotkin": when C = {(x, x+y) : x in A, y in B} with parts = (A, B),
       codes with a standard_form, plotkin_lee_distribution at the cost of
-      plotkin_cost.  Taken when C has more than 2^PLOTKIN_MIN_LOG2 words.
+      plotkin_cost.
 
     The third field is A ∩ B on the plotkin route and None otherwise.  Ties
     go to the earlier method in that list.
     """
     k = sf.log2_size
     best = ("direct", k, None)
-    if k > DIRECT_MAX_LOG2 and 2 * sf.n - k < k:
-        best = ("dual", 2 * sf.n - k, None)
+    dual = _plus_fixed(2 * sf.n - k)
+    if dual < k:
+        best = ("dual", dual, None)
     # The plotkin route's int64 counts reach 2^k.  B has at most 4^(n/2)
-    # words, so A has at least 2^(k-n) and the route costs at least k - n.
-    if parts is not None and PLOTKIN_MIN_LOG2 < k < 63 and k - sf.n < best[1]:
+    # words, so A has at least 2^(k-n), and the route sweeps at least A.
+    if parts is not None and k < 63 and _plus_fixed(k - sf.n) < best[1]:
         a, b = (p.standard_form for p in parts)
-        if a.log2_size < best[1]:
+        if _plus_fixed(a.log2_size) < best[1]:
             inter = intersection(a, b)
-            cost = plotkin_cost(a.log2_size, b.log2_size, inter.log2_size, a.n)
+            cost = _plus_fixed(plotkin_cost(a.log2_size, b.log2_size, inter.log2_size, a.n))
             if cost < best[1]:
                 best = ("plotkin", cost, inter)
     return best

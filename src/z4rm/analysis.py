@@ -181,13 +181,13 @@ def image_is_linear(c: Z4Code) -> bool:
 
 
 def _collect_images(c: Z4Code, budget: int):
-    """(2^k, limbs) packed Gray images of every codeword, in the in-lane
-    layout of _engine.gray_lanes.  That layout permutes the coordinates of
-    z4core.gray, so the image set keeps its size, XOR closure and distances."""
+    """(2^k, limbs) Gray images of every codeword: a one-block sweep's table,
+    in _engine.gray_lanes' layout, which permutes z4core.gray's coordinates
+    and so keeps the image set's size, XOR closure and distances."""
     sf = c.standard_form
     check_budget(sf.log2_size, min(budget, MATERIALIZE_BUDGET))
     basis = _engine.z4_basis_from_standard_form(sf)
-    return _engine.gray_lanes(_engine.collect_words(basis, sf.log2_size, _engine.z4_add))
+    return _engine.Sweep(basis, sf.log2_size, _engine.z4_add, sf.log2_size).images
 
 
 def image_is_linear_bruteforce(c: Z4Code, budget: int = BRUTE_ORACLE_BUDGET) -> bool:

@@ -151,7 +151,8 @@ def test_engine_matches_enumeration_order():
     for g in [G(["2"]), G(["11", "02"]), G(["123", "230", "302"]), G(["0123", "2222"])]:
         sf = standard_form(g)
         basis = _engine.z4_basis_from_standard_form(sf)
-        packed = _engine.collect_words(basis, sf.log2_size, _engine.z4_add, block_log2=2)
+        sweep = _engine.Sweep(basis, sf.log2_size, _engine.z4_add, block_log2=2)
+        packed = np.concatenate([sweep.block(h) for h in range(sweep.block_count)])
         expected = list(enumerate_codewords(sf))
         assert packed.shape[0] == len(expected)
         for got, want in zip(packed, expected):
@@ -177,7 +178,8 @@ def test_engine_order_and_codeword_at_match_enumeration(g, block_log2):
     k = sf.log2_size
     expected = list(enumerate_codewords(sf))
     basis = _engine.z4_basis_from_standard_form(sf)
-    packed = _engine.collect_words(basis, k, _engine.z4_add, block_log2=block_log2)
+    sweep = _engine.Sweep(basis, k, _engine.z4_add, block_log2=block_log2)
+    packed = np.concatenate([sweep.block(h) for h in range(sweep.block_count)])
     assert [sum(int(x) << (64 * l) for l, x in enumerate(row)) for row in packed] == [
         w._packed for w in expected
     ]
@@ -242,21 +244,39 @@ class _InlinePool:
 
 @pytest.mark.parametrize("cpus, pools", [(1, []), (3, [3])])
 def test_sweep_workers_clamped_to_cpu_count(monkeypatch, cpus, pools):
-    seen = []
-    monkeypatch.setattr(_engine.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(
-        _engine, "ThreadPoolExecutor", lambda max_workers: _InlinePool(max_workers, seen)
-    )
+    # the CPUs the process may run on where the platform says so, else the
+    # host's count; where both are given, the host's 64 must not be used
     sf = standard_form(G(["123", "230", "302"]))
     basis = _engine.z4_basis_from_standard_form(sf)
-    got = _engine.min_weight_sweep(
-        basis, sf.log2_size, _engine.z4_add, _engine.lee_weights,
-        workers=10**6, block_log2=2,
-    )
-    assert seen == pools  # one CPU takes the serial path and starts no pool
-    assert got == _engine.min_weight_sweep(
-        basis, sf.log2_size, _engine.z4_add, _engine.lee_weights, block_log2=2
-    )
+
+    def refused(*args):
+        raise AssertionError("CPUs looked up for a serial sweep")
+
+    with monkeypatch.context() as serial:
+        serial.setattr(_engine.os, "sched_getaffinity", refused, raising=False)
+        serial.setattr(_engine.os, "cpu_count", refused)
+        want = _engine.min_weight_sweep(
+            basis, sf.log2_size, _engine.z4_add, _engine.lee_weights, block_log2=2
+        )
+    for affinity in (True, False):
+        seen = []
+        with monkeypatch.context() as patch:
+            if affinity:
+                patch.setattr(_engine.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                              raising=False)
+                patch.setattr(_engine.os, "cpu_count", lambda: 64)
+            else:
+                patch.delattr(_engine.os, "sched_getaffinity", raising=False)
+                patch.setattr(_engine.os, "cpu_count", lambda: cpus)
+            patch.setattr(
+                _engine, "ThreadPoolExecutor", lambda max_workers: _InlinePool(max_workers, seen)
+            )
+            got = _engine.min_weight_sweep(
+                basis, sf.log2_size, _engine.z4_add, _engine.lee_weights,
+                workers=10**6, block_log2=2,
+            )
+        assert seen == pools, affinity  # one CPU takes the serial path, no pool
+        assert got == want
 
 
 def test_engine_min_weight_and_histogram():

@@ -125,10 +125,10 @@ def test_dual_and_macwilliams_properties(g):
     assert _engine.lee_macwilliams(direct, 2 * n - k) == dual_direct
 
     # a 4-word witness block makes the early stop cut a multi-block sweep,
-    # and a 4-word direct cutoff sends every code with k > 2 whose dual is
-    # smaller through the dual
+    # and no fixed route cost sends every code whose dual is smaller
+    # through the dual
     with mock.patch.object(_engine, "WITNESS_BLOCK_LOG2", 2), \
-            mock.patch.object(_engine, "DIRECT_MAX_LOG2", 2):
+            mock.patch.object(_engine, "FIXED_COST_LOG2", float("-inf")):
         assert list(lee_weight_distribution(code).counts) == direct
         if k:
             assert _engine.min_lee_weight_smaller_side(sf, 28) == direct_min(sf)

@@ -116,8 +116,9 @@ def test_route_properties_on_random_parts(parts):
     basis = _engine.plotkin_bit_basis(a, b, inter)
     assert basis[:ki] == mixed_radix_basis(inter)
     packed = _engine.pack_rows(basis, a.n, 2)
-    words = _engine.collect_words(packed, ka + kb - ki, _engine.z4_add, block_log2=2)
-    as_ints = [int.from_bytes(row.tobytes(), "little") for row in words]
+    table = _engine.Sweep(packed, ka + kb - ki, _engine.z4_add, block_log2=ka + kb - ki).images
+    words = _engine.gray_lanes(table)
+    as_ints = [sum(int(v) << (64 * l) for l, v in enumerate(row)) for row in words]
     assert len(set(as_ints)) == len(as_ints) == 1 << (ka + kb - ki)
     assert set(as_ints[: 1 << ki]) == _words(inter)
     assert set(as_ints[: 1 << kb]) == _words(b)
@@ -127,9 +128,9 @@ def test_route_properties_on_random_parts(parts):
     code = plotkin(a_code, b_code)
     direct = direct_counts(code)
     assert _engine.plotkin_lee_distribution(a, b, inter) == direct
-    # with no fixed-cost guard the public calls take the route whenever it
+    # with no fixed route cost the public calls take the route whenever it
     # sweeps fewer words than the direct and dual routes
-    with mock.patch.object(_engine, "PLOTKIN_MIN_LOG2", 0), \
+    with mock.patch.object(_engine, "FIXED_COST_LOG2", float("-inf")), \
             mock.patch.object(_engine, "WITNESS_BLOCK_LOG2", 2):
         assert list(lee_weight_distribution(code).counts) == direct
         sf = code.standard_form
@@ -178,13 +179,6 @@ def test_route_pairs_chunks_of_cosets(block_log2):
         assert route_distribution(code) == direct_counts(code)
 
 
-@pytest.mark.parametrize("variant", ["plain", "nonnested-copy"])
-def test_route_product_in_int64_einsum(variant):
-    # the one product path, int64 einsum over the weights that occur in H_B
-    code = lrm(2, 6, VARIANTS[variant])
-    assert route_distribution(code) == direct_counts(code, workers=2)
-
-
 def test_route_holds_one_chunk_of_cosets_at_a_time():
     # LRM(2,7) has 2^15 cosets of LRM(1,6) in LRM(2,6), 65 weights each;
     # the product takes them 2^7 at a time, as the sweep's 2^14-word blocks
@@ -217,14 +211,29 @@ def test_route_refuses_counts_that_miss_the_code_size():
             _engine.plotkin_lee_distribution(a, b, intersection(a, b))
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("r, m, method", [(2, 6, "plotkin"), (2, 5, "direct"), (3, 5, "dual")])
+# The family benchmark's seed-3 copy of LRM(2,4): it contains LRM(1,4), so
+# B ⊆ A at (2,5) and (2,6), as in the plain family.
+NESTED_COPY = monomial_copy(lrm(2, 4), [0, 4, 3, 7, 6, 1, 5, 2], [0, 0, 1, 1, 1, 0, 0, 1])
+ROUTE_VARIANTS = dict(VARIANTS, **{"nested-copy": {(2, 4): NESTED_COPY}})
+
+
+@pytest.mark.parametrize("variant", ROUTE_VARIANTS)
+@pytest.mark.parametrize(
+    "r, m, method",
+    [(2, 6, "plotkin"), (2, 5, "direct"), (3, 5, "dual"), (3, 4, "dual"), (4, 4, "dual")],
+)
 def test_route_choice(r, m, method, variant):
+    # the fixed route cost of 2^14.5 words sets the crossover: LRM(3,4) and
+    # LRM(4,4), of 2^15 and 2^16 words, take their duals of 2 words and 1
     if (r, m, variant) == (2, 6, "shipped-base"):
         # A ∩ B has 2^4 words, so A has 2^12 cosets of 33 weights: up to
         # 2^22.2 units against 2^22 words (13 and 15 ms when measured)
         method = "direct"
-    code = lrm(r, m, VARIANTS[variant])
+    if (r, m) == (2, 5) and variant in ("plain", "nested-copy"):
+        # B ⊆ A: 2^14.4 units; B ⊄ A in the other two copies, 2^15.5 and
+        # 2^16.5, each plus the fixed cost against 2^16 words
+        method = "plotkin"
+    code = lrm(r, m, ROUTE_VARIANTS[variant])
     assert _engine.lee_route(code.standard_form, code.parts)[0] == method
 
 
@@ -254,14 +263,16 @@ def test_route_counts_cells_and_products_of_small_cosets():
 
 def test_route_skips_parts_that_cannot_win():
     # LRM(3,5) = plotkin(A, B) with B of length 8 has |A| >= 2^(26 - 16),
-    # more than its 2^6-word dual, so the parts are not reduced at all
+    # more than its 2^6-word dual, and both routes pay the fixed cost of
+    # 2^14.5 words, so the parts are not reduced at all
     class Unreduced:
         @property
         def standard_form(self):
             raise AssertionError("standard form of a part computed")
 
     sf = lrm(3, 5).standard_form
-    assert _engine.lee_route(sf, (Unreduced(), Unreduced())) == ("dual", 6, None)
+    method, cost, inter = _engine.lee_route(sf, (Unreduced(), Unreduced()))
+    assert (method, round(cost, 3), inter) == ("dual", 14.504, None)
 
 
 def test_parts_only_on_plotkin_nodes():
