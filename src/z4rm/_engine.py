@@ -9,9 +9,16 @@ are associative, so results are identical for any worker count.
 A block's weights are one XOR and one popcount per limb: the sweep keeps
 its low table as images in Hamming space (the Gray map for Z4), so the
 weight of table word t plus offset c is the Hamming weight of
-image(t) ^ image(-c).  Each worker reuses its own kernel buffers from block
-to block: fresh per-block arrays cost page faults that varied with the
-allocator's state from call to call.
+image(t) ^ image(-c), counted in the narrowest unsigned type that holds
+the word's bits (uint8 up to three limbs).  Each worker reuses its own
+kernel buffers from block to block: fresh per-block arrays cost page faults
+that varied with the allocator's state from call to call.
+
+Negation is a Lee isometry that maps a Z4-linear code onto itself, so the
+Z4 direct and dual-side sweeps weigh one block of each negation pair
+(Sweep.multiplicity): a block whose words are the negatives of words at
+smaller indices is skipped, and its partner's counts are doubled.  The
+histogram and the first index of each weight stay those of the full sweep.
 
 Three exact routes give a code's Lee weight distribution, and lee_route
 takes the cheapest in words swept, every route but the first paying one
@@ -35,6 +42,7 @@ import os
 import threading
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 
 import numpy as np
 
@@ -47,7 +55,14 @@ _LO = U64(0x5555555555555555)
 _ONE = U64(1)
 _ALL = 0xFFFFFFFFFFFFFFFF
 
-DEFAULT_BLOCK_LOG2 = 18
+# Blocks of the direct and dual-side sweeps.  At 2^16 words a block's table,
+# XOR buffer and weights of a two-limb code (1.6 MiB) fit the 2 MiB L2.
+# Paired min-weight and histogram sweeps of monomial copies of LRM(2,6)
+# (2^22 words) and of its Plotkin doubling with the repetition code (2^23),
+# the sum of the four, medians of 7 interleaved runs on a 2-vCPU x86 KVM
+# guest, at block_log2 14/15/16/17/18/19: 2 workers 105/68-73/58-73/62-85/
+# 74-82/124 ms, 1 worker 62/60/64/73/92 ms.
+DEFAULT_BLOCK_LOG2 = 16
 
 
 def pack_rows(rows, n, lane_bits):
@@ -144,16 +159,31 @@ class Sweep:
     limb-major (order="F") so that each limb column is contiguous.  Block h
     is the table plus an offset c from the high basis, a Python int (limb l
     at bits 64l.., as in pack_rows), and its weights are the popcounts of
-    images ^ mask(c), summed over limbs.
+    images ^ mask(c), summed over limbs in the narrowest unsigned type that
+    holds 64 * limbs (uint8 up to three limbs).
+
+    units > 0 says the top 2 * units index bits are the order-4
+    coefficients of unit rows, first row highest, as in
+    linalg.mixed_radix_basis; multiplicity(h) then pairs each block with
+    its negative.  The default 0 counts every block once.
     """
 
-    def __init__(self, basis, k, combine, block_log2=DEFAULT_BLOCK_LOG2):
+    def __init__(self, basis, k, combine, block_log2=DEFAULT_BLOCK_LOG2, units=0):
         self.combine = combine
         self._image, self._add, self._mask_of = _RINGS[combine]
         self.low_bits = min(k, block_log2)
         self.block_count = 1 << (k - self.low_bits)
         self._limbs = basis.shape[1] if len(basis) else 1
         self._lo = ((1 << 64 * self._limbs) - 1) // 3
+        bits = 64 * self._limbs
+        self.weight_type = (
+            np.uint8 if bits < 1 << 8 else np.uint16 if bits < 1 << 16 else np.uint32
+        )
+        # the q unit rows whose two coefficient bits both lie in h: h's top 2q
+        # bits, and the low bit of each coefficient in them
+        q = min(units, (k - self.low_bits) // 2)
+        self._pair_shift = k - self.low_bits - 2 * q
+        self._odd_bits = self._lo & ((1 << 2 * q) - 1)
         table = np.zeros((1 << self.low_bits, self._limbs), dtype=U64, order="F")
         for j in range(self.low_bits):
             half = 1 << j
@@ -164,6 +194,22 @@ class Sweep:
 
     def block_size(self) -> int:
         return 1 << self.low_bits
+
+    def multiplicity(self, h):
+        """How many times block h counts: 1 when the unit coefficients in h
+        are all even, 2 when the first odd one is 1, and 0 when it is 3.
+
+        Negation keeps even coefficients and swaps 1 and 3, so it maps the
+        words of the skipped blocks one to one onto those of the doubled
+        ones, at equal weight and at a smaller index: the first coefficient
+        that differs is 1 against 3, the most significant.  So the counts
+        and the first index of each weight are those of the full sweep.
+        """
+        top = h >> self._pair_shift
+        odd = top & self._odd_bits
+        if not odd:
+            return 1
+        return 0 if top >> odd.bit_length() & 1 else 2
 
     def _offset(self, h):
         """The word at sweep index h * block_size, as a Python int."""
@@ -181,13 +227,14 @@ class Sweep:
         return self.combine(self._image(self.images), self._pack(self._offset(h))[None, :])
 
     def weights(self, h, scratch):
-        """(N,) int64 weights of block h, in buffers kept in the dict scratch."""
+        """(N,) weights of block h, of weight_type, in buffers kept in the
+        dict scratch."""
         mask = self._pack(self._mask_of(self._offset(h), self._lo))
         n = self.images.shape[0]
         x = _buffer(scratch, "x", (n,), U64)
         w = np.bitwise_count(
             np.bitwise_xor(self.images[:, 0], mask[0], out=x),
-            out=_buffer(scratch, "w", (n,), np.int64),
+            out=_buffer(scratch, "w", (n,), self.weight_type),
         )
         for limb in range(1, len(mask)):
             np.bitwise_xor(self.images[:, limb], mask[limb], out=x)
@@ -196,34 +243,40 @@ class Sweep:
 
 
 def _run_blocks(sweep, job, workers):
-    """Yield job(h, weights of block h) for every block, in block order.
+    """Yield job(h, weights of block h) for every block h of nonzero
+    multiplicity, in block order.
 
-    Worker count never changes the sequence.  At most 4 * workers results
-    are computed ahead of the one consumed, so a consumer that reduces as it
-    goes holds a bounded number of them, and one that stops early (closing
-    the generator) waits only for those.  Threads beyond the CPUs the
-    process may run on only add overhead, so workers is clamped to them.
+    Worker count never changes the sequence.  Block 0 runs in the calling
+    thread, and a pool starts only if the consumer asks for more, so a
+    search that stops in its first block starts no threads.  At most
+    4 * workers results are computed ahead of the one consumed, so a
+    consumer that reduces as it goes holds a bounded number of them, and one
+    that stops early (closing the generator) waits only for those.  Threads
+    beyond the CPUs the process may run on only add overhead, so workers is
+    clamped to them.  The blocks are picked as they run, never listed: a
+    search may stop in the first of 2^54.
     """
+    blocks = (h for h in range(sweep.block_count) if sweep.multiplicity(h))
+    scratch = {}
+    h = next(blocks)  # block 0 always counts
+    yield job(h, sweep.weights(h, scratch))
+    if sweep.block_count == 1:
+        return
     if workers > 1:
         affinity = getattr(os, "sched_getaffinity", None)
         workers = min(workers, len(affinity(0)) if affinity else os.cpu_count() or 1)
-
-    def run(h, scratch):
-        return job(h, sweep.weights(h, scratch))
-
-    if workers <= 1 or sweep.block_count == 1:
-        scratch = {}
-        for h in range(sweep.block_count):
-            yield run(h, scratch)
+    if workers <= 1:
+        for h in blocks:
+            yield job(h, sweep.weights(h, scratch))
         return
     scratches = defaultdict(dict)  # per pool thread
-    window = 4 * workers
+
+    def run(h):
+        return job(h, sweep.weights(h, scratches[threading.get_ident()]))
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for start in range(0, sweep.block_count, window):
-            hs = range(start, min(start + window, sweep.block_count))
-            futures = [
-                pool.submit(lambda h=h: run(h, scratches[threading.get_ident()])) for h in hs
-            ]
+        while hs := list(islice(blocks, 4 * workers)):
+            futures = [pool.submit(lambda h=h: run(h)) for h in hs]
             for f in futures:
                 yield f.result()
 
@@ -236,6 +289,7 @@ def min_weight_sweep(
     workers=1,
     stop_at=None,
     block_log2=DEFAULT_BLOCK_LOG2,
+    units=0,
 ):
     """(min weight, first sweep index achieving it) over the 2^k - 1 words
     after index 0 (the zero word), or None when k = 0.
@@ -243,9 +297,10 @@ def min_weight_sweep(
     stop_at ends the sweep at the first block whose committed running
     minimum is <= stop_at.  The weights follow from combine (Sweep.weights);
     the weights parameter (lee_weights or bit_weights) stays for the callers
-    that pass it.
+    that pass it.  units (Sweep's) skips the blocks whose words are the
+    negatives of words at smaller indices.
     """
-    sweep = Sweep(basis, k, combine, block_log2)
+    sweep = Sweep(basis, k, combine, block_log2, units)
     size = sweep.block_size()
 
     def job(h, w):
@@ -270,17 +325,18 @@ def min_weight_sweep(
 
 
 def weight_histogram(
-    basis, k, combine, weights, max_weight, workers=1, block_log2=DEFAULT_BLOCK_LOG2
+    basis, k, combine, weights, max_weight, workers=1, block_log2=DEFAULT_BLOCK_LOG2, units=0
 ):
     """Exact counts of words by weight, as an int64 array of length max_weight+1.
 
-    As in min_weight_sweep, combine sets the weights and the weights
-    parameter stays for the callers that pass it.
+    As in min_weight_sweep, combine sets the weights, the weights parameter
+    stays for the callers that pass it, and units pairs each block with its
+    negative: a block's counts are added multiplicity(h) times.
     """
-    sweep = Sweep(basis, k, combine, block_log2)
+    sweep = Sweep(basis, k, combine, block_log2, units)
 
     def job(h, w):
-        return np.bincount(w, minlength=max_weight + 1)
+        return np.bincount(w, minlength=max_weight + 1) * sweep.multiplicity(h)
 
     total = np.zeros(max_weight + 1, dtype=np.int64)
     for counts in _run_blocks(sweep, job, workers):
@@ -473,9 +529,10 @@ def coset_histograms(basis, k, low, head, max_weight, workers=1,
 
     def job(h, w):
         start = (h * size) % (1 << low)
-        # w is the block's own scratch buffer, refilled per block
-        w += cells if start == 0 else (group if start >> head else 0)
-        counts = np.bincount(w, minlength=split * group).reshape(split, rows, width)
+        # widened out of the narrow weights before the cell offsets are added
+        cell = cells if start == 0 else (group if start >> head else 0)
+        counts = np.bincount(np.add(w, cell, dtype=np.intp), minlength=split * group)
+        counts = counts.reshape(split, rows, width)
         heads = counts[0]
         return heads, heads + counts[1] if split == 2 else heads
 
@@ -528,7 +585,7 @@ def _lee_distribution(sf, parts, route, workers):
     side = dual_standard_form(sf) if method == "dual" else sf
     counts = weight_histogram(
         z4_basis_from_standard_form(side), side.log2_size, z4_add, lee_weights, 2 * sf.n,
-        workers=workers,
+        workers=workers, units=side.k1,
     )
     return lee_macwilliams(counts, sf.log2_size) if method == "dual" else [int(a) for a in counts]
 
@@ -567,7 +624,7 @@ def min_lee_weight_smaller_side(sf, budget, workers=1, parts=None):
         block_log2 = WITNESS_BLOCK_LOG2
     return min_weight_sweep(
         z4_basis_from_standard_form(sf), k, z4_add, lee_weights, workers=workers,
-        stop_at=stop_at, block_log2=block_log2,
+        stop_at=stop_at, block_log2=block_log2, units=sf.k1,
     )
 
 

@@ -1,7 +1,10 @@
 """The sweep's block kernel: weights of table word t plus offset c taken as
 the Hamming weight of image(t) ^ image(-c), checked word by word against
-the scalar Lee weights of the frozen enumeration, and for binary codes
-against the Hamming weights of the span."""
+the scalar Lee weights of the frozen enumeration, with and without the
+negation pairing of blocks, and for binary codes against the Hamming
+weights of the span."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from z4rm import _engine
+from z4rm.analysis import binary_code_params
+from z4rm.codes import rm_binary
 from z4rm.linalg import GeneratorMatrix, enumerate_codewords, standard_form
 from z4rm.z4core import BitWord, Z4Word, add, gray, lee_weight, negate
 
@@ -29,7 +34,8 @@ def _random_codes():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_weights_match_scalar_lee_weights_per_index(workers):
     # 2-, 4- and 8-word blocks leave order-4 rows in the high basis, so block
-    # offsets have odd lanes and a sign slip in image(-c) moves the witness
+    # offsets have odd lanes and a sign slip in image(-c) moves the witness;
+    # with units = k1 the sweep also skips and doubles negation-paired blocks
     for g in _random_codes():
         sf = standard_form(g)
         k = sf.log2_size
@@ -38,18 +44,63 @@ def test_sweep_weights_match_scalar_lee_weights_per_index(workers):
         lee = [lee_weight(w) for w in enumerate_codewords(sf)]
         want = (min(lee[1:]), 1 + lee[1:].index(min(lee[1:])))
         basis = _engine.z4_basis_from_standard_form(sf)
-        for block_log2 in (1, 2, 3):
+        for block_log2, units in itertools.product((1, 2, 3), (0, sf.k1)):
             got = _engine.min_weight_sweep(
                 basis, k, _engine.z4_add, _engine.lee_weights,
-                workers=workers, block_log2=block_log2,
+                workers=workers, block_log2=block_log2, units=units,
             )
-            assert got == want, (g.n, k, block_log2)
+            assert got == want, (g.n, k, block_log2, units)
             hist = _engine.weight_histogram(
                 basis, k, _engine.z4_add, _engine.lee_weights,
-                max_weight=2 * g.n, workers=workers, block_log2=block_log2,
+                max_weight=2 * g.n, workers=workers, block_log2=block_log2, units=units,
             )
             assert list(hist) == list(np.bincount(lee, minlength=2 * g.n + 1))
     assert max(lee) == 260
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_paired_sweep_runs_one_block_of_each_negation_pair(monkeypatch, workers):
+    # k1 = 3 unit rows and one even row, 2-word blocks: h holds all three unit
+    # coefficients (q = 3), so 1/8 of the blocks have them all even and run
+    # once, and of the rest the half whose first odd coefficient is 1 run
+    sf = standard_form(GeneratorMatrix(
+        [Z4Word(r) for r in ([1, 0, 0, 1, 2], [0, 1, 0, 3, 1], [0, 0, 1, 1, 3],
+                             [0, 0, 0, 2, 2])], n=5))
+    assert (sf.k1, sf.k2) == (3, 1)
+    k = sf.log2_size
+    basis = _engine.z4_basis_from_standard_form(sf)
+    lee = [lee_weight(w) for w in enumerate_codewords(sf)]
+    run = []
+    weights = _engine.Sweep.weights
+    monkeypatch.setattr(_engine.Sweep, "weights",
+                        lambda self, h, scratch: run.append(h) or weights(self, h, scratch))
+    hist = _engine.weight_histogram(
+        basis, k, _engine.z4_add, _engine.lee_weights, max_weight=10,
+        workers=workers, block_log2=1, units=sf.k1,
+    )
+    assert list(hist) == list(np.bincount(lee, minlength=11))
+    blocks = 1 << (k - 1)
+    assert len(run) == blocks * (1 + 2**-3) / 2 == 36
+    # the first odd coefficient of the blocks run is 1, top coefficient first
+    for h in range(blocks):
+        coeffs = [h >> (k - 1 - 2 * i - 2) & 3 for i in range(3)]
+        odd = [c for c in coeffs if c & 1]
+        assert (h in run) == (not odd or odd[0] == 1), (h, coeffs)
+    run.clear()
+    got = _engine.min_weight_sweep(
+        basis, k, _engine.z4_add, _engine.lee_weights,
+        workers=workers, block_log2=1, units=sf.k1,
+    )
+    assert got == (min(lee[1:]), 1 + lee[1:].index(min(lee[1:])))
+    assert len(run) == 36
+
+
+def test_wide_binary_weights_do_not_wrap():
+    # 1024 limbs: 64 * 1024 = 2^16 bits, one past what uint16 holds
+    p = binary_code_params(rm_binary(0, 16))
+    assert (p.n, p.k, p.d) == (65536, 1, 65536)
+    basis = _engine.xor_basis_from_rows(list(rm_binary(0, 16)), 65536)
+    assert _engine.Sweep(basis, 1, _engine.xor_add).weight_type == np.uint32
 
 
 @pytest.mark.parametrize("workers", [1, 2])
