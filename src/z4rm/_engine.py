@@ -3,8 +3,14 @@
 Packs codewords into numpy uint64 limbs (32 two-bit Z4 lanes or 64 binary
 lanes per limb) and walks the full mixed-radix enumeration in blocks.  The
 Z4 sweep packs linalg's enumeration basis, so the word at sweep index t is
-the t-th enumerated codeword.  Min-weight and weight-histogram reductions
-are associative, so results are identical for any worker count.
+the t-th enumerated codeword.
+
+Workers share one sweep (_fold_units): each thread takes the next block,
+or chunk of blocks, from one lock-guarded iterator and folds it into a
+private partial (the least (weight, index), an int64 histogram, or int64
+Plotkin product counts), and the calling thread merges the partials in a
+fixed order.  A minimum over tuples and sums of int64 counts are exact in
+any order, so results are identical for any worker count.
 
 A block's weights are one XOR and one popcount per limb: the sweep keeps
 its low table as images in Hamming space (the Gray map for Z4), so the
@@ -40,9 +46,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
-from itertools import islice
+from itertools import chain, takewhile
 
 import numpy as np
 
@@ -242,43 +246,70 @@ class Sweep:
         return w
 
 
-def _run_blocks(sweep, job, workers):
-    """Yield job(h, weights of block h) for every block h of nonzero
-    multiplicity, in block order.
+def _fold_units(units, fold, workers):
+    """Per-thread partials of fold over the iterator units, in a fixed order:
+    the calling thread's first, then each started thread's (None for one
+    that took no unit).
 
-    Worker count never changes the sequence.  Block 0 runs in the calling
-    thread, and a pool starts only if the consumer asks for more, so a
-    search that stops in its first block starts no threads.  At most
-    4 * workers results are computed ahead of the one consumed, so a
-    consumer that reduces as it goes holds a bounded number of them, and one
-    that stops early (closing the generator) waits only for those.  Threads
-    beyond the CPUs the process may run on only add overhead, so workers is
-    clamped to them.  The blocks are picked as they run, never listed: a
-    search may stop in the first of 2^54.
+    fold(acc, unit, scratch) returns the partial acc (None before a thread's
+    first unit) with unit folded in, using buffers kept in the thread's own
+    dict scratch.  The first unit runs in the calling thread, and threads
+    start only if units has more, so a search that stops in its first
+    block starts none.  The calling thread and workers - 1 started ones
+    then each take the next unit left, under one lock, until none is left.
+    Threads beyond the CPUs the process may run on only add overhead, so
+    workers is clamped to them.  The units are taken as they run, never
+    listed: a search may stop in the first of 2^54 blocks.  An exception in
+    any thread stops the others taking units and is raised here once all
+    have ended, so no partial is silently lost.
     """
-    blocks = (h for h in range(sweep.block_count) if sweep.multiplicity(h))
     scratch = {}
-    h = next(blocks)  # block 0 always counts
-    yield job(h, sweep.weights(h, scratch))
-    if sweep.block_count == 1:
-        return
+    acc = fold(None, next(units), scratch)
+    unit = next(units, None)
+    if unit is None:
+        return [acc]
+    units = chain([unit], units)
     if workers > 1:
         affinity = getattr(os, "sched_getaffinity", None)
         workers = min(workers, len(affinity(0)) if affinity else os.cpu_count() or 1)
     if workers <= 1:
-        for h in blocks:
-            yield job(h, sweep.weights(h, scratch))
-        return
-    scratches = defaultdict(dict)  # per pool thread
+        for unit in units:
+            acc = fold(acc, unit, scratch)
+        return [acc]
+    lock = threading.Lock()
+    errors = []
+    partials = [acc] + [None] * (workers - 1)
 
-    def run(h):
-        return job(h, sweep.weights(h, scratches[threading.get_ident()]))
+    def take():
+        with lock:
+            return None if errors else next(units, None)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        while hs := list(islice(blocks, 4 * workers)):
-            futures = [pool.submit(lambda h=h: run(h)) for h in hs]
-            for f in futures:
-                yield f.result()
+    def run(i, scratch):
+        try:
+            while (unit := take()) is not None:
+                partials[i] = fold(partials[i], unit, scratch)
+        except BaseException as e:
+            errors.append(e)
+
+    threads = [threading.Thread(target=run, args=(i, {})) for i in range(1, workers)]
+    try:
+        for t in threads:
+            t.start()
+    except BaseException as e:
+        errors.append(e)
+    run(0, scratch)
+    for t in threads:
+        if t.ident is not None:
+            t.join()
+    if errors:
+        raise errors[0]
+    return partials
+
+
+def _counted_blocks(sweep):
+    """The blocks h of sweep with multiplicity(h) != 0, in order; block 0
+    always counts."""
+    return (h for h in range(sweep.block_count) if sweep.multiplicity(h))
 
 
 def min_weight_sweep(
@@ -294,34 +325,42 @@ def min_weight_sweep(
     """(min weight, first sweep index achieving it) over the 2^k - 1 words
     after index 0 (the zero word), or None when k = 0.
 
-    stop_at ends the sweep at the first block whose committed running
-    minimum is <= stop_at.  The weights follow from combine (Sweep.weights);
-    the weights parameter (lee_weights or bit_weights) stays for the callers
-    that pass it.  units (Sweep's) skips the blocks whose words are the
-    negatives of words at smaller indices.
+    stop_at ends the sweep at the first block whose own minimum is
+    <= stop_at, and the result is that block's: it lies below every earlier
+    block's.  The weights follow from combine (Sweep.weights); the weights
+    parameter (lee_weights or bit_weights) stays for the callers that pass
+    it.  units (Sweep's) skips the blocks whose words are the negatives of
+    words at smaller indices.
+
+    Each thread keeps the least (weight, index) of its blocks.  With
+    stop_at, the lowest block whose result is <= stop_at so far (the
+    limit) and its result are shared: no block above the limit is taken,
+    and results of blocks above it are discarded, so the answer is the
+    serial one for any worker count.
     """
     sweep = Sweep(basis, k, combine, block_log2, units)
     size = sweep.block_size()
+    lock = threading.Lock()
+    limit = [sweep.block_count, None]  # (block, its result) once one is <= stop_at
 
-    def job(h, w):
-        if h == 0:
-            if len(w) == 1:
-                return None
-            w = w[1:]
-            i = int(np.argmin(w))
-            return int(w[i]), i + 1
-        i = int(np.argmin(w))
-        return int(w[i]), h * size + i
+    def fold(best, h, scratch):
+        w = sweep.weights(h, scratch)
+        first = 1 if h == 0 else 0  # index 0 is the zero word
+        if len(w) == first:
+            return best
+        i = first + int(np.argmin(w[first:]))
+        r = (int(w[i]), h * size + i)
+        if stop_at is not None and r[0] <= stop_at:
+            with lock:
+                if h < limit[0]:
+                    limit[:] = h, r
+        return r if best is None or r < best else best
 
-    best = None
-    blocks = _run_blocks(sweep, job, workers)
-    for r in blocks:
-        if r is not None and (best is None or r < best):
-            best = r
-        if stop_at is not None and best is not None and best[0] <= stop_at:
-            break
-    blocks.close()
-    return best
+    blocks = takewhile(lambda h: h <= limit[0], _counted_blocks(sweep))
+    partials = _fold_units(blocks, fold, workers)
+    if limit[1] is not None:
+        return limit[1]
+    return min((p for p in partials if p is not None), default=None)
 
 
 def weight_histogram(
@@ -331,17 +370,18 @@ def weight_histogram(
 
     As in min_weight_sweep, combine sets the weights, the weights parameter
     stays for the callers that pass it, and units pairs each block with its
-    negative: a block's counts are added multiplicity(h) times.
+    negative: a block's counts are added multiplicity(h) times.  Each
+    thread sums its blocks' counts, and the sums are added at the end.
     """
     sweep = Sweep(basis, k, combine, block_log2, units)
 
-    def job(h, w):
-        return np.bincount(w, minlength=max_weight + 1) * sweep.multiplicity(h)
+    def fold(total, h, scratch):
+        counts = np.bincount(sweep.weights(h, scratch), minlength=max_weight + 1)
+        counts *= sweep.multiplicity(h)
+        return counts if total is None else np.add(total, counts, out=total)
 
-    total = np.zeros(max_weight + 1, dtype=np.int64)
-    for counts in _run_blocks(sweep, job, workers):
-        total += counts
-    return total
+    partials = _fold_units(_counted_blocks(sweep), fold, workers)
+    return sum(p for p in partials if p is not None)
 
 
 def z4_basis_from_standard_form(sf):
@@ -501,18 +541,21 @@ def plotkin_bit_basis(a, b, inter):
 HISTOGRAM_BLOCK_LOG2 = 14
 
 
-def coset_histograms(basis, k, low, head, max_weight, workers=1,
+def coset_histograms(basis, k, low, head, max_weight, fold, workers=1,
                      block_log2=HISTOGRAM_BLOCK_LOG2):
-    """Yield pairs (H_head, H) of (rows, max_weight + 1) int64 counts by Lee
-    weight, as consecutive chunks of whole rows: row c of H counts the words
-    at sweep indices c * 2^low .. (c + 1) * 2^low - 1 of the packed basis,
-    and row c of H_head the first 2^head of them (head <= low; H_head is H
-    when head == low).
+    """Per-thread partials (as _fold_units returns them) of
+    fold(acc, row, H_head, H) over consecutive chunks of whole rows, where
+    H_head and H are (rows, max_weight + 1) int64 counts by Lee weight of
+    rows row, row + 1, ...: row c of H counts the words at sweep indices
+    c * 2^low .. (c + 1) * 2^low - 1 of the packed basis, and row c of
+    H_head the first 2^head of them (head <= low; H_head is H when
+    head == low).
 
-    A block spans whole rows, or lies in one row, which its blocks then sum.
-    Each row bins its head and its tail apart, in one bincount of the block.
-    Blocks are cut to at most 2^block_log2 / (max_weight + 1) rows, so H in
-    a chunk holds no more counts than a full block holds words.
+    A block spans whole rows, or lies in one row, which its blocks then sum
+    into one chunk, the unit a thread takes.  Each row bins its head and its
+    tail apart, in one bincount of the block.  Blocks are cut to at most
+    2^block_log2 / (max_weight + 1) rows, so H in a chunk holds no more
+    counts than a full block holds words.
     """
     width = max_weight + 1
     split = 1 if head == low else 2  # cell groups per row: head, then tail
@@ -527,22 +570,23 @@ def coset_histograms(basis, k, low, head, max_weight, workers=1,
     cells = (np.arange(0, group, width)[:, None] + tail).ravel()
     blocks_per_row = max(1, (1 << low) // size)
 
-    def job(h, w):
+    def binned(h, scratch):
         start = (h * size) % (1 << low)
         # widened out of the narrow weights before the cell offsets are added
         cell = cells if start == 0 else (group if start >> head else 0)
-        counts = np.bincount(np.add(w, cell, dtype=np.intp), minlength=split * group)
+        w = np.add(sweep.weights(h, scratch), cell, dtype=np.intp)
+        return np.bincount(w, minlength=split * group)
+
+    def chunk(acc, first, scratch):
+        counts = binned(first, scratch)
+        for h in range(first + 1, first + blocks_per_row):
+            counts += binned(h, scratch)
         counts = counts.reshape(split, rows, width)
         heads = counts[0]
-        return heads, heads + counts[1] if split == 2 else heads
+        full = heads + counts[1] if split == 2 else heads
+        return fold(acc, (first * size) >> low, heads, full)
 
-    for h, (part, full) in enumerate(_run_blocks(sweep, job, workers)):
-        if h % blocks_per_row:
-            chunk = (chunk[0] + part, chunk[1] + full)
-        else:
-            chunk = (part, full)
-        if (h + 1) % blocks_per_row == 0:
-            yield chunk
+    return _fold_units(iter(range(0, sweep.block_count, blocks_per_row)), chunk, workers)
 
 
 def plotkin_lee_distribution(a, b, inter, workers=1):
@@ -556,21 +600,27 @@ def plotkin_lee_distribution(a, b, inter, workers=1):
     plotkin_bit_basis gives the histograms H_B[D, w] of the cosets D + B
     as its rows and H_A[D, w] of the cosets D as the rows' heads; when
     B ⊆ A the sweep is of A alone and D + B = D.  W_C[s] is the sum of
-    (H_A^T H_B)[u, v] over u + v = s, reduced chunk by chunk of cosets as
-    the sweep yields them, in int64 einsum over the weights that occur in
-    H_B.  Each entry is at most |C| = 2^(k_A + k_B) words, so the product is
-    exact below 2^63 words (lee_route keeps to that).  Raises
-    ArithmeticError unless the counts sum to |C|.
+    (H_A^T H_B)[u, v] over u + v = s, reduced chunk by chunk of cosets in
+    the thread that swept them, in int64 einsum over the weights that occur
+    in H_B, and the threads' counts are added at the end.  Each entry is at
+    most |C| = 2^(k_A + k_B) words, so the product is exact below 2^63
+    words (lee_route keeps to that).  Raises ArithmeticError unless the
+    counts sum to |C|.
     """
     ka, kb, ki = a.log2_size, b.log2_size, inter.log2_size
     basis = pack_rows(plotkin_bit_basis(a, b, inter), a.n, 2)
     max_weight = 2 * a.n
-    counts = np.zeros(2 * max_weight + 1, dtype=np.int64)
-    for ha, hb in coset_histograms(basis, ka + kb - ki, kb, ki, max_weight, workers):
+
+    def product(counts, row, ha, hb):
+        if counts is None:
+            counts = np.zeros(2 * max_weight + 1, dtype=np.int64)
         # H_B counts every word H_A does, so its weights cover both
         u = np.flatnonzero(hb.any(axis=0))
         np.add.at(counts, u[:, None] + u, np.einsum("cu,cv->uv", ha[:, u], hb[:, u]))
-    counts = [int(c) for c in counts]
+        return counts
+
+    partials = coset_histograms(basis, ka + kb - ki, kb, ki, max_weight, product, workers)
+    counts = [int(c) for c in sum(p for p in partials if p is not None)]
     if sum(counts) != 1 << (ka + kb):
         raise ArithmeticError(f"Plotkin counts sum to {sum(counts)}, not 2^{ka + kb}")
     return counts

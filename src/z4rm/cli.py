@@ -33,10 +33,10 @@ from .reports import nonequivalence_line, report_lines, verify_all_line
 from .z4core import BitWord, Z4Word, gray, gray_inverse
 
 ENV_BUDGET = "Z4RM_BUDGET"
-# A direct sweep of 2^40 words takes about 20 minutes for a Z4 code and 35 for
-# a binary one, at the ~9x10^8 and ~5x10^8 words/s measured on 2 workers (a
+# A direct sweep of 2^40 words takes about 8 minutes for a Z4 code and 25 for
+# a binary one, at the ~2.4x10^9 and ~7x10^8 words/s measured on 2 workers (a
 # negation-paired sweep of LRM(3,5) and an unpaired one of a random binary
-# code, 2^26 words each, medians of 9 runs on a 2-vCPU x86 KVM guest), so the
+# code, 2^26 words each, medians of 15 runs on a 2-vCPU x86 KVM guest), so the
 # bound keeps every admitted sweep under an hour.
 MAX_BUDGET = 40
 # Code files stop at the length of LRM at m = MAX_M.

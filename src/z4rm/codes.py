@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from . import _engine
 from .errors import CapacityError, DimensionError, OverrideError
-from .linalg import DEFAULT_BUDGET, GeneratorMatrix, membership, standard_form
+from .linalg import DEFAULT_BUDGET, GeneratorMatrix, check_budget, membership, standard_form
 from .z4core import BitWord, Z4Word
 
 __all__ = [
@@ -105,6 +105,13 @@ class Z4Code:
     def standard_form(self):
         return standard_form(self.generators)
 
+    @cached_property
+    def _min_lee_weight(self) -> int:
+        """Exact minimum nonzero Lee weight, along the cheapest route of
+        _engine.lee_route.  It gates no budget: the caller checks one first."""
+        k = self.log2_size
+        return _engine.min_lee_weight_smaller_side(self.standard_form, k, parts=self.parts)[0]
+
     @property
     def log2_size(self) -> int:
         return self.standard_form.log2_size
@@ -181,11 +188,12 @@ def _validate_override(code: Z4Code, r: int, m: int, budget: int) -> None:
             f"override at ({r},{m}) has log2 size {code.log2_size}, expected {want.k}"
         )
     try:
-        d, _ = _engine.min_lee_weight_smaller_side(code.standard_form, budget, parts=code.parts)
+        check_budget(code.log2_size, budget)
     except CapacityError as e:
         raise CapacityError(
             f"override at ({r},{m}): {e}", required=e.required, configured=e.configured
         ) from e
+    d = code._min_lee_weight  # one sweep per override object, however many orders use it
     if d != want.d:
         raise OverrideError(
             f"override at ({r},{m}) has minimum Lee weight {d}, expected {want.d}"
@@ -203,9 +211,10 @@ def lrm(
     An override replaces the whole subtree at its (r,m) node and is
     validated against theorem1_params there: length, size and the exact
     minimum distance.  An override larger than the budget raises
-    CapacityError.  Each node is built (and each override validated) once
-    per call, however many paths of the recursion reach it.  m is at most
-    MAX_M.
+    CapacityError, on every call.  Each node is built (and each override
+    validated) once per call, however many paths of the recursion reach it,
+    and an override object's minimum distance is swept once, on its first
+    validation.  m is at most MAX_M.
     """
     check_order(r, m)
     if m > MAX_M:

@@ -17,7 +17,7 @@ from z4rm.codes import (
     shipped_nonlinear_base,
     theorem1_params,
 )
-from z4rm.errors import DimensionError, OverrideError
+from z4rm.errors import CapacityError, DimensionError, OverrideError
 from z4rm.linalg import GeneratorMatrix, enumerate_codewords
 from z4rm.z4core import BitWord, Z4Word, add, gray
 
@@ -269,3 +269,23 @@ def test_lrm_validates_each_override_once(monkeypatch):
     got = lrm(3, 6, {(2, 4): base})
     assert calls == [(2, 4)]
     assert got.label.count("LRM(2,4):override") == 2
+
+
+def test_override_distance_is_swept_once_per_object(monkeypatch):
+    # every order over (2,4) validates the same override object, but only
+    # the first call sweeps it; the budget is still checked on every call
+    sweeps = []
+    real = codes._engine.min_lee_weight_smaller_side
+
+    def spy(sf, budget, workers=1, parts=None):
+        sweeps.append(sf.log2_size)
+        return real(sf, budget, workers, parts)
+
+    monkeypatch.setattr(codes._engine, "min_lee_weight_smaller_side", spy)
+    base = shipped_nonlinear_base()
+    for r, m in [(2, 4), (2, 5), (3, 5)]:
+        lrm(r, m, {(2, 4): base})
+    assert sweeps == [11]
+    with pytest.raises(CapacityError, match=r"override at \(2,4\): code has 2\^11 words"):
+        lrm(2, 5, {(2, 4): base}, budget=10)
+    assert sweeps == [11]

@@ -2,19 +2,27 @@
 the Hamming weight of image(t) ^ image(-c), checked word by word against
 the scalar Lee weights of the frozen enumeration, with and without the
 negation pairing of blocks, and for binary codes against the Hamming
-weights of the span."""
+weights of the span; and the threaded reducer: every result the same for
+any worker count, and an error in any block raised, never a partial
+result."""
 
+import functools
 import itertools
+import sys
+import threading
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_plotkin_route import _part_pairs
 from z4rm import _engine
 from z4rm.analysis import binary_code_params
-from z4rm.codes import rm_binary
-from z4rm.linalg import GeneratorMatrix, enumerate_codewords, standard_form
+from z4rm.codes import lrm, rm_binary
+from z4rm.linalg import GeneratorMatrix, enumerate_codewords, intersection, standard_form
 from z4rm.z4core import BitWord, Z4Word, add, gray, lee_weight, negate
 
 
@@ -162,3 +170,135 @@ def test_in_lane_gray_image_is_an_isometry(pair):
     assert mask == sum(int(v) << (64 * limb) for limb, v in enumerate(negated))
     assert (got ^ mask).bit_count() == lee_weight(add(x, c))
     assert int(_engine.lee_weights(packed[:1])[0]) == lee_weight(x)
+
+
+def _four_cpus():
+    """Four CPUs for the sweeps' clamp, so that workers=4 starts three
+    threads on any host."""
+    return mock.patch.object(_engine.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                             create=True)
+
+
+class _Failed(Exception):
+    pass
+
+
+def _failing_in_block(bad):
+    """Sweep.weights that raises _Failed in block bad."""
+    weights = _engine.Sweep.weights
+
+    def failing(self, h, scratch):
+        if h == bad:
+            raise _Failed(h)
+        return weights(self, h, scratch)
+
+    return mock.patch.object(_engine.Sweep, "weights", failing)
+
+
+def test_an_error_in_any_block_is_raised_not_a_partial_result():
+    # weight_histogram has no sum check, so a thread's dropped partial would
+    # pass unseen; every sweep must raise the error and leave no thread
+    sf = standard_form(GeneratorMatrix(
+        [Z4Word([1, 0, 0, 1, 2, 3]), Z4Word([0, 1, 0, 3, 1, 1]), Z4Word([0, 0, 1, 1, 3, 2])],
+        n=6))
+    k = sf.log2_size
+    basis = _engine.z4_basis_from_standard_form(sf)
+    code = lrm(2, 6)
+    a, b = (p.standard_form for p in code.parts)
+    inter = intersection(a, b)
+    calls = [
+        # 2-word blocks of 2^6 words; the plotkin route's 2^16 words in 2^14
+        lambda: _engine.min_weight_sweep(basis, k, _engine.z4_add, _engine.lee_weights,
+                                         workers=4, block_log2=1),
+        lambda: _engine.min_weight_sweep(basis, k, _engine.z4_add, _engine.lee_weights,
+                                         workers=4, block_log2=1, stop_at=0),
+        lambda: _engine.weight_histogram(basis, k, _engine.z4_add, _engine.lee_weights,
+                                         max_weight=12, workers=4, block_log2=1),
+        lambda: _engine.plotkin_lee_distribution(a, b, inter, workers=4),
+    ]
+    threads = threading.active_count()
+    with _four_cpus():
+        for call, bad in itertools.product(calls, (1, 2, 3)):
+            with _failing_in_block(bad), pytest.raises(_Failed):
+                call()
+            assert threading.active_count() == threads
+
+
+@st.composite
+def _sweep_cases(draw):
+    """(basis, k, combine, max_weight, units) of a random Z4 code of up to
+    five rows, some of order 2, of one to three limbs, or of a random
+    binary code of up to eight rows and one to three limbs."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 96))
+        rows = []
+        for _ in range(draw(st.integers(1, 5))):
+            row = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+            rows.append(Z4Word([2 * s % 4 for s in row] if draw(st.booleans()) else row))
+        sf = standard_form(GeneratorMatrix(rows, n=n))
+        units = draw(st.sampled_from([0, sf.k1]))
+        return (_engine.z4_basis_from_standard_form(sf), sf.log2_size, _engine.z4_add,
+                2 * n, units)
+    n = draw(st.integers(1, 192))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    rows = [BitWord(draw(bits)) for _ in range(draw(st.integers(1, 8)))]
+    return _engine.xor_basis_from_rows(rows, n), len(rows), _engine.xor_add, n, 0
+
+
+def _same_for_1_and_4_workers(call):
+    """call(workers) at 1 worker and at 4, each block yielding the
+    interpreter lock before it is weighed, so that the threads take blocks
+    in turn and hold several at once, and threads switching every 10 µs
+    inside a block's fold."""
+    want = call(1)
+    weights = _engine.Sweep.weights
+
+    def yielding(self, h, scratch):
+        time.sleep(0)
+        return weights(self, h, scratch)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with _four_cpus(), mock.patch.object(_engine.Sweep, "weights", yielding):
+            got = call(4)
+    finally:
+        sys.setswitchinterval(interval)
+    if isinstance(want, np.ndarray):
+        want, got = list(want), list(got)
+    assert got == want
+    return want
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_sweep_cases(), block_log2=st.integers(1, 3))
+def test_sweeps_do_not_depend_on_worker_count(case, block_log2):
+    # the histogram, and a minimum search not stopped, or stopped at the true
+    # distance d or above it, where a block after the one that stops the
+    # search may hold a smaller weight, on 2- to 8-word blocks
+    basis, k, combine, max_weight, units = case
+    sweep = dict(block_log2=block_log2, units=units)
+    _same_for_1_and_4_workers(lambda workers: _engine.weight_histogram(
+        basis, k, combine, None, max_weight, workers=workers, **sweep))
+
+    def min_weight(stop_at):
+        return lambda workers: _engine.min_weight_sweep(
+            basis, k, combine, None, workers=workers, stop_at=stop_at, **sweep)
+
+    best = _same_for_1_and_4_workers(min_weight(None))
+    if best is not None:
+        for stop_at in range(best[0], best[0] + 9):
+            _same_for_1_and_4_workers(min_weight(stop_at))
+
+
+@settings(max_examples=40, deadline=None)
+@given(parts=_part_pairs(), block_log2=st.integers(3, 6))
+def test_plotkin_route_does_not_depend_on_worker_count(parts, block_log2):
+    # 8- to 64-word blocks, so that threads share the cosets
+    a, b = (p.standard_form for p in parts)
+    inter = intersection(a, b)
+    real = _engine.coset_histograms
+    with mock.patch.object(_engine, "coset_histograms",
+                           functools.partial(real, block_log2=block_log2)):
+        _same_for_1_and_4_workers(
+            lambda workers: _engine.plotkin_lee_distribution(a, b, inter, workers=workers))

@@ -1,5 +1,5 @@
 import itertools
-from concurrent.futures import Future
+import threading
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from z4rm import _engine
+from z4rm.codes import lrm
 from z4rm.errors import CapacityError, DimensionError
 from z4rm.linalg import (
     GeneratorMatrix,
@@ -224,28 +225,24 @@ def test_standard_form_invariants(g, data):
     assert standard_form(GeneratorMatrix(moved, n=g.n)) == sf
 
 
-class _InlinePool:
-    """ThreadPoolExecutor stand-in that runs each job at submit time."""
+def _counted_threads(monkeypatch):
+    """The threads started while monkeypatch's context lasts, in a list."""
+    started = []
 
-    def __init__(self, max_workers, seen):
-        seen.append(max_workers)
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn):
-        f = Future()
-        f.set_result(fn())
-        return f
+    monkeypatch.setattr(_engine.threading, "Thread", Counted)
+    return started
 
 
-@pytest.mark.parametrize("cpus, pools", [(1, []), (3, [3])])
-def test_sweep_workers_clamped_to_cpu_count(monkeypatch, cpus, pools):
+@pytest.mark.parametrize("cpus, threads", [(1, 0), (3, 2)])
+def test_sweep_workers_clamped_to_cpu_count(monkeypatch, cpus, threads):
     # the CPUs the process may run on where the platform says so, else the
-    # host's count; where both are given, the host's 64 must not be used
+    # host's count; where both are given, the host's 64 must not be used.
+    # The calling thread is one of the workers, so cpus - 1 threads start
     sf = standard_form(G(["123", "230", "302"]))
     basis = _engine.z4_basis_from_standard_form(sf)
 
@@ -259,7 +256,6 @@ def test_sweep_workers_clamped_to_cpu_count(monkeypatch, cpus, pools):
             basis, sf.log2_size, _engine.z4_add, _engine.lee_weights, block_log2=2
         )
     for affinity in (True, False):
-        seen = []
         with monkeypatch.context() as patch:
             if affinity:
                 patch.setattr(_engine.os, "sched_getaffinity", lambda pid: set(range(cpus)),
@@ -268,15 +264,32 @@ def test_sweep_workers_clamped_to_cpu_count(monkeypatch, cpus, pools):
             else:
                 patch.delattr(_engine.os, "sched_getaffinity", raising=False)
                 patch.setattr(_engine.os, "cpu_count", lambda: cpus)
-            patch.setattr(
-                _engine, "ThreadPoolExecutor", lambda max_workers: _InlinePool(max_workers, seen)
-            )
+            started = _counted_threads(patch)
             got = _engine.min_weight_sweep(
                 basis, sf.log2_size, _engine.z4_add, _engine.lee_weights,
                 workers=10**6, block_log2=2,
             )
-        assert seen == pools, affinity  # one CPU takes the serial path, no pool
+        assert len(started) == threads, affinity  # one CPU takes the serial path
         assert got == want
+
+
+def test_witness_search_that_stops_in_block_0_starts_no_thread(monkeypatch):
+    # LRM(3,5) takes its dual route, and the witness search over its own
+    # 2^26 words stops at the proven distance in block 0, which runs in the
+    # calling thread before any thread would start
+    sf = lrm(3, 5).standard_form
+    want = _engine.min_lee_weight_smaller_side(sf, 28)
+    assert want[1] < 1 << _engine.WITNESS_BLOCK_LOG2
+    monkeypatch.setattr(_engine.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    started = _counted_threads(monkeypatch)
+    assert _engine.min_lee_weight_smaller_side(sf, 28, workers=4) == want
+    assert started == []
+    # a sweep that goes on past block 0 starts them
+    small = standard_form(G(["123", "230", "302"]))
+    _engine.min_weight_sweep(_engine.z4_basis_from_standard_form(small), small.log2_size,
+                             _engine.z4_add, _engine.lee_weights, workers=4, block_log2=2)
+    assert len(started) == 3
 
 
 def test_engine_min_weight_and_histogram():

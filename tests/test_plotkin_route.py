@@ -140,13 +140,20 @@ def test_route_properties_on_random_parts(parts):
             )
 
 
+def _chunks(acc, row, heads, full):
+    """coset_histograms fold that lists its chunks with their first rows."""
+    return (acc or []) + [(row, heads, full)]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("head", [0, 1, 3])
 @pytest.mark.parametrize("block_log2", [1, 2, 3, 18])
-def test_coset_histograms_across_block_sizes(block_log2, head, workers):
+def test_coset_histograms_across_block_sizes(monkeypatch, block_log2, head, workers):
     # 2-, 4- and 8-word blocks put one row of 2^3 words in several blocks,
     # in exactly one, or several rows in one block; a head of 1, 2 or 8
-    # words lies in one block, spans several, or is the whole row
+    # words lies in one block, spans several, or is the whole row.  Two
+    # CPUs, so that two workers start a thread on any host
+    monkeypatch.setattr(_engine.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     sf = lrm(2, 4).standard_form
     basis = mixed_radix_basis(sf)
     lee = [lee_weight(w) for w in enumerate_codewords(sf)]
@@ -155,15 +162,30 @@ def test_coset_histograms_across_block_sizes(block_log2, head, workers):
         want[1, t >> 3, w] += 1
         if t % 8 < 1 << head:
             want[0, t >> 3, w] += 1
-    chunks = list(_engine.coset_histograms(
-        _engine.pack_rows(basis, sf.n, 2), sf.log2_size, 3, head, 2 * sf.n,
+    partials = _engine.coset_histograms(
+        _engine.pack_rows(basis, sf.n, 2), sf.log2_size, 3, head, 2 * sf.n, _chunks,
         workers=workers, block_log2=block_log2,
-    ))
+    )
+    chunks = sorted((c for p in partials if p for c in p), key=lambda c: c[0])
+    # one partial per worker, unless one chunk ends the sweep in the caller
+    assert len(partials) == (1 if len(chunks) == 1 else workers)
     for i in (0, 1):
-        assert (np.concatenate([c[i] for c in chunks]) == want[i]).all()
+        assert (np.concatenate([c[1 + i] for c in chunks]) == want[i]).all()
+    # the chunks are consecutive runs of rows, each named by its first
+    assert [c[0] for c in chunks] == list(np.cumsum([0] + [len(c[2]) for c in chunks[:-1]]))
     # a chunk holds at most 2^block_log2 counts (rows of 17, rounded up to
     # 32), or one row
-    assert max(len(c[1]) for c in chunks) == min(want.shape[1], max(1, (1 << block_log2) // 32))
+    assert max(len(c[2]) for c in chunks) == min(want.shape[1], max(1, (1 << block_log2) // 32))
+
+
+def _with_fold(wrap, **kwargs):
+    """coset_histograms with its fold replaced by wrap(fold), and kwargs."""
+    real = _engine.coset_histograms
+
+    def patched(basis, k, low, head, max_weight, fold, *args):
+        return real(basis, k, low, head, max_weight, wrap(fold), *args, **kwargs)
+
+    return mock.patch.object(_engine, "coset_histograms", patched)
 
 
 @pytest.mark.parametrize("block_log2", [3, 18])
@@ -172,28 +194,26 @@ def test_route_pairs_chunks_of_cosets(block_log2):
     # head, spans several blocks of the sweep of A + B, so the product
     # takes one-coset chunks that each sum several blocks
     code = lrm(2, 5, VARIANTS["nonnested-copy"])
-    real = _engine.coset_histograms
-    with mock.patch.object(
-        _engine, "coset_histograms", lambda *args: real(*args, block_log2=block_log2)
-    ):
+    with _with_fold(lambda fold: fold, block_log2=block_log2):
         assert route_distribution(code) == direct_counts(code)
 
 
 def test_route_holds_one_chunk_of_cosets_at_a_time():
     # LRM(2,7) has 2^15 cosets of LRM(1,6) in LRM(2,6), 65 weights each;
     # the product takes them 2^7 at a time, as the sweep's 2^14-word blocks
-    # yield them
+    # bin them
     code = lrm(2, 7)
-    real = _engine.coset_histograms
     shapes = []
 
-    def recorded(*args):
-        for head, chunk in real(*args):
-            assert head is chunk  # B ⊆ A, so the heads are the rows
-            shapes.append(chunk.shape)
-            yield head, chunk
+    def recorded(fold):
+        def chunk(acc, row, head, full):
+            assert head is full  # B ⊆ A, so the heads are the rows
+            shapes.append(full.shape)
+            return fold(acc, row, head, full)
 
-    with mock.patch.object(_engine, "coset_histograms", recorded):
+        return chunk
+
+    with _with_fold(recorded):
         counts = route_distribution(code)
     assert sum(counts) == 1 << 29
     assert shapes == [(1 << 7, 65)] * (1 << 8)
@@ -203,10 +223,7 @@ def test_route_refuses_counts_that_miss_the_code_size():
     # a histogram that counts each word twice breaks sum W_C = |C|
     code = lrm(2, 6)
     a, b = (p.standard_form for p in code.parts)
-    real = _engine.coset_histograms
-    with mock.patch.object(
-        _engine, "coset_histograms", lambda *args: ((h, 2 * c) for h, c in real(*args))
-    ):
+    with _with_fold(lambda fold: lambda acc, row, h, c: fold(acc, row, h, 2 * c)):
         with pytest.raises(ArithmeticError, match="not 2\\^22"):
             _engine.plotkin_lee_distribution(a, b, intersection(a, b))
 
