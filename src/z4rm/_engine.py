@@ -20,10 +20,12 @@ the word's bits (uint8 up to three limbs).  Each worker reuses its own
 kernel buffers from block to block: fresh per-block arrays cost page faults
 that varied with the allocator's state from call to call.
 
-Negation is a Lee isometry that maps a Z4-linear code onto itself, so the
-Z4 direct and dual-side sweeps weigh one block of each negation pair
-(Sweep.multiplicity): a block whose words are the negatives of words at
-smaller indices is skipped, and its partner's counts are doubled.  The
+Negation is a Lee isometry that maps a Z4-linear code onto itself, and
+adding 2·1, whose Gray image is all ones, maps a code that holds it onto
+itself with wt(x + 2·1) = 2n - wt(x).  So the Z4 direct and dual-side
+sweeps weigh one block field of each orbit of {id, neg, +2·1, neg∘+2·1}
+(Sweep.orbit), and add its counts as they are and reversed; binary sweeps
+of a code with the all-ones word pair each block with its complement.  The
 histogram and the first index of each weight stay those of the full sweep.
 
 Three exact routes give a code's Lee weight distribution, and lee_route
@@ -51,7 +53,13 @@ from itertools import chain, takewhile
 import numpy as np
 
 from .errors import ZeroCodeError
-from .linalg import check_budget, dual_standard_form, intersection, mixed_radix_basis
+from .linalg import (
+    check_budget,
+    dual_standard_form,
+    intersection,
+    mirror_index,
+    mixed_radix_basis,
+)
 from .z4core import add, alpha, beta, negate
 
 U64 = np.uint64
@@ -168,11 +176,16 @@ class Sweep:
 
     units > 0 says the top 2 * units index bits are the order-4
     coefficients of unit rows, first row highest, as in
-    linalg.mixed_radix_basis; multiplicity(h) then pairs each block with
-    its negative.  The default 0 counts every block once.
+    linalg.mixed_radix_basis, so that negating a word flips the high bit of
+    each pair whose low bit is set.  mirror = P, keyword-only, is the index
+    of a codeword M whose image covers every word's image (2·1 of a Z4
+    code, the all-ones word of a binary one): the word at t plus M lies at
+    t ^ P and weighs mirror_weight less the word at t.  orbit(h) then
+    weighs one block of each orbit; the defaults weigh every block once.
     """
 
-    def __init__(self, basis, k, combine, block_log2=DEFAULT_BLOCK_LOG2, units=0):
+    def __init__(self, basis, k, combine, block_log2=DEFAULT_BLOCK_LOG2, units=0, *,
+                 mirror=None):
         self.combine = combine
         self._image, self._add, self._mask_of = _RINGS[combine]
         self.low_bits = min(k, block_log2)
@@ -183,11 +196,14 @@ class Sweep:
         self.weight_type = (
             np.uint8 if bits < 1 << 8 else np.uint16 if bits < 1 << 16 else np.uint32
         )
-        # the q unit rows whose two coefficient bits both lie in h: h's top 2q
-        # bits, and the low bit of each coefficient in them
+        # a block's field: the q unit pairs whose two coefficient bits both
+        # lie in h (h's top 2q bits), or, with none, h itself; and the low bit
+        # of each coefficient in it
         q = min(units, (k - self.low_bits) // 2)
-        self._pair_shift = k - self.low_bits - 2 * q
+        self._field_shift = k - self.low_bits - 2 * q if q else 0
         self._odd_bits = self._lo & ((1 << 2 * q) - 1)
+        # the low bit of every unit pair of the index
+        self._odd_index = (((1 << 2 * units) - 1) // 3) << (k - 2 * units)
         table = np.zeros((1 << self.low_bits, self._limbs), dtype=U64, order="F")
         for j in range(self.low_bits):
             half = 1 << j
@@ -195,25 +211,66 @@ class Sweep:
         self.images = self._image(table)
         high = basis[self.low_bits :]
         self._high_basis = [sum(int(v) << (64 * l) for l, v in enumerate(r)) for r in high]
+        self.mirror = mirror
+        self._mirror_field = 0
+        if mirror is not None:
+            self._mirror_field = mirror >> self.low_bits >> self._field_shift
+            low = mirror & ((1 << self.low_bits) - 1)
+            image = sum(int(v) << (64 * l) for l, v in enumerate(self.images[low]))
+            self.mirror_weight = (image ^ self._mask_of(self._offset(mirror >> self.low_bits),
+                                                        self._lo)).bit_count()
 
     def block_size(self) -> int:
         return 1 << self.low_bits
 
-    def multiplicity(self, h):
-        """How many times block h counts: 1 when the unit coefficients in h
-        are all even, 2 when the first odd one is 1, and 0 when it is 3.
+    def _negate_field(self, f):
+        return f ^ (f & self._odd_bits) << 1
+
+    def orbit(self, h):
+        """(plain, mirrored): how many times block h's counts are added as
+        they are and reversed (w -> mirror_weight - w); (0, 0) skips it.
 
         Negation keeps even coefficients and swaps 1 and 3, so it maps the
-        words of the skipped blocks one to one onto those of the doubled
-        ones, at equal weight and at a smaller index: the first coefficient
-        that differs is 1 against 3, the most significant.  So the counts
-        and the first index of each weight are those of the full sweep.
+        words of the blocks with field f one to one onto those with field
+        neg(f), at equal weight (neg is the identity on a field of no unit
+        pair).  Adding the mirror word maps them onto the blocks with field
+        f ^ (P's field), at weight mirror_weight - w.  These maps and their
+        product form a group, and only the blocks whose field is the least
+        of its orbit are weighed: once for each field of the orbit that id or
+        neg reaches (plain), and once reversed for each other field.  All
+        words of a smaller field lie at smaller indices, so the first index
+        of each weight is in a weighed block, or, reversed, the image of a
+        word of the weighed block's greatest weight.
         """
-        top = h >> self._pair_shift
-        odd = top & self._odd_bits
-        if not odd:
-            return 1
-        return 0 if top >> odd.bit_length() & 1 else 2
+        f = h >> self._field_shift
+        neg = self._negate_field(f)
+        m = f ^ self._mirror_field
+        neg_m = self._negate_field(m)
+        if min(neg, m, neg_m) < f:
+            return 0, 0
+        # neg_m is m exactly when neg is f; m in {f, neg} leaves neg_m there too
+        return 1 + (neg != f), 0 if m in (f, neg) else 1 + (neg_m != m)
+
+    def mirror_floor(self, h):
+        """No image that mirror_first(h, ...) weighs at a smaller index can
+        improve on block h's own minimum.
+
+        The images' fields are exactly m = h's field ^ P's field and neg(m).
+        With no unit pair in the field (h itself), negation can move an
+        image out of block m only when h's one bit is the high bit of a unit
+        pair split with the table, and then it moves it into block h, whose
+        own minimum comes first."""
+        m = (h >> self._field_shift) ^ self._mirror_field
+        return min(m, self._negate_field(m)) << self._field_shift + self.low_bits
+
+    def mirror_first(self, h, low):
+        """The least index that the mirror maps, with or without negation,
+        a word of block h at the table indices low to."""
+        t = (low ^ (self.mirror & ((1 << self.low_bits) - 1))).astype(U64)
+        t |= U64((h ^ self.mirror >> self.low_bits) << self.low_bits)
+        if self._odd_index:
+            t = np.minimum(t, t ^ (t & U64(self._odd_index)) << _ONE)
+        return int(t.min())
 
     def _offset(self, h):
         """The word at sweep index h * block_size, as a Python int."""
@@ -307,9 +364,9 @@ def _fold_units(units, fold, workers):
 
 
 def _counted_blocks(sweep):
-    """The blocks h of sweep with multiplicity(h) != 0, in order; block 0
-    always counts."""
-    return (h for h in range(sweep.block_count) if sweep.multiplicity(h))
+    """(h, plain, mirrored) for the blocks h of sweep that orbit(h) weighs,
+    in order; block 0 always is."""
+    return ((h, *c) for h in range(sweep.block_count) if (c := sweep.orbit(h))[0])
 
 
 def min_weight_sweep(
@@ -321,6 +378,8 @@ def min_weight_sweep(
     stop_at=None,
     block_log2=DEFAULT_BLOCK_LOG2,
     units=0,
+    *,
+    mirror=None,
 ):
     """(min weight, first sweep index achieving it) over the 2^k - 1 words
     after index 0 (the zero word), or None when k = 0.
@@ -329,8 +388,11 @@ def min_weight_sweep(
     <= stop_at, and the result is that block's: it lies below every earlier
     block's.  The weights follow from combine (Sweep.weights); the weights
     parameter (lee_weights or bit_weights) stays for the callers that pass
-    it.  units (Sweep's) skips the blocks whose words are the negatives of
-    words at smaller indices.
+    it.  units and mirror (Sweep's) weigh one block of each orbit; a block
+    with mirrored images also offers mirror_weight less its greatest
+    weight, at the least index its words of that weight map to.  mirror
+    needs the whole sweep, so it refuses stop_at, and a basis of
+    independent words, so that only index 0 holds the zero word.
 
     Each thread keeps the least (weight, index) of its blocks.  With
     stop_at, the lowest block whose result is <= stop_at so far (the
@@ -338,55 +400,101 @@ def min_weight_sweep(
     and results of blocks above it are discarded, so the answer is the
     serial one for any worker count.
     """
-    sweep = Sweep(basis, k, combine, block_log2, units)
+    if mirror is not None and stop_at is not None:
+        raise ValueError("mirror pairs blocks of the whole sweep; it cannot stop early")
+    sweep = Sweep(basis, k, combine, block_log2, units, mirror=mirror)
     size = sweep.block_size()
     lock = threading.Lock()
     limit = [sweep.block_count, None]  # (block, its result) once one is <= stop_at
 
-    def fold(best, h, scratch):
+    def fold(best, unit, scratch):
+        h, _, mirrored = unit
         w = sweep.weights(h, scratch)
         first = 1 if h == 0 else 0  # index 0 is the zero word
-        if len(w) == first:
-            return best
-        i = first + int(np.argmin(w[first:]))
-        r = (int(w[i]), h * size + i)
-        if stop_at is not None and r[0] <= stop_at:
-            with lock:
-                if h < limit[0]:
-                    limit[:] = h, r
-        return r if best is None or r < best else best
+        if len(w) > first:
+            i = first + int(np.argmin(w[first:]))
+            r = (int(w[i]), h * size + i)
+            if stop_at is not None and r[0] <= stop_at:
+                with lock:
+                    if h < limit[0]:
+                        limit[:] = h, r
+            best = r if best is None or r < best else best
+        if mirrored:
+            top = int(w.max())
+            d = sweep.mirror_weight - top  # 0: the image of 2·1, the zero word
+            if d and (best is None or (d, sweep.mirror_floor(h)) < best):
+                r = (d, sweep.mirror_first(h, np.flatnonzero(w == top)))
+                best = r if best is None or r < best else best
+        return best
 
-    blocks = takewhile(lambda h: h <= limit[0], _counted_blocks(sweep))
+    blocks = takewhile(lambda unit: unit[0] <= limit[0], _counted_blocks(sweep))
     partials = _fold_units(blocks, fold, workers)
     if limit[1] is not None:
         return limit[1]
     return min((p for p in partials if p is not None), default=None)
 
 
+def _weight_counts(w, max_weight):
+    """np.bincount(w, minlength=max_weight + 1) of a block's weights.
+
+    Byte-wide weights of a block of at least as many words as the
+    (max_weight + 1) * 256 cells hi * 256 + lo (a power of two, so of even
+    length) are binned in pairs, through their uint16 view, at half the
+    length that bincount widens to intp; the row sums count the high bytes
+    and the column sums the low ones.  Below that size the cells' sums cost
+    more than they save: on a 2-vCPU x86 KVM guest, real blocks of n = 16,
+    32 and 64 codes broke even at 2^13, 2^13-2^14 and 2^15 words, and at
+    2^16 words took 0.44, 0.61 and 0.65 of the plain bincount's time.
+    """
+    cells = (max_weight + 1) << 8
+    if w.dtype != np.uint8 or len(w) < cells:
+        return np.bincount(w, minlength=max_weight + 1)
+    pairs = np.bincount(w.view(np.uint16), minlength=cells).reshape(-1, 256)
+    return pairs.sum(axis=1) + pairs[:, : max_weight + 1].sum(axis=0)
+
+
 def weight_histogram(
-    basis, k, combine, weights, max_weight, workers=1, block_log2=DEFAULT_BLOCK_LOG2, units=0
+    basis, k, combine, weights, max_weight, workers=1, block_log2=DEFAULT_BLOCK_LOG2, units=0,
+    *, mirror=None,
 ):
     """Exact counts of words by weight, as an int64 array of length max_weight+1.
 
     As in min_weight_sweep, combine sets the weights, the weights parameter
-    stays for the callers that pass it, and units pairs each block with its
-    negative: a block's counts are added multiplicity(h) times.  Each
-    thread sums its blocks' counts, and the sums are added at the end.
+    stays for the callers that pass it, and units and mirror weigh one block
+    of each orbit: a block's counts are added plain times and, reversed,
+    mirrored times (Sweep.orbit).  Each thread sums its blocks' counts, and
+    the sums are added at the end.  Raises ArithmeticError unless the
+    counts sum to 2^k.
     """
-    sweep = Sweep(basis, k, combine, block_log2, units)
+    sweep = Sweep(basis, k, combine, block_log2, units, mirror=mirror)
 
-    def fold(total, h, scratch):
-        counts = np.bincount(sweep.weights(h, scratch), minlength=max_weight + 1)
-        counts *= sweep.multiplicity(h)
+    def fold(total, unit, scratch):
+        h, plain, mirrored = unit
+        counts = _weight_counts(sweep.weights(h, scratch), max_weight)
+        if mirrored:
+            # no word weighs more than the mirror word, so the rest is zero
+            top = sweep.mirror_weight
+            counts[: top + 1] = plain * counts[: top + 1] + mirrored * counts[top::-1]
+        elif plain > 1:
+            counts *= plain
         return counts if total is None else np.add(total, counts, out=total)
 
     partials = _fold_units(_counted_blocks(sweep), fold, workers)
-    return sum(p for p in partials if p is not None)
+    counts = sum(p for p in partials if p is not None)
+    if int(counts.sum()) != 1 << k:
+        raise ArithmeticError(f"sweep counts sum to {int(counts.sum())}, not 2^{k}")
+    return counts
 
 
 def z4_basis_from_standard_form(sf):
     """Packed per-index-bit contributions of linalg's enumeration order."""
     return pack_rows(mixed_radix_basis(sf), sf.n, 2)
+
+
+def _sweep_mirror(sf):
+    """linalg.mirror_index(sf) for a direct sweep of more than one block,
+    the only kind it can pair, else None."""
+    return mirror_index(sf) if sf.log2_size > DEFAULT_BLOCK_LOG2 else None
 
 
 # The witness search usually stops in its first block (at index 1 for every
@@ -635,7 +743,7 @@ def _lee_distribution(sf, parts, route, workers):
     side = dual_standard_form(sf) if method == "dual" else sf
     counts = weight_histogram(
         z4_basis_from_standard_form(side), side.log2_size, z4_add, lee_weights, 2 * sf.n,
-        workers=workers, units=side.k1,
+        workers=workers, units=side.k1, mirror=_sweep_mirror(side),
     )
     return lee_macwilliams(counts, sf.log2_size) if method == "dual" else [int(a) for a in counts]
 
@@ -667,14 +775,15 @@ def min_lee_weight_smaller_side(sf, budget, workers=1, parts=None):
     if k == 0:
         raise ZeroCodeError("the zero code has no nonzero codeword")
     route = lee_route(sf, parts)
-    stop_at, block_log2 = None, DEFAULT_BLOCK_LOG2
-    if route[0] != "direct":
+    if route[0] == "direct":
+        stop_at, block_log2, mirror = None, DEFAULT_BLOCK_LOG2, _sweep_mirror(sf)
+    else:
         counts = _lee_distribution(sf, parts, route, workers)
         stop_at = next(w for w, a in enumerate(counts) if w and a)
-        block_log2 = WITNESS_BLOCK_LOG2
+        block_log2, mirror = WITNESS_BLOCK_LOG2, None
     return min_weight_sweep(
         z4_basis_from_standard_form(sf), k, z4_add, lee_weights, workers=workers,
-        stop_at=stop_at, block_log2=block_log2, units=sf.k1,
+        stop_at=stop_at, block_log2=block_log2, units=sf.k1, mirror=mirror,
     )
 
 

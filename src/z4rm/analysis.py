@@ -284,6 +284,18 @@ def _gf2_row_basis(rows):
     return [lead[top] for top in sorted(lead, reverse=True)]
 
 
+def _all_ones_index(basis_ints, n):
+    """Sweep index of the all-ones word of length n in the span of
+    basis_ints (leading bits descending, as _gf2_row_basis gives them;
+    index bit j toggles basis_ints[-1-j]), or None when the span lacks it."""
+    rest, t = (1 << n) - 1, 0
+    for i, row in enumerate(basis_ints):
+        if rest >> (row.bit_length() - 1) & 1:
+            rest ^= row
+            t |= 1 << (len(basis_ints) - 1 - i)
+    return None if rest else t
+
+
 def binary_log2_size(rows) -> int:
     """GF(2) rank of the generator rows (log2 of the binary code size)."""
     return len(_gf2_row_basis(w._packed for w in rows))
@@ -305,8 +317,10 @@ def binary_code_params(
     check_budget(k, budget)
     bit_rows = [BitWord._raw(n, p) for p in basis_ints]
     basis = _engine.xor_basis_from_rows(bit_rows, n)
+    # blocks pair with their complements, wt(x + 1) = n - wt(x)
+    mirror = _all_ones_index(basis_ints, n) if k > _engine.DEFAULT_BLOCK_LOG2 else None
     best = _engine.min_weight_sweep(
-        basis, k, _engine.xor_add, _engine.bit_weights, workers=workers
+        basis, k, _engine.xor_add, _engine.bit_weights, workers=workers, mirror=mirror
     )
     return CodeParams(n=n, k=k, d=best[0], binary=True)
 

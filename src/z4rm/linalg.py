@@ -25,6 +25,7 @@ __all__ = [
     "residue",
     "enumerate_codewords",
     "codeword_at",
+    "mirror_index",
     "check_budget",
     "dual_standard_form",
     "intersection",
@@ -214,6 +215,32 @@ def mixed_radix_basis(sf: StandardForm) -> list:
         basis.append(row)
         basis.append(add(row, row))
     return basis
+
+
+def mirror_index(sf: StandardForm) -> int | None:
+    """Index P of the all-2 word 2·1 in the frozen enumeration order, or
+    None when the code does not hold it.
+
+    Each unit row has 1 at its pivot, where 2·1 has 2, so every unit
+    coefficient of 2·1 is 2: the high index bit of each unit pair.  What is
+    left, 2·1 less twice each unit row, is even, and residue's pass over the
+    even rows gives their coefficients, the low index bits, or leaves a
+    nonzero rest.  Adding 2·1 to the word at index t gives the word at
+    t ^ P (2 more on each unit coefficient, each even one toggled), and its
+    negative lies at t with the high bit of each unit pair whose low bit is
+    set flipped.
+    """
+    full = (1 << 2 * sf.n) - 1
+    lo = full // 3
+    rest = full ^ lo  # 2 in every lane; even words add by XOR
+    for row in sf.rows[: sf.k1]:
+        rest ^= (row._packed & lo) << 1
+    t = lo >> (2 * sf.n - 2 * sf.k1) << (sf.k2 + 1)
+    for j, (col, row) in enumerate(zip(sf.two_cols, sf.rows[sf.k1 :])):
+        if rest >> 2 * col & 2:
+            rest ^= row._packed
+            t |= 1 << (sf.k2 - 1 - j)
+    return None if rest else t
 
 
 def dual_standard_form(sf: StandardForm) -> StandardForm:

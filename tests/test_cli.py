@@ -68,8 +68,8 @@ def test_verify_all_7_stdout_is_pinned(capsys):
 @pytest.mark.parametrize("r, m", [(1, 7), (2, 6), (3, 5)])
 def test_mindist_wdist_stdout_is_pinned(capsys, tmp_path, r, m, workers):
     # captured from direct sweeps of every codeword: LRM(1,7) is one two-limb
-    # block, LRM(2,6) sixteen 2^18-word blocks; LRM(3,5) (2^26 words) was
-    # swept directly at capture and now goes through its 2^6-word dual
+    # block, LRM(2,6) 64 2^16-word blocks; LRM(3,5) (2^26 words) was swept
+    # directly at capture and now goes through its 2^6-word dual
     want = (Path(__file__).parent / "data" / f"lrm_{r}_{m}_mindist_wdist.txt").read_text(
         encoding="ascii"
     )
@@ -78,6 +78,18 @@ def test_mindist_wdist_stdout_is_pinned(capsys, tmp_path, r, m, workers):
     code_min, out_min, _ = run(capsys, "mindist", path, "--workers", workers)
     code_w, out_w, _ = run(capsys, "wdist", path, "--workers", workers)
     assert (code_min, code_w, out_min + out_w) == (0, 0, want)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_overridden_verify_2_7_stdout_is_pinned(capsys, workers):
+    # the CLI's one 2^29-word direct sweep (8192 orbit-paired blocks), captured
+    # from the sweep that weighed one block of each negation pair
+    want = (Path(__file__).parent / "data" / "verify_2_7_override.txt").read_text(
+        encoding="ascii"
+    )
+    base = Path(__file__).parents[1] / "src" / "z4rm" / "data" / "nonlinear_ep_n8_k11.z4code"
+    assert run(capsys, "verify", "2", "7", "--budget", "29", "--override", f"2,4={base}",
+               "--workers", workers)[:2] == (0, want)
 
 
 @pytest.mark.parametrize("command", ["mindist", "wdist"])

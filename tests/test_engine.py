@@ -2,9 +2,10 @@
 the Hamming weight of image(t) ^ image(-c), checked word by word against
 the scalar Lee weights of the frozen enumeration, with and without the
 negation pairing of blocks, and for binary codes against the Hamming
-weights of the span; and the threaded reducer: every result the same for
-any worker count, and an error in any block raised, never a partial
-result."""
+weights of the span; the orbit sweeps, which also pair each block with its
+complement (x + 2·1, or x + 1 on the XOR path), against the unpaired full
+sweep; and the threaded reducer: every result the same for any worker
+count, and an error in any block raised, never a partial result."""
 
 import functools
 import itertools
@@ -15,14 +16,21 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_plotkin_route import _part_pairs
 from z4rm import _engine
+from z4rm import analysis
 from z4rm.analysis import binary_code_params
 from z4rm.codes import lrm, rm_binary
-from z4rm.linalg import GeneratorMatrix, enumerate_codewords, intersection, standard_form
+from z4rm.linalg import (
+    GeneratorMatrix,
+    enumerate_codewords,
+    intersection,
+    mirror_index,
+    standard_form,
+)
 from z4rm.z4core import BitWord, Z4Word, add, gray, lee_weight, negate
 
 
@@ -196,8 +204,9 @@ def _failing_in_block(bad):
 
 
 def test_an_error_in_any_block_is_raised_not_a_partial_result():
-    # weight_histogram has no sum check, so a thread's dropped partial would
-    # pass unseen; every sweep must raise the error and leave no thread
+    # weight_histogram's sum check would catch a thread's dropped partial
+    # only as an ArithmeticError; every sweep must raise the block's own
+    # error and leave no thread
     sf = standard_form(GeneratorMatrix(
         [Z4Word([1, 0, 0, 1, 2, 3]), Z4Word([0, 1, 0, 3, 1, 1]), Z4Word([0, 0, 1, 1, 3, 2])],
         n=6))
@@ -302,3 +311,173 @@ def test_plotkin_route_does_not_depend_on_worker_count(parts, block_log2):
                            functools.partial(real, block_log2=block_log2)):
         _same_for_1_and_4_workers(
             lambda workers: _engine.plotkin_lee_distribution(a, b, inter, workers=workers))
+
+
+@st.composite
+def _mirrored_z4_codes(draw):
+    """(standard form, P) of a random Z4 code of one to three limbs, up to
+    four random rows, some of order 2, with 2·1 or 1 appended, and P the
+    index of 2·1 in it."""
+    n = draw(st.integers(1, 96))
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        row = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        rows.append(Z4Word([2 * s % 4 for s in row] if draw(st.booleans()) else row))
+    rows.insert(draw(st.integers(0, len(rows))), Z4Word([draw(st.sampled_from([1, 2]))] * n))
+    sf = standard_form(GeneratorMatrix(rows, n=n))
+    return sf, mirror_index(sf)
+
+
+def _with_workers(workers, call):
+    with _four_cpus():
+        return call(workers)
+
+
+def _with_mirror(rows):
+    sf = standard_form(GeneratorMatrix.from_strings(rows))
+    return sf, mirror_index(sf)
+
+
+@settings(max_examples=80, deadline=None)
+@given(code=_mirrored_z4_codes(), block_log2=st.integers(0, 3),
+       workers=st.sampled_from([1, 4]), paired=st.booleans())
+# the first word of weight 4, at index 12, is the negative of an image whose
+# field, neg(m), lies below m: a fold that skips by m alone returns index 16
+@example(code=_with_mirror(["222222222", "202320213", "310200000"]), block_log2=1,
+         workers=1, paired=True)
+def test_orbit_sweeps_equal_the_unpaired_full_sweep(code, block_log2, workers, paired):
+    # 1- to 8-word blocks: the unit pairs lie in the block's field, straddle
+    # it or sit in the table, and with units = 0 the mirror pairs whole blocks
+    sf, mirror = code
+    assert mirror is not None
+    k, n = sf.log2_size, sf.n
+    basis = _engine.z4_basis_from_standard_form(sf)
+    plain = dict(units=0, mirror=None, block_log2=block_log2)
+    orbit = dict(units=sf.k1 if paired else 0, mirror=mirror, block_log2=block_log2)
+
+    def sweeps(workers, **sweep):
+        return (
+            _engine.min_weight_sweep(basis, k, _engine.z4_add, None, workers=workers, **sweep),
+            list(_engine.weight_histogram(basis, k, _engine.z4_add, None, 2 * n,
+                                          workers=workers, **sweep)),
+        )
+
+    want = sweeps(1, **plain)
+    assert _with_workers(workers, lambda w: sweeps(w, **orbit)) == want
+    # the complement symmetry itself: A_w = A_{2n-w}
+    assert want[1] == want[1][::-1]
+
+
+@st.composite
+def _mirrored_binary_codes(draw):
+    """(rows, P) of a random binary code of one to three limbs: the GF(2)
+    basis that binary_code_params sweeps, of up to seven random rows and the
+    all-ones row, and P its sweep index of the all-ones word."""
+    n = draw(st.integers(1, 192))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    rows = [BitWord(draw(bits))._packed for _ in range(draw(st.integers(0, 7)))]
+    rows.insert(draw(st.integers(0, len(rows))), (1 << n) - 1)
+    basis = analysis._gf2_row_basis(rows)
+    return [BitWord._raw(n, p) for p in basis], analysis._all_ones_index(basis, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(code=_mirrored_binary_codes(), block_log2=st.integers(0, 3),
+       workers=st.sampled_from([1, 4]))
+def test_xor_orbit_sweeps_equal_the_unpaired_full_sweep(code, block_log2, workers):
+    # block h pairs with h ^ (P >> low_bits), or with itself when P lies in
+    # the table
+    rows, mirror = code
+    n, k = rows[0].n, len(rows)
+    basis = _engine.xor_basis_from_rows(rows, n)
+    # index bit j toggles rows[-1-j]: P's bits give the all-ones word
+    assert functools.reduce(
+        int.__xor__, (w._packed for j, w in enumerate(reversed(rows)) if mirror >> j & 1)
+    ) == (1 << n) - 1
+
+    def sweeps(workers, mirror):
+        sweep = dict(block_log2=block_log2, mirror=mirror)
+        return (
+            _engine.min_weight_sweep(basis, k, _engine.xor_add, None, workers=workers, **sweep),
+            list(_engine.weight_histogram(basis, k, _engine.xor_add, None, n,
+                                          workers=workers, **sweep)),
+        )
+
+    assert _with_workers(workers, lambda w: sweeps(w, mirror)) == sweeps(1, None)
+
+
+def test_all_ones_index_is_none_without_the_all_ones_word():
+    rows = [0b0110, 0b0011]
+    assert analysis._all_ones_index(analysis._gf2_row_basis(rows), 4) is None
+    # basis 1001, 0110, 0011: 1111 is the first two, index bits 2 and 1
+    assert analysis._all_ones_index(analysis._gf2_row_basis(rows + [0b1001]), 4) == 0b110
+
+
+def test_orbit_sweeps_weigh_one_block_of_each_orbit(monkeypatch):
+    # LRM(2,6): 2^22 words in 64 blocks whose 6 bits are the top three unit
+    # coefficients; of the 64 fields, the 8 all even pair under +2·1, the 8
+    # all odd under negation, and the other 48 fall in orbits of four
+    sf = lrm(2, 6).standard_form
+    k = sf.log2_size
+    basis = _engine.z4_basis_from_standard_form(sf)
+    p = mirror_index(sf)
+    run = []
+    weights = _engine.Sweep.weights
+    monkeypatch.setattr(_engine.Sweep, "weights",
+                        lambda self, h, scratch: run.append(h) or weights(self, h, scratch))
+    for units, mirror, blocks in ((sf.k1, None, 36), (sf.k1, p, 20), (0, p, 32)):
+        run.clear()
+        _engine.weight_histogram(basis, k, _engine.z4_add, None, 2 * sf.n, units=units,
+                                 mirror=mirror)
+        assert len(run) == blocks, (units, mirror)
+    # the XOR path on RM(2,6): each block with its complement
+    run.clear()
+    assert binary_code_params(rm_binary(2, 6)).d == 16
+    assert len(run) == 32
+
+
+def test_callers_pair_only_sweeps_of_more_than_one_block(monkeypatch):
+    seen = []
+    real = _engine.Sweep.__init__
+
+    def spy(self, *args, mirror=None, **kwargs):
+        seen.append(mirror)
+        real(self, *args, mirror=mirror, **kwargs)
+
+    monkeypatch.setattr(_engine.Sweep, "__init__", spy)
+    for r, m in ((1, 4), (2, 6)):  # 2^11 words: one block; 2^22 words: 64
+        sf = lrm(r, m).standard_form
+        _engine.min_lee_weight_smaller_side(sf, 28)
+        _engine.lee_distribution_smaller_side(sf, 28)
+    assert [p is not None for p in seen] == [False, False, True, True]
+
+
+def test_mirror_refuses_a_search_that_stops_early():
+    sf = lrm(1, 3).standard_form
+    basis = _engine.z4_basis_from_standard_form(sf)
+    with pytest.raises(ValueError):
+        _engine.min_weight_sweep(basis, sf.log2_size, _engine.z4_add, None, stop_at=2,
+                                 block_log2=1, mirror=mirror_index(sf))
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_a_wrong_count_pair_fails_the_sum_check(workers):
+    # one block of each orbit weighed, but its mirrored count dropped: the
+    # histogram would be short by those words, and must raise instead
+    sf = lrm(2, 4).standard_form
+    k = sf.log2_size
+    basis = _engine.z4_basis_from_standard_form(sf)
+    mirror = mirror_index(sf)
+    orbit = _engine.Sweep.orbit
+
+    def dropped(self, h):
+        plain, _ = orbit(self, h)
+        return plain, 0
+
+    hist = dict(max_weight=2 * sf.n, block_log2=3, units=sf.k1, mirror=mirror)
+    with _four_cpus():
+        good = _engine.weight_histogram(basis, k, _engine.z4_add, None, workers=workers, **hist)
+        assert int(good.sum()) == 1 << k
+        with mock.patch.object(_engine.Sweep, "orbit", dropped), \
+                pytest.raises(ArithmeticError, match="sum to"):
+            _engine.weight_histogram(basis, k, _engine.z4_add, None, workers=workers, **hist)

@@ -7,17 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from z4rm import _engine
-from z4rm.codes import lrm
+from z4rm.codes import lrm, shipped_nonlinear_base
 from z4rm.errors import CapacityError, DimensionError
 from z4rm.linalg import (
     GeneratorMatrix,
     codeword_at,
     enumerate_codewords,
+    dual_standard_form,
     log2_size,
     membership,
+    mirror_index,
     standard_form,
 )
-from z4rm.z4core import BitWord, Z4Word, add, lee_weight
+from z4rm.z4core import BitWord, Z4Word, add, lee_weight, negate
 
 G = GeneratorMatrix.from_strings
 W = Z4Word.from_string
@@ -187,6 +189,44 @@ def test_engine_order_and_codeword_at_match_enumeration(g, block_log2):
     assert [codeword_at(sf, t) for t in range(1 << k)] == expected
     with pytest.raises(IndexError):
         codeword_at(sf, 1 << k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=_generator_matrices(), with_2=st.booleans())
+def test_mirror_index_and_the_index_maps_it_gives(g, with_2):
+    # P is 2·1's index, or None without it; t ^ P is the word at t plus 2·1,
+    # and t with the high bit of each odd unit pair flipped its negative
+    if with_2:
+        g = GeneratorMatrix(g.rows + (Z4Word([2] * g.n),), n=g.n)
+    sf = standard_form(g)
+    words = list(enumerate_codewords(sf))
+    two = Z4Word([2] * sf.n)
+    p = mirror_index(sf)
+    assert p == (words.index(two) if two in words else None)
+    odd = (((1 << 2 * sf.k1) - 1) // 3) << sf.k2
+    for t, w in enumerate(words):
+        assert words[t ^ ((t & odd) << 1)] == negate(w)
+        if p is not None:
+            assert words[t ^ p] == add(w, two)
+
+
+@pytest.mark.parametrize("override", [False, True])
+def test_mirror_index_of_every_lrm_and_its_dual(override):
+    overrides = {(2, 4): shipped_nonlinear_base()} if override else None
+    for m in range(1, 8):
+        for r in range(m + 1):
+            sf = lrm(r, m, overrides).standard_form
+            for side in (sf, dual_standard_form(sf)):
+                if side.log2_size:  # the dual of the whole space is the zero code
+                    p = mirror_index(side)
+                    assert codeword_at(side, p) == Z4Word([2] * side.n), (r, m, side is sf)
+                else:
+                    assert mirror_index(side) is None
+    # 22 = 2·11: the unit pair's high bit over the even row's bit, unset
+    assert mirror_index(standard_form(G(["11", "02"]))) == 0b100
+    # 20 and 202 lie in the codes, but 22 and 222 do not
+    assert mirror_index(standard_form(G(["10"]))) is None
+    assert mirror_index(standard_form(G(["110", "022"]))) is None
 
 
 @st.composite
