@@ -28,19 +28,8 @@ sweeps weigh one block field of each orbit of {id, neg, +2·1, neg∘+2·1}
 of a code with the all-ones word pair each block with its complement.  The
 histogram and the first index of each weight stay those of the full sweep.
 
-Three exact routes give a code's Lee weight distribution, and lee_route
-takes the cheapest in words swept, every route but the first paying one
-fixed cost (FIXED_COST_LOG2): a sweep of the code, a sweep of its dual
-that lee_macwilliams turns into the code's counts, or, for a code that
-codes.plotkin built from parts A and B, one sweep of A + B (A itself when
-B ⊆ A) whose index rows are the cosets of B and whose row heads are the
-cosets of A ∩ B in A.  Their per-coset histograms combine, one chunk of
-cosets at a time, in one int64 product, into the code's counts
-(plotkin_lee_distribution); plotkin_cost prices the histogram cells and
-product terms with the words.  Every route to the minimum weight ends in
-one min_weight_sweep of the code: the whole sweep on the direct route, and
-on the others a sweep that stops at the distance the route's counts prove
-(min_lee_weight_smaller_side).
+Route describes the three exact routes to a code's Lee weight
+distribution, and lee_route picks the cheapest.
 """
 
 from __future__ import annotations
@@ -49,17 +38,12 @@ import math
 import os
 import threading
 from itertools import chain, takewhile
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ZeroCodeError
-from .linalg import (
-    check_budget,
-    dual_standard_form,
-    intersection,
-    mirror_index,
-    mixed_radix_basis,
-)
+from .linalg import dual_standard_form, intersection, mirror_index, mixed_radix_basis
 from .z4core import add, alpha, beta, negate
 
 U64 = np.uint64
@@ -504,12 +488,12 @@ WITNESS_BLOCK_LOG2 = 10
 # Every route but the direct one pays 2^FIXED_COST_LOG2 words on top of its
 # own work (the dual's or the parts' standard forms, A ∩ B, a second sweep
 # set-up, the witness search).  At k = 14..16, with the route forced through
-# min_lee_weight_smaller_side (one process, medians of 30 and of 40
-# alternating runs, 2-vCPU x86 KVM guest), route time over direct time per
-# word, less the route's units, gave F = 13.5-15.3, median 14.3-14.4, for the
-# duals of LRM(3,4), LRM(4,4) and six random codes, and the Plotkin routes of
-# LRM(2,5) (plain, the family benchmark's seed-1 and seed-3 (2,4) copies) and
-# a random code.  F in [14.3, 15) keeps the seed-1 LRM(2,5) direct
+# Route.witness (one process, medians of 30 and of 40 alternating runs,
+# 2-vCPU x86 KVM guest), route time over direct time per word, less the
+# route's units, gave F = 13.5-15.3, median 14.3-14.4, for the duals of
+# LRM(3,4), LRM(4,4) and six random codes, and the Plotkin routes of LRM(2,5)
+# (plain, the family benchmark's seed-1 and seed-3 (2,4) copies) and a
+# random code.  F in [14.3, 15) keeps the seed-1 LRM(2,5) direct
 # (plotkin/direct 1.33/1.30 ms) and LRM(3,4) on its dual (0.33/0.74 ms).
 FIXED_COST_LOG2 = 14.5
 
@@ -534,34 +518,85 @@ def _plus_fixed(cost):
     return max(cost, FIXED_COST_LOG2) + math.log2(1 + 2.0 ** -abs(cost - FIXED_COST_LOG2))
 
 
-def lee_route(sf, parts=None):
-    """(method, log2 cost, A ∩ B) of the cheapest exact route to the Lee
-    weight distribution of sf's code C, the cost being log2 of the words it
-    sweeps or their equivalent, plus FIXED_COST_LOG2's on all but "direct":
+class Route(NamedTuple):
+    """One exact route to the Lee weight distribution of sf's code C, and
+    its cost: log2 of the words it sweeps or their equivalent, plus
+    FIXED_COST_LOG2's on all but "direct".
 
     - "direct": a sweep of C's 2^k words;
-    - "dual": a sweep of C⊥'s 2^(2n-k) words;
-    - "plotkin": when C = {(x, x+y) : x in A, y in B} with parts = (A, B),
-      codes with a standard_form, plotkin_lee_distribution at the cost of
-      plotkin_cost.
+    - "dual": a sweep of C⊥'s 2^(2n-k) words (linalg.dual_standard_form),
+      which lee_macwilliams turns into C's counts;
+    - "plotkin": for C = {(x, x+y) : x in A, y in B} that codes.plotkin
+      built, one sweep of A + B (A itself when B ⊆ A) whose index rows are
+      the cosets of B and whose row heads are the cosets of A ∩ B in A.
+      Their per-coset histograms combine, one chunk of cosets at a time, in
+      one int64 product, into C's counts (plotkin_lee_distribution), at the
+      cost of plotkin_cost.  parts is then the standard forms (a, b, A ∩ B);
+      it is None on the other routes.
 
-    The third field is A ∩ B on the plotkin route and None otherwise.  Ties
-    go to the earlier method in that list.
+    Direct and dual-side sweeps weigh one block field of each orbit
+    (Sweep.orbit).  Every route to the minimum weight ends in one
+    min_weight_sweep of C (witness).
     """
+
+    method: str
+    cost: float
+    sf: object
+    parts: tuple | None
+
+    def counts(self, workers=1):
+        """Exact Lee weight counts (w = 0..2n, Python ints) of C."""
+        if self.method == "plotkin":
+            return plotkin_lee_distribution(*self.parts, workers=workers)
+        dual = self.method == "dual"
+        side = dual_standard_form(self.sf) if dual else self.sf
+        counts = weight_histogram(
+            z4_basis_from_standard_form(side), side.log2_size, z4_add, lee_weights,
+            2 * side.n, workers=workers, units=side.k1, mirror=_sweep_mirror(side),
+        )
+        return lee_macwilliams(counts, self.sf.log2_size) if dual else [int(a) for a in counts]
+
+    def witness(self, workers=1):
+        """(minimum nonzero Lee weight, sweep index of its first word) of C.
+
+        On the direct route the orbit-paired full sweep is the whole
+        computation.  On the others counts() proves the minimum d, and the
+        sweep, in WITNESS_BLOCK_LOG2 blocks, stops at the first block
+        holding a word of weight d: it misses no lighter word, and the index
+        is the one the full sweep returns.
+        """
+        sf = self.sf
+        if sf.log2_size == 0:
+            raise ZeroCodeError("the zero code has no nonzero codeword")
+        if self.method == "direct":
+            stop_at, block_log2, mirror = None, DEFAULT_BLOCK_LOG2, _sweep_mirror(sf)
+        else:
+            stop_at = next(w for w, a in enumerate(self.counts(workers)) if w and a)
+            block_log2, mirror = WITNESS_BLOCK_LOG2, None
+        return min_weight_sweep(
+            z4_basis_from_standard_form(sf), sf.log2_size, z4_add, lee_weights, workers=workers,
+            stop_at=stop_at, block_log2=block_log2, units=sf.k1, mirror=mirror,
+        )
+
+
+def lee_route(sf, parts=None):
+    """The cheapest Route for sf's code, parts being (A, B), codes with a
+    standard_form, on a code that codes.plotkin built, else None.  Ties go
+    to the earlier method in Route's list."""
     k = sf.log2_size
-    best = ("direct", k, None)
+    best = Route("direct", k, sf, None)
     dual = _plus_fixed(2 * sf.n - k)
     if dual < k:
-        best = ("dual", dual, None)
+        best = Route("dual", dual, sf, None)
     # The plotkin route's int64 counts reach 2^k.  B has at most 4^(n/2)
     # words, so A has at least 2^(k-n), and the route sweeps at least A.
-    if parts is not None and k < 63 and _plus_fixed(k - sf.n) < best[1]:
+    if parts is not None and k < 63 and _plus_fixed(k - sf.n) < best.cost:
         a, b = (p.standard_form for p in parts)
-        if _plus_fixed(a.log2_size) < best[1]:
+        if _plus_fixed(a.log2_size) < best.cost:
             inter = intersection(a, b)
             cost = _plus_fixed(plotkin_cost(a.log2_size, b.log2_size, inter.log2_size, a.n))
-            if cost < best[1]:
-                best = ("plotkin", cost, inter)
+            if cost < best.cost:
+                best = Route("plotkin", cost, sf, (a, b, inter))
     return best
 
 
@@ -732,59 +767,6 @@ def plotkin_lee_distribution(a, b, inter, workers=1):
     if sum(counts) != 1 << (ka + kb):
         raise ArithmeticError(f"Plotkin counts sum to {sum(counts)}, not 2^{ka + kb}")
     return counts
-
-
-def _lee_distribution(sf, parts, route, workers):
-    """Exact Lee weight counts (Python ints) of sf's code along route."""
-    method, _, inter = route
-    if method == "plotkin":
-        a, b = (p.standard_form for p in parts)
-        return plotkin_lee_distribution(a, b, inter, workers=workers)
-    side = dual_standard_form(sf) if method == "dual" else sf
-    counts = weight_histogram(
-        z4_basis_from_standard_form(side), side.log2_size, z4_add, lee_weights, 2 * sf.n,
-        workers=workers, units=side.k1, mirror=_sweep_mirror(side),
-    )
-    return lee_macwilliams(counts, sf.log2_size) if method == "dual" else [int(a) for a in counts]
-
-
-def lee_distribution_smaller_side(sf, budget, workers=1, parts=None):
-    """Exact Lee weight counts (w = 0..2n, Python ints) of sf's code, along
-    the cheapest route of lee_route (parts as there).
-
-    The budget gates the code's own size.  On the dual route,
-    lee_macwilliams turns the dual's counts into the code's.
-    """
-    check_budget(sf.log2_size, budget)
-    return _lee_distribution(sf, parts, lee_route(sf, parts), workers)
-
-
-def min_lee_weight_smaller_side(sf, budget, workers=1, parts=None):
-    """(minimum nonzero Lee weight, sweep index of its first word) of sf's
-    code, along the cheapest route of lee_route (parts as there).
-
-    The budget gates the code's own size.  Every route ends in one sweep of
-    the code.  On the direct route that sweep is the whole computation.  On
-    the dual and plotkin routes the code's exact distribution gives the
-    exact minimum d, and the sweep stops at the first block holding a word
-    of weight d: as d is already proven, it misses no lighter word, and the
-    index is the one the full sweep returns.
-    """
-    k = sf.log2_size
-    check_budget(k, budget)
-    if k == 0:
-        raise ZeroCodeError("the zero code has no nonzero codeword")
-    route = lee_route(sf, parts)
-    if route[0] == "direct":
-        stop_at, block_log2, mirror = None, DEFAULT_BLOCK_LOG2, _sweep_mirror(sf)
-    else:
-        counts = _lee_distribution(sf, parts, route, workers)
-        stop_at = next(w for w, a in enumerate(counts) if w and a)
-        block_log2, mirror = WITNESS_BLOCK_LOG2, None
-    return min_weight_sweep(
-        z4_basis_from_standard_form(sf), k, z4_add, lee_weights, workers=workers,
-        stop_at=stop_at, block_log2=block_log2, units=sf.k1, mirror=mirror,
-    )
 
 
 def _krawtchouk(w, length):

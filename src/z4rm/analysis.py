@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _engine
 from .codes import CodeParams, RMOrder, Z4Code, check_order, lrm, qrm_log2_size, theorem1_params
-from .errors import CapacityError, ZeroCodeError
+from .errors import CapacityError, DimensionError, ZeroCodeError
 from .linalg import DEFAULT_BUDGET, GeneratorMatrix, check_budget, codeword_at
 from .z4core import BitWord, Z4Word, alpha, beta, gray
 
@@ -127,11 +127,11 @@ class VerificationReport:
 
 def min_lee_weight_witness(c: Z4Code, budget: int = DEFAULT_BUDGET, workers: int = 1):
     """(minimum nonzero Lee weight, first codeword in the frozen order
-    achieving it), exact, along the cheapest of the direct, dual and Plotkin
-    routes (_engine.min_lee_weight_smaller_side).  The budget gates C's own
-    size."""
+    achieving it), exact, along the cheapest _engine.Route.  The budget
+    gates C's own size."""
     sf = c.standard_form
-    d, t = _engine.min_lee_weight_smaller_side(sf, budget, workers=workers, parts=c.parts)
+    check_budget(sf.log2_size, budget)
+    d, t = _engine.lee_route(sf, c.parts).witness(workers)
     return d, codeword_at(sf, t)
 
 
@@ -143,15 +143,11 @@ def min_lee_weight(c: Z4Code, budget: int = DEFAULT_BUDGET, workers: int = 1) ->
 def lee_weight_distribution(
     c: Z4Code, budget: int = DEFAULT_BUDGET, workers: int = 1
 ) -> WeightDistribution:
-    """Exact codeword counts by Lee weight, along the cheapest route
-    (_engine.lee_distribution_smaller_side: a sweep of C, the Lee
-    MacWilliams transform of a sweep of C⊥, or, for a code plotkin built,
-    the coset sums of _engine.plotkin_lee_distribution).  The budget gates
-    C's own size."""
-    counts = _engine.lee_distribution_smaller_side(
-        c.standard_form, budget, workers=workers, parts=c.parts
-    )
-    return WeightDistribution(tuple(counts))
+    """Exact codeword counts by Lee weight, along the cheapest
+    _engine.Route.  The budget gates C's own size."""
+    sf = c.standard_form
+    check_budget(sf.log2_size, budget)
+    return WeightDistribution(tuple(_engine.lee_route(sf, c.parts).counts(workers)))
 
 
 def image_is_linear(c: Z4Code) -> bool:
@@ -212,13 +208,13 @@ def verify_theorem1(
 ) -> VerificationReport:
     """Build LRM(r,m) and compare its computed parameters with the claim.
 
-    The minimum Lee distance is exact, along the cheapest route of
-    min_lee_weight_witness, which alone decides what fits the budget: the
-    distance claims are skipped when it raises CapacityError.  An override
-    over the budget still raises, from lrm.  The claim never bounds the
-    computation, so fast=True computes what the default audit does and only
-    changes the mode shown in the report.  On the minimum-weight witness the
-    Gray image weight must reproduce the Lee weight (isometry cross-check).
+    The minimum Lee distance is exact (min_lee_weight_witness), which alone
+    decides what fits the budget: the distance claims are skipped when it
+    raises CapacityError.  An override over the budget still raises, from
+    lrm.  The claim never bounds the computation, so fast=True computes what
+    the default audit does and only changes the mode shown in the report.
+    On the minimum-weight witness the Gray image weight must reproduce the
+    Lee weight (isometry cross-check).
     """
     order = check_order(r, m)
     claimed = theorem1_params(r, m)
@@ -296,9 +292,18 @@ def _all_ones_index(basis_ints, n):
     return None if rest else t
 
 
+def _equal_length(rows):
+    """rows as a list, or DimensionError if two differ in length."""
+    rows = list(rows)
+    for w in rows:
+        if w.n != rows[0].n:
+            raise DimensionError(f"row length {w.n} differs from first row length {rows[0].n}")
+    return rows
+
+
 def binary_log2_size(rows) -> int:
     """GF(2) rank of the generator rows (log2 of the binary code size)."""
-    return len(_gf2_row_basis(w._packed for w in rows))
+    return len(_gf2_row_basis(w._packed for w in _equal_length(rows)))
 
 
 def binary_code_params(
@@ -306,7 +311,7 @@ def binary_code_params(
 ) -> CodeParams:
     """(length, log2 size, minimum Hamming distance) of a binary linear code
     given by generator rows (BitWords)."""
-    rows = list(rows)
+    rows = _equal_length(rows)
     if not rows:
         raise ZeroCodeError("no generator rows")
     n = rows[0].n
@@ -364,6 +369,17 @@ def search_nonlinear_base(
     results = []
     if k == 0:
         return results
+    # a shape's order-4 rows each take 2^k2 * 4^(n - k1 - k2) = 2^(2n - k)
+    # candidates, built before any is tested; with k = 1 there are only
+    # order-2 rows, of 2^(n - 1)
+    rows_log2 = 2 * n - k if k > 1 else n - 1
+    if rows_log2 > MATERIALIZE_BUDGET:
+        raise CapacityError(
+            f"the search builds 2^{rows_log2} candidates for a row, more than "
+            f"2^{MATERIALIZE_BUDGET}",
+            required=rows_log2,
+            configured=MATERIALIZE_BUDGET,
+        )
     for k1 in range(k // 2, -1, -1):
         k2 = k - 2 * k1
         if k1 + k2 > n:

@@ -109,8 +109,7 @@ class Z4Code:
     def _min_lee_weight(self) -> int:
         """Exact minimum nonzero Lee weight, along the cheapest route of
         _engine.lee_route.  It gates no budget: the caller checks one first."""
-        k = self.log2_size
-        return _engine.min_lee_weight_smaller_side(self.standard_form, k, parts=self.parts)[0]
+        return _engine.lee_route(self.standard_form, self.parts).witness()[0]
 
     @property
     def log2_size(self) -> int:

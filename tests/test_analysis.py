@@ -11,6 +11,7 @@ from z4rm.analysis import (
     MATERIALIZE_BUDGET,
     gray_image_params,
     binary_code_params,
+    binary_log2_size,
     image_is_linear,
     image_is_linear_bruteforce,
     lee_weight_distribution,
@@ -21,9 +22,9 @@ from z4rm.analysis import (
     verify_theorem1,
 )
 from z4rm.codes import CodeParams, Z4Code, lrm, rm_binary, shipped_nonlinear_base, theorem1_params
-from z4rm.errors import CapacityError, ZeroCodeError
+from z4rm.errors import CapacityError, DimensionError, ZeroCodeError
 from z4rm.linalg import GeneratorMatrix, enumerate_codewords
-from z4rm.z4core import Z4Word, gray, hamming_distance, lee_distance, lee_weight
+from z4rm.z4core import BitWord, Z4Word, gray, hamming_distance, lee_distance, lee_weight
 
 WITNESS = Z4Code(GeneratorMatrix.from_strings(["1013", "0112"]))
 
@@ -319,6 +320,10 @@ def test_search_refuses_long_rows_and_large_spans():
     with pytest.raises(CapacityError, match="target log2 size 21 exceeds 20") as e:
         search_nonlinear_base(CodeParams(12, 21, 2), length_limit=12)
     assert (e.value.required, e.value.configured) == (21, MATERIALIZE_BUDGET)
+    # each top row's 2^(2n - k) candidate rows are built before any is tested
+    with pytest.raises(CapacityError, match=r"builds 2\^30 candidates for a row") as e:
+        search_nonlinear_base(CodeParams(16, 2, 2), length_limit=16)
+    assert (e.value.required, e.value.configured) == (30, MATERIALIZE_BUDGET)
     # a log2 size past the old oracle bound of 14 is searched (here: none exist)
     assert search_nonlinear_base(CodeParams(8, 16, 2), length_limit=8) == []
 
@@ -428,6 +433,15 @@ def test_gray_image_distance_is_min_pairwise_distance(c):
         return
     want = min(hamming_distance(a, b) for a, b in itertools.combinations(images, 2))
     assert gray_image_params(c).d == want
+
+
+@pytest.mark.parametrize("lengths", [(2, 4), (4, 2)])
+def test_binary_rows_of_different_lengths_are_refused(lengths):
+    rows = [BitWord([1] * n) for n in lengths]
+    with pytest.raises(DimensionError, match=f"row length {lengths[1]} differs"):
+        binary_code_params(rows)
+    with pytest.raises(DimensionError, match=f"row length {lengths[1]} differs"):
+        binary_log2_size(rows)
 
 
 def test_binary_code_params_reference_values():

@@ -338,6 +338,8 @@ def test_search_nonlinear_subcommand(capsys):
          "target length 33 exceeds 32, the search's single-limb candidate rows"),
         (["12", "21", "2", "--limit", "12"],
          "target log2 size 21 exceeds 20: the search materializes 2^k-word spans"),
+        (["16", "2", "2", "--limit", "16"],
+         "the search builds 2^30 candidates for a row, more than 2^20"),
     ],
 )
 def test_search_nonlinear_refusals(capsys, argv, message):

@@ -275,13 +275,13 @@ def test_override_distance_is_swept_once_per_object(monkeypatch):
     # every order over (2,4) validates the same override object, but only
     # the first call sweeps it; the budget is still checked on every call
     sweeps = []
-    real = codes._engine.min_lee_weight_smaller_side
+    real = codes._engine.Route.witness
 
-    def spy(sf, budget, workers=1, parts=None):
-        sweeps.append(sf.log2_size)
-        return real(sf, budget, workers, parts)
+    def spy(route, workers=1):
+        sweeps.append(route.sf.log2_size)
+        return real(route, workers)
 
-    monkeypatch.setattr(codes._engine, "min_lee_weight_smaller_side", spy)
+    monkeypatch.setattr(codes._engine.Route, "witness", spy)
     base = shipped_nonlinear_base()
     for r, m in [(2, 4), (2, 5), (3, 5)]:
         lrm(r, m, {(2, 4): base})

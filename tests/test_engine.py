@@ -447,8 +447,8 @@ def test_callers_pair_only_sweeps_of_more_than_one_block(monkeypatch):
     monkeypatch.setattr(_engine.Sweep, "__init__", spy)
     for r, m in ((1, 4), (2, 6)):  # 2^11 words: one block; 2^22 words: 64
         sf = lrm(r, m).standard_form
-        _engine.min_lee_weight_smaller_side(sf, 28)
-        _engine.lee_distribution_smaller_side(sf, 28)
+        _engine.lee_route(sf).witness()
+        _engine.lee_route(sf).counts()
     assert [p is not None for p in seen] == [False, False, True, True]
 
 

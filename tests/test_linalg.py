@@ -318,12 +318,12 @@ def test_witness_search_that_stops_in_block_0_starts_no_thread(monkeypatch):
     # 2^26 words stops at the proven distance in block 0, which runs in the
     # calling thread before any thread would start
     sf = lrm(3, 5).standard_form
-    want = _engine.min_lee_weight_smaller_side(sf, 28)
+    want = _engine.lee_route(sf).witness()
     assert want[1] < 1 << _engine.WITNESS_BLOCK_LOG2
     monkeypatch.setattr(_engine.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                         raising=False)
     started = _counted_threads(monkeypatch)
-    assert _engine.min_lee_weight_smaller_side(sf, 28, workers=4) == want
+    assert _engine.lee_route(sf).witness(workers=4) == want
     assert started == []
     # a sweep that goes on past block 0 starts them
     small = standard_form(G(["123", "230", "302"]))

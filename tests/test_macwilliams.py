@@ -1,7 +1,6 @@
 """The dual-code route: the dual of a standard form, the Lee MacWilliams
-transform, and the route choice (_engine.lee_route) in
-_engine.lee_distribution_smaller_side and _engine.min_lee_weight_smaller_side,
-each checked against the exhaustive direct sweep.  The public
+transform, and the counts and witness of the route _engine.lee_route
+chooses, each checked against the exhaustive direct sweep.  The public
 lee_weight_distribution and min_lee_weight_witness take that route, so the
 direct references here (direct_counts, direct_min) call the engine's full
 weight_histogram and min_weight_sweep on the code's own basis,
@@ -131,7 +130,7 @@ def test_dual_and_macwilliams_properties(g):
             mock.patch.object(_engine, "FIXED_COST_LOG2", float("-inf")):
         assert list(lee_weight_distribution(code).counts) == direct
         if k:
-            assert _engine.min_lee_weight_smaller_side(sf, 28) == direct_min(sf)
+            assert _engine.lee_route(sf).witness() == direct_min(sf)
 
 
 def test_macwilliams_rejects_inconsistent_counts():
@@ -165,9 +164,7 @@ def test_smaller_side_matches_exhaustive_sweep(overrides):
     ]
     for r, m in orders:
         sf = lrm(r, m, overrides).standard_form
-        assert _engine.min_lee_weight_smaller_side(sf, 28, workers=2) == (
-            direct_min(sf, workers=2)
-        ), (r, m)
+        assert _engine.lee_route(sf).witness(workers=2) == direct_min(sf, workers=2), (r, m)
 
 
 @functools.cache

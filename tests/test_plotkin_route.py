@@ -135,9 +135,7 @@ def test_route_properties_on_random_parts(parts):
         assert list(lee_weight_distribution(code).counts) == direct
         sf = code.standard_form
         if sf.log2_size:
-            assert _engine.min_lee_weight_smaller_side(sf, 28, parts=code.parts) == (
-                direct_min(sf)
-            )
+            assert _engine.lee_route(sf, code.parts).witness() == direct_min(sf)
 
 
 def _chunks(acc, row, heads, full):
@@ -254,13 +252,43 @@ def test_route_choice(r, m, method, variant):
     assert _engine.lee_route(code.standard_form, code.parts)[0] == method
 
 
+# log2 of the words each route's counts sweep: C, C⊥, or A + B
+SWEPT_LOG2 = {
+    "direct": lambda route: route.sf.log2_size,
+    "dual": lambda route: 2 * route.sf.n - route.sf.log2_size,
+    "plotkin": lambda route: route.parts[0].log2_size + route.parts[1].log2_size
+    - route.parts[2].log2_size,
+}
+
+
+@pytest.mark.parametrize(
+    "r, m, method, k", [(1, 4, "direct", 5), (3, 5, "dual", 6), (2, 6, "plotkin", 16)]
+)
+def test_each_route_sweeps_what_it_reports(monkeypatch, r, m, method, k):
+    # every route gives the same counts, so only the sweeps it builds show
+    # which one ran: LRM(2,6) sweeps A = LRM(2,5) alone, as B ⊆ A
+    sizes = []
+    real = _engine.Sweep.__init__
+
+    def spy(self, basis, k, *args, **kwargs):
+        sizes.append(k)
+        real(self, basis, k, *args, **kwargs)
+
+    code = lrm(r, m)
+    route = _engine.lee_route(code.standard_form, code.parts)
+    assert (route.method, SWEPT_LOG2[method](route)) == (method, k)
+    monkeypatch.setattr(_engine.Sweep, "__init__", spy)
+    route.counts()
+    assert sizes == [k]
+
+
 def test_route_for_lrm_2_8_is_chosen_without_a_sweep():
     # at budget 37 the route sweeps LRM(2,7)'s 2^29 words and bins them in
     # 2^21 cosets of 129 weights, 2^35.06 units in all against 2^37 words
     # for the direct sweep
     code = lrm(2, 8)
-    method, cost, inter = _engine.lee_route(code.standard_form, code.parts)
-    assert (method, round(cost, 2), inter.log2_size) == ("plotkin", 35.06, 8)
+    route = _engine.lee_route(code.standard_form, code.parts)
+    assert (route.method, round(route.cost, 2), route.parts[2].log2_size) == ("plotkin", 35.06, 8)
 
 
 def test_route_counts_cells_and_products_of_small_cosets():
@@ -275,7 +303,8 @@ def test_route_counts_cells_and_products_of_small_cosets():
     b_code = Z4Code(GeneratorMatrix([two], n=n))
     code = plotkin(a_code, b_code)
     assert _engine.plotkin_cost(21, 1, 1, n) > 29
-    assert _engine.lee_route(code.standard_form, code.parts) == ("direct", 22, None)
+    route = _engine.lee_route(code.standard_form, code.parts)
+    assert (route.method, route.cost, route.parts) == ("direct", 22, None)
 
 
 def test_route_skips_parts_that_cannot_win():
@@ -288,8 +317,8 @@ def test_route_skips_parts_that_cannot_win():
             raise AssertionError("standard form of a part computed")
 
     sf = lrm(3, 5).standard_form
-    method, cost, inter = _engine.lee_route(sf, (Unreduced(), Unreduced()))
-    assert (method, round(cost, 3), inter) == ("dual", 14.504, None)
+    route = _engine.lee_route(sf, (Unreduced(), Unreduced()))
+    assert (route.method, round(route.cost, 3), route.parts) == ("dual", 14.504, None)
 
 
 def test_parts_only_on_plotkin_nodes():
