@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import ZeroCodeError
 from .linalg import dual_standard_form, intersection, mirror_index, mixed_radix_basis
-from .z4core import add, alpha, beta, negate
+from .z4core import Z4Word, _lane_masks
 
 U64 = np.uint64
 _LO = U64(0x5555555555555555)
@@ -152,7 +152,12 @@ class Sweep:
     """Full enumeration of 2^k coefficient combinations of basis words.
 
     The low table holds the images of the first 2^block_log2 words, stored
-    limb-major (order="F") so that each limb column is contiguous.  Block h
+    limb-major (order="F") so that each limb column is contiguous.  Each
+    column doubles at index bit j by basis word w_j in image space: the
+    image map is XOR-linear, so an even limb of w_j (any limb of a binary
+    sweep) takes one XOR with its image, and a unit limb also the image
+    3 (x & w_j & lo) of its carries, x & lo being (y ^ y >> 1) & lo for
+    the image y of x.  Block h
     is the table plus an offset c from the high basis, a Python int (limb l
     at bits 64l.., as in pack_rows), and its weights are the popcounts of
     images ^ mask(c), summed over limbs in the narrowest unsigned type that
@@ -188,13 +193,25 @@ class Sweep:
         self._odd_bits = self._lo & ((1 << 2 * q) - 1)
         # the low bit of every unit pair of the index
         self._odd_index = (((1 << 2 * units) - 1) // 3) << (k - 2 * units)
-        table = np.zeros((1 << self.low_bits, self._limbs), dtype=U64, order="F")
-        for j in range(self.low_bits):
-            half = 1 << j
-            combine(table[:half], basis[j][None, :], out=table[half : 2 * half])
-        self.images = self._image(table)
+        self.images = np.zeros((1 << self.low_bits, self._limbs), dtype=U64, order="F")
+        words = basis[: self.low_bits]
+        images = self._image(words).tolist()
+        odd = (words & _LO if combine is z4_add else np.zeros_like(words)).tolist()
+        for l in range(self._limbs):
+            column = self.images[:, l]
+            for j in range(self.low_bits):
+                y, x = column[: 1 << j], column[1 << j : 2 << j]
+                if odd[j][l]:
+                    np.right_shift(y, _ONE, out=x)
+                    x ^= y
+                    x &= odd[j][l]
+                    x *= U64(3)
+                    x ^= y
+                    x ^= images[j][l]
+                else:
+                    np.bitwise_xor(y, images[j][l], out=x)
         high = basis[self.low_bits :]
-        self._high_basis = [sum(int(v) << (64 * l) for l, v in enumerate(r)) for r in high]
+        self._high_basis = [sum(v << 64 * l for l, v in enumerate(r)) for r in high.tolist()]
         self.mirror = mirror
         self._mirror_field = 0
         if mirror is not None:
@@ -604,35 +621,36 @@ class _Span:
     """A subgroup S of Z4^n that grows word by word, with a membership test
     that needs no row reduction of S.
 
-    It keeps two GF(2) echelons of int bit masks, keyed by leading bit: the
-    residue code {s mod 2 : s in S}, each row with a word of S that is the
-    row mod 2, and the torsion code {t mod 2 : 2t in S}.  Reducing x mod 2
-    against the residue rows, and x by their words, leaves x - s = 2t with s
-    in S when x mod 2 lies in the residue code; x is then in S iff t mod 2
-    lies in the torsion code.
+    It keeps two GF(2) echelons on packed lanes (lane i at bits 2i, 2i+1),
+    keyed by leading bit: the residue code {s mod 2 : s in S}, as words of S
+    (stored negated) whose odd lanes are the rows, and the torsion code
+    {t mod 2 : 2t in S}, as masks of lane low bits.  Reducing x by the
+    residue words leaves x - s with s in S and no odd lane when x mod 2 lies
+    in the residue code; x - s = 2t is then in S iff t mod 2, the high bits
+    of its lanes, lies in the torsion code.
     """
 
-    def __init__(self):
+    def __init__(self, n):
+        self.lo = _lane_masks(n)[0]
         self.residue = {}
         self.torsion = {}
 
     def _reduce(self, x):
-        """(x mod 2 reduced against the residue rows, x minus their words)."""
-        bits = alpha(x)._packed
-        while bits and (row := self.residue.get(bits.bit_length())):
-            bits ^= row[0]
-            x = add(x, negate(row[1]))
-        return bits, x
+        """The packed x less residue words until none leads its odd lanes."""
+        lo = self.lo
+        while (odd := x & lo) and (neg := self.residue.get(odd.bit_length())):
+            x = ((x & neg & lo) << 1) ^ x ^ neg
+        return x
 
     def _torsion_bits(self, even):
-        bits = beta(even)._packed
+        bits = (even >> 1) & self.lo
         while bits and (row := self.torsion.get(bits.bit_length())):
             bits ^= row
         return bits
 
     def __contains__(self, x):
-        bits, rest = self._reduce(x)
-        return not bits and not self._torsion_bits(rest)
+        rest = self._reduce(x)
+        return not rest & self.lo and not self._torsion_bits(rest)
 
     def extend(self, g):
         """Grow S until it holds g; returns the words added, in order.
@@ -642,15 +660,17 @@ class _Span:
         joins the residue code, or (b - s)/2 mod 2 joins the torsion code.
         """
         added = []
-        while g not in self:
-            b = g if add(g, g) in self else add(g, g)
-            bits, rest = self._reduce(b)
-            if bits:
-                self.residue[bits.bit_length()] = (bits, rest)
+        x = g._packed
+        while x not in self:
+            double = (x & self.lo) << 1
+            b = x if double in self else double
+            rest = self._reduce(b)
+            if odd := rest & self.lo:
+                self.residue[odd.bit_length()] = rest ^ odd << 1  # -rest
             else:
                 t = self._torsion_bits(rest)
                 self.torsion[t.bit_length()] = t
-            added.append(b)
+            added.append(Z4Word._raw(g.n, b))
         return added
 
 
@@ -661,12 +681,13 @@ def plotkin_bit_basis(a, b, inter):
     completing A + B, as _Span.extend adds them for the rows of b and a.
     Sweep index c * 2^k_B + j then runs over a coset x_c + B of B as j
     runs over its row, x_c in A, and over x_c + A ∩ B, a coset of A ∩ B in
-    A, as j runs over the row's first 2^k_I indices."""
-    span = _Span()
+    A, as j runs over the row's first 2^k_I indices.  When inter is b
+    itself (B ⊆ A, as intersection returns it), b's rows add nothing."""
+    span = _Span(a.n)
     for g in inter.rows:
         span.extend(g)
     basis = mixed_radix_basis(inter)
-    for g in b.rows + a.rows:
+    for g in a.rows if inter is b else b.rows + a.rows:
         basis += span.extend(g)
     return basis
 

@@ -99,7 +99,9 @@ def _parse_overrides(pairs):
         if not eq:
             raise _UsageError(f"override {item!r} is not of the form r,m=FILE")
         parts = node.split(",")
-        if len(parts) != 2 or not all(s.lstrip("-").isdigit() for s in parts):
+        # ASCII digits only: str.isdigit also takes "²", and int() takes "٢"
+        digits = [s.removeprefix("-") for s in parts]
+        if len(parts) != 2 or not all(d.isascii() and d.isdigit() for d in digits):
             raise _UsageError(f"override node {node!r} is not of the form r,m")
         overrides[check_order(int(parts[0]), int(parts[1]))] = _load_code(path)
     return overrides

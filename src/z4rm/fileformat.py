@@ -52,7 +52,8 @@ def _parse_header(line: str) -> tuple:
     for key in ("n", "rows"):
         if key not in fields:
             raise CodeFileError(f"missing header key {key!r}", line=1)
-        if not fields[key].isdigit():
+        # ASCII digits only: str.isdigit also takes "²", and int() takes "٢"
+        if not (fields[key].isascii() and fields[key].isdigit()):
             raise CodeFileError(f"header key {key!r} needs a nonnegative integer", line=1)
         fields[key] = int(fields[key])
     if fields["n"] < 1:

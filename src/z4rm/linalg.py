@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, DimensionError
-from .z4core import Z4Word, add, negate
+from .z4core import Z4Word, _lane_masks, add, negate
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -125,49 +125,55 @@ class StandardForm:
 
 
 def standard_form(g: GeneratorMatrix) -> StandardForm:
-    """Deterministic row reduction: leftmost pivot column, topmost pivot row."""
-    rows = list(g.rows)
-    n = g.n
+    """Deterministic row reduction: leftmost pivot column, topmost pivot row.
+
+    It runs on the packed ints, all lanes at once.  The rows below the
+    pivots have only even lanes at the columns passed, so the next unit
+    pivot is the lowest odd lane of their OR; once none is left, they are
+    even, and the next pivot 2 is the lowest bit of their OR.  Every other
+    row less c times the pivot row, for its lane c there, is ORed up anew.
+    """
+    rows = [r._packed for r in g.rows]
+    if not rows:  # n may be huge
+        return StandardForm(n=g.n, k1=0, k2=0, rows=(), unit_cols=(), two_cols=())
+    lo = _lane_masks(g.n)[0]
+    below = 0
+    for r in rows:
+        below |= r
     p = 0
-    unit_cols = []
-    for col in range(n):
-        if p == len(rows):  # no row left to pivot; n may be huge
-            break
-        pivot = next(
-            (i for i in range(p, len(rows)) if rows[i][col] in (1, 3)), None
-        )
-        if pivot is None:
-            continue
-        rows[p], rows[pivot] = rows[pivot], rows[p]
-        if rows[p][col] == 3:
-            rows[p] = _scale(rows[p], 3)
-        for j in range(len(rows)):
-            if j != p and rows[j][col]:
-                rows[j] = add(rows[j], _scale(negate(rows[p]), rows[j][col]))
-        unit_cols.append(col)
-        p += 1
-    k1 = p
-    two_cols = []
-    for col in range(n):
-        if p == len(rows):
-            break
-        pivot = next((i for i in range(p, len(rows)) if rows[i][col] == 2), None)
-        if pivot is None:
-            continue
-        rows[p], rows[pivot] = rows[pivot], rows[p]
-        for j in range(len(rows)):
-            # subtracting the 2-row clears even entries and reduces odd ones mod 2
-            if j != p and rows[j][col] in (2, 3):
-                rows[j] = add(rows[j], negate(rows[p]))
-        two_cols.append(col)
-        p += 1
-    zero = Z4Word.zero(n)
-    assert all(r == zero for r in rows[p:]), "nonzero row survived reduction"
+    unit_cols, two_cols = [], []
+    # c is the lane (0..3) at a unit pivot, the high bit (0, 1) at a pivot 2,
+    # whose row is its own negative: subtracting it clears even entries and
+    # reduces odd ones mod 2
+    for mask, top, cols in ((lo, 3, unit_cols), (-1, 1, two_cols)):
+        while bits := below & mask:
+            bit = bits & -bits
+            shift = bit.bit_length() - 1
+            i = p
+            while not rows[i] & bit:
+                i += 1
+            row = rows[i]
+            rows[i] = rows[p]
+            if row & bit << 1:  # a unit pivot 3 (an even row has no odd lane)
+                row ^= (row & lo) << 1  # -row, pivot 1
+            rows[p] = row
+            minus = (None, row ^ (row & lo) << 1, (row & lo) << 1, row)  # -c*row
+            below = 0
+            for j, x in enumerate(rows):
+                if j != p:
+                    if c := x >> shift & top:
+                        y = minus[c]
+                        x = rows[j] = ((x & y & lo) << 1) ^ x ^ y
+                    if j > p:
+                        below |= x
+            cols.append(shift >> 1)
+            p += 1
+    assert not any(rows[p:]), "nonzero row survived reduction"
     return StandardForm(
-        n=n,
-        k1=k1,
-        k2=p - k1,
-        rows=tuple(rows[:p]),
+        n=g.n,
+        k1=len(unit_cols),
+        k2=len(two_cols),
+        rows=tuple(Z4Word._raw(g.n, r) for r in rows[:p]),
         unit_cols=tuple(unit_cols),
         two_cols=tuple(two_cols),
     )

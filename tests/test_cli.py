@@ -196,6 +196,15 @@ def test_override_at_invalid_node_is_usage_error(capsys, lrm12_file, command, no
     assert "invalid order" in err
 
 
+@pytest.mark.parametrize("node", ["\u00b2,4", "\u0662,4", "2,\u0664", "--2,4"])
+@pytest.mark.parametrize("command", ["verify", "build"])
+def test_override_node_takes_only_ascii_integers(capsys, lrm12_file, command, node):
+    # "²" passes str.isdigit but not int(); int() reads "٢" as 2
+    code, out, err = run(capsys, command, "2", "5", f"--override={node}={lrm12_file}")
+    assert (code, out) == (2, "")
+    assert f"override node {node!r} is not of the form r,m" in err
+
+
 def test_brute_oracle_past_32_coordinates(capsys, tmp_path):
     path = tmp_path / "lrm17.z4code"
     path.write_text(render_code(lrm(1, 7)), newline="")

@@ -93,3 +93,15 @@ def test_parse_row_count_mismatch():
 def test_parse_without_trailing_newline():
     c = parse_code("Z4CODE v1 n=2 rows=1\n13")
     assert [w.digits() for w in c.generators] == ["13"]
+
+
+@pytest.mark.parametrize("header", [
+    "Z4CODE v1 n=² rows=0",  # superscript two: isdigit, but not int()
+    "Z4CODE v1 n=٢ rows=0",  # Arabic-Indic two: int() reads it as 2
+    "Z4CODE v1 n=2 rows=٠",
+])
+def test_header_numbers_take_only_ascii_digits(header):
+    with pytest.raises(CodeFileError) as e:
+        parse_code(header + "\n")
+    assert e.value.line == 1
+    assert "needs a nonnegative integer" in str(e.value)
