@@ -164,6 +164,8 @@ def image_is_linear(c: Z4Code) -> bool:
     units = [alpha(u)._packed for u in sf.rows[: sf.k1]]
     halves = {1 << t: beta(w)._packed for t, w in zip(sf.two_cols, sf.rows[sf.k1 :])}
     two_mask = sum(halves)
+    # a GF(2) loop, not membership of 2a (linalg._reduce passes every row per
+    # pair): 6.5 against 100 ms on the 70 plain and overridden orders, m <= 7
     for au, av in itertools.combinations(units, 2):
         a = au & av
         rest, span = a & two_mask, 0

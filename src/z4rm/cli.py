@@ -47,38 +47,43 @@ class _UsageError(Exception):
     pass
 
 
+def _integer(text: str) -> int:
+    """An optional "-", then ASCII digits: int() alone also takes "٢", "+3",
+    "1_0" and " 3", and str.isdigit takes "²"."""
+    digits = text.removeprefix("-")
+    try:
+        if digits.isascii() and digits.isdigit():
+            return int(text)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _resolve_budget(flag: int | None) -> int:
     """--budget if given, else Z4RM_BUDGET, else the default."""
-    if flag is not None:
-        source, raw = "--budget", flag
-    else:
+    source, budget = "--budget", flag
+    if flag is None:
         source, raw = ENV_BUDGET, os.environ.get(ENV_BUDGET)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError:
-        raise _UsageError(f"{source} must be an integer, got {raw!r}")
+        if raw is None:
+            return DEFAULT_BUDGET
+        try:
+            budget = _integer(raw)
+        except argparse.ArgumentTypeError:
+            raise _UsageError(f"{source} must be an integer, got {raw!r}")
     if not 0 <= budget <= MAX_BUDGET:
         raise _UsageError(f"{source} must be between 0 and {MAX_BUDGET}, got {budget}")
     return budget
 
 
 def _worker_count(text: str) -> int:
-    try:
-        workers = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    workers = _integer(text)
     if workers < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
     return workers
 
 
 def _bounded_level(text: str, bound: int) -> int:
-    try:
-        m = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    m = _integer(text)
     if m > bound:
         raise argparse.ArgumentTypeError(f"must be at most {bound}, got {m}")
     return m
@@ -98,12 +103,11 @@ def _parse_overrides(pairs):
         node, eq, path = item.partition("=")
         if not eq:
             raise _UsageError(f"override {item!r} is not of the form r,m=FILE")
-        parts = node.split(",")
-        # ASCII digits only: str.isdigit also takes "²", and int() takes "٢"
-        digits = [s.removeprefix("-") for s in parts]
-        if len(parts) != 2 or not all(d.isascii() and d.isdigit() for d in digits):
+        try:
+            r, m = map(_integer, node.split(","))
+        except (argparse.ArgumentTypeError, ValueError):  # ValueError: not two parts
             raise _UsageError(f"override node {node!r} is not of the form r,m")
-        overrides[check_order(int(parts[0]), int(parts[1]))] = _load_code(path)
+        overrides[check_order(r, m)] = _load_code(path)
     return overrides
 
 
@@ -250,10 +254,10 @@ def _arg(*flags, **options):
     return flags, options
 
 
-_ORDER = (_arg("r", type=int, help="order"),
+_ORDER = (_arg("r", type=_integer, help="order"),
           _arg("m", type=_level, help="level (code length 2^(m-1))"))
 _FILE = _arg("file")
-_BUDGET = _arg("--budget", type=int, default=None,
+_BUDGET = _arg("--budget", type=_integer, default=None,
                help="log2 of the largest enumerable codeword count")
 _WORKERS = _arg("--workers", type=_worker_count, default=1,
                 help="parallel sweep workers (result is identical for any count)")
@@ -295,8 +299,8 @@ _COMMANDS = {
         _ORDER[0], _arg("m", type=_rm_level, help="level (code length 2^m)"))),
     "search-nonlinear": (
         _cmd_search, "search for codes with the given parameters and nonlinear image", (
-            _arg("n", type=int), _arg("k", type=int), _arg("d", type=int),
-            _arg("--limit", type=int, default=8, help="largest searchable length"))),
+            _arg("n", type=_integer), _arg("k", type=_integer), _arg("d", type=_integer),
+            _arg("--limit", type=_integer, default=8, help="largest searchable length"))),
 }
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, DimensionError
-from .z4core import Z4Word, _lane_masks, add, negate
+from .z4core import Z4Word, _lane_masks, add
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -22,7 +22,6 @@ __all__ = [
     "standard_form",
     "log2_size",
     "membership",
-    "residue",
     "enumerate_codewords",
     "codeword_at",
     "mirror_index",
@@ -35,14 +34,11 @@ __all__ = [
 DEFAULT_BUDGET = 28
 
 
-def _scale(w: Z4Word, c: int) -> Z4Word:
-    if c == 0:
-        return Z4Word.zero(w.n)
-    if c == 1:
-        return w
-    if c == 2:
-        return add(w, w)
-    return negate(w)  # 3*w == -w mod 4
+def _add_times(x: int, c: int, y: int, lo: int) -> int:
+    """x + c·y on packed lanes, for c in 1..3 (2y is 2 at y's odd lanes)."""
+    two = (y & lo) << 1
+    y = y if c == 1 else two if c == 2 else y ^ two
+    return ((x & y & lo) << 1) ^ x ^ y
 
 
 class GeneratorMatrix:
@@ -116,8 +112,8 @@ class StandardForm:
     @property
     def column_permutation(self) -> tuple:
         pivots = self.unit_cols + self.two_cols
-        rest = tuple(c for c in range(self.n) if c not in set(pivots))
-        return pivots + rest
+        taken = set(pivots)
+        return pivots + tuple(c for c in range(self.n) if c not in taken)
 
     @property
     def log2_size(self) -> int:
@@ -184,24 +180,30 @@ def log2_size(g: GeneratorMatrix) -> int:
     return standard_form(g).log2_size
 
 
-def residue(sf: StandardForm, x: Z4Word) -> Z4Word:
-    """Remainder of x after reduction against the standard-form rows."""
-    if x.n != sf.n:
-        raise DimensionError(f"word length {x.n} does not match code length {sf.n}")
-    for i, col in enumerate(sf.unit_cols):
-        c = x[col]
+def _reduce(sf: StandardForm, x: int) -> tuple:
+    """(t, rest) with x = codeword_at(sf, t) + rest, for the packed word x:
+    x less c times each unit row, c its lane at the row's pivot, plus (XOR)
+    each even row whose pivot lane then has its high bit set.  x is in the
+    code iff rest is 0; rest is 0 at the unit pivots, 0 or 1 at the others."""
+    lo = _lane_masks(sf.n)[0]
+    t = 0
+    for col, row in zip(sf.unit_cols, sf.rows):
+        t = t << 2 | (c := x >> 2 * col & 3)
         if c:
-            x = add(x, _scale(negate(sf.rows[i]), c))
-    for j, col in enumerate(sf.two_cols):
-        if x[col] == 2:
-            x = add(x, negate(sf.rows[sf.k1 + j]))
-    return x
+            x = _add_times(x, 4 - c, row._packed, lo)
+    for col, row in zip(sf.two_cols, sf.rows[sf.k1 :]):
+        t = t << 1 | (e := x >> 2 * col + 1 & 1)
+        if e:
+            x ^= row._packed
+    return t, x
 
 
 def membership(g: GeneratorMatrix | StandardForm, x: Z4Word) -> bool:
     """True iff x is a Z4-linear combination of the generator rows."""
     sf = g if isinstance(g, StandardForm) else standard_form(g)
-    return residue(sf, x) == Z4Word.zero(sf.n)
+    if x.n != sf.n:
+        raise DimensionError(f"word length {x.n} does not match code length {sf.n}")
+    return not _reduce(sf, x._packed)[1]
 
 
 def mixed_radix_basis(sf: StandardForm) -> list:
@@ -224,28 +226,14 @@ def mixed_radix_basis(sf: StandardForm) -> list:
 
 
 def mirror_index(sf: StandardForm) -> int | None:
-    """Index P of the all-2 word 2·1 in the frozen enumeration order, or
-    None when the code does not hold it.
-
-    Each unit row has 1 at its pivot, where 2·1 has 2, so every unit
-    coefficient of 2·1 is 2: the high index bit of each unit pair.  What is
-    left, 2·1 less twice each unit row, is even, and residue's pass over the
-    even rows gives their coefficients, the low index bits, or leaves a
-    nonzero rest.  Adding 2·1 to the word at index t gives the word at
-    t ^ P (2 more on each unit coefficient, each even one toggled), and its
-    negative lies at t with the high bit of each unit pair whose low bit is
-    set flipped.
+    """Index P of the all-2 word 2·1 in the frozen enumeration order
+    (_reduce's t: 2 on each unit coefficient), or None when the code does
+    not hold it.  Adding 2·1 to the word at index t gives the word at t ^ P,
+    and its negative lies at t with the high bit of each unit pair whose
+    low bit is set flipped.
     """
-    full = (1 << 2 * sf.n) - 1
-    lo = full // 3
-    rest = full ^ lo  # 2 in every lane; even words add by XOR
-    for row in sf.rows[: sf.k1]:
-        rest ^= (row._packed & lo) << 1
-    t = lo >> (2 * sf.n - 2 * sf.k1) << (sf.k2 + 1)
-    for j, (col, row) in enumerate(zip(sf.two_cols, sf.rows[sf.k1 :])):
-        if rest >> 2 * col & 2:
-            rest ^= row._packed
-            t |= 1 << (sf.k2 - 1 - j)
+    lo, full = _lane_masks(sf.n)
+    t, rest = _reduce(sf, full ^ lo)
     return None if rest else t
 
 
@@ -260,31 +248,28 @@ def dual_standard_form(sf: StandardForm) -> StandardForm:
     is the zero code.
     """
     k1, k2 = sf.k1, sf.k2
-    unit_rows, two_rows = sf.rows[:k1], sf.rows[k1:]
+    lo = _lane_masks(sf.n)[0]
+    halves = [(2 * t, row._packed >> 1) for t, row in zip(sf.two_cols, sf.rows[k1:])]
+    # each unit row plus A's entries (its lanes at the pivot-2 columns, 0 or
+    # 1) times the halved even rows: B + AC at the free columns, 2A at those
+    units = []
+    for u, row in zip(sf.unit_cols, sf.rows):
+        row = row._packed
+        for t, half in halves:
+            if row >> t & 1:
+                row = _add_times(row, 1, half, lo)
+        units.append((2 * u, row))
     free = sf.column_permutation[k1 + k2 :]
-    dual_units = []
-    for col in free:
-        c = [row[col] // 2 for row in two_rows]  # column of C
-        symbols = [0] * sf.n
-        for u, row in zip(sf.unit_cols, unit_rows):
-            b_plus_ac = row[col] + sum(row[t] * cj for t, cj in zip(sf.two_cols, c))
-            symbols[u] = -b_plus_ac % 4
-        for t, cj in zip(sf.two_cols, c):
-            symbols[t] = cj
-        symbols[col] = 1
-        dual_units.append(Z4Word(symbols))
-    dual_twos = []
-    for t in sf.two_cols:
-        symbols = [0] * sf.n
-        for u, row in zip(sf.unit_cols, unit_rows):
-            symbols[u] = 2 * row[t] % 4
-        symbols[t] = 2
-        dual_twos.append(Z4Word(symbols))
+    rows = []
+    for s in [2 * col for col in free]:
+        w = 1 << s | sum((half >> s & 1) << t for t, half in halves)  # I, C^T
+        rows.append(w | sum((-(row >> s) & 3) << u for u, row in units))  # -(B + AC)^T
+    rows += [2 << t | sum((row >> t & 3) << u for u, row in units) for t, _ in halves]
     return StandardForm(
         n=sf.n,
         k1=len(free),
         k2=k2,
-        rows=tuple(dual_units + dual_twos),
+        rows=tuple(Z4Word._raw(sf.n, w) for w in rows),
         unit_cols=tuple(free),
         two_cols=sf.two_cols,
     )
@@ -297,19 +282,21 @@ def _syndromes(sf: StandardForm, ys: Sequence[Z4Word]) -> list:
     columns; y is in the code iff v is a sum of the pivot-2 rows s_t, with
     coefficient v[t] / 2 at each pivot-2 column t.  So the map gives
     2 v[t] for each t, and v[c] - sum_t v[t] (s_t[c] / 2) for each free
-    column c: all are 0 mod 4 iff y is in the code.
+    column c: all are 0 mod 4 iff y is in the code.  _reduce's rest is v
+    with the even part of each v[t] s_t / 2 taken, so less s_t / 2 at each
+    odd t it holds the free lanes, and v[t] & 1 at each t.
     """
-    pivots = set(sf.unit_cols + sf.two_cols)
-    free = [c for c in range(sf.n) if c not in pivots]
-    halves = [(t, [x // 2 for x in s]) for t, s in zip(sf.two_cols, sf.rows[sf.k1:])]
+    lo = _lane_masks(sf.n)[0]
+    free = sf.column_permutation[sf.k1 + sf.k2 :]
+    halves = [(2 * t, row._packed >> 1) for t, row in zip(sf.two_cols, sf.rows[sf.k1 :])]
     out = []
     for y in ys:
-        for row, col in zip(sf.rows, sf.unit_cols):
-            if y[col]:
-                y = add(y, _scale(negate(row), y[col]))
-        v = list(y)
-        out.append([(v[c] - sum(v[t] * h[c] for t, h in halves)) % 4 for c in free]
-                   + [2 * v[t] % 4 for t in sf.two_cols])
+        v = _reduce(sf, y._packed)[1]
+        odd = [v >> t & 1 for t, _ in halves]
+        for o, (_, half) in zip(odd, halves):
+            if o:
+                v = _add_times(v, 3, half, lo)
+        out.append([v >> 2 * c & 3 for c in free] + [2 * o for o in odd])
     return out
 
 
@@ -320,20 +307,21 @@ def intersection(a: StandardForm, b: StandardForm) -> StandardForm:
     (_syndromes, Z4-linear) is zero, that is iff M c = 0 for the matrix M
     whose column j is the syndrome of b_j.  So A ∩ B is the image of the
     kernel of M, which is the dual of M's row space: codes of length
-    len(b.rows), not n.  B itself when M is zero.
+    len(b.rows), not n.  B itself when each row of B reduces to 0 against A.
     """
     if a.n != b.n:
         raise DimensionError(f"length mismatch: {a.n} vs {b.n}")
-    m = sorted({row for row in zip(*_syndromes(a, b.rows)) if any(row)})
-    if not m:
+    if not any(_reduce(a, row._packed)[1] for row in b.rows):
         return b
+    m = sorted({row for row in zip(*_syndromes(a, b.rows)) if any(row)})
+    lo = _lane_masks(a.n)[0]
     words = []
     for c in dual_standard_form(standard_form(GeneratorMatrix([Z4Word(row) for row in m]))).rows:
-        w = Z4Word.zero(a.n)
-        for cj, row in zip(c, b.rows):
-            if cj:
-                w = add(w, _scale(row, cj))
-        words.append(w)
+        w = 0
+        for j, row in enumerate(b.rows):
+            if cj := c._packed >> 2 * j & 3:
+                w = _add_times(w, cj, row._packed, lo)
+        words.append(Z4Word._raw(a.n, w))
     return standard_form(GeneratorMatrix(words, n=a.n))
 
 

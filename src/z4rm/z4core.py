@@ -85,11 +85,9 @@ class _PackedWord:
     lane i at bits _WIDTH*i and up.
 
     Subclasses set the lane width and the lane name used in error messages,
-    and add their own algebra.  __getitem__ and __iter__ stay per class with
-    a literal width: a shared pair that reads the width from the class made
-    the lane reads of dual_standard_form about 10% slower, and those of
-    intersection's syndromes and of membership's residue 4-5% (CPython
-    3.11, x86-64).
+    and add their own algebra.  The library reads words as packed ints, so
+    the one __getitem__/__iter__ pair here, which reads the width from the
+    class, serves digits() and callers outside the package.
     """
 
     __slots__ = ("n", "_packed")
@@ -109,14 +107,14 @@ class _PackedWord:
             n += 1
         if n == 0:
             raise ValueError(f"a {type(self).__name__} needs at least one coordinate")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_packed", packed)
+        _set_n(self, n)
+        _set_packed(self, packed)
 
     @classmethod
     def _raw(cls: type[_W], n: int, packed: int) -> _W:
         w = object.__new__(cls)
-        object.__setattr__(w, "n", n)
-        object.__setattr__(w, "_packed", packed)
+        _set_n(w, n)
+        _set_packed(w, packed)
         return w
 
     @classmethod
@@ -142,6 +140,20 @@ class _PackedWord:
     def __len__(self) -> int:
         return self.n
 
+    def __getitem__(self, i: int) -> int:
+        if not 0 <= i < self.n:
+            raise IndexError(i)
+        width = self._WIDTH
+        return self._packed >> width * i & (1 << width) - 1
+
+    def __iter__(self) -> Iterator[int]:
+        width = self._WIDTH
+        mask = (1 << width) - 1
+        p = self._packed
+        for _ in range(self.n):
+            yield p & mask
+            p >>= width
+
     def __eq__(self, other) -> bool:
         return (
             type(other) is type(self)
@@ -159,6 +171,12 @@ class _PackedWord:
         return "".join(str(s) for s in self)
 
 
+# the slots' own setters, past the __setattr__ that refuses every write and
+# faster than object.__setattr__
+_set_n = _PackedWord.n.__set__
+_set_packed = _PackedWord._packed.__set__
+
+
 class Z4Word(_PackedWord):
     """Immutable fixed-length vector over the integers mod 4."""
 
@@ -166,17 +184,6 @@ class Z4Word(_PackedWord):
     _WIDTH = 2
     _LANE = "symbol"
     _VALUES = "in 0..3"
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return (self._packed >> (2 * i)) & 3
-
-    def __iter__(self) -> Iterator[int]:
-        p = self._packed
-        for _ in range(self.n):
-            yield p & 3
-            p >>= 2
 
     def __add__(self, other: "Z4Word") -> "Z4Word":
         return add(self, other)
@@ -192,17 +199,6 @@ class BitWord(_PackedWord):
     _WIDTH = 1
     _LANE = "bit"
     _VALUES = "0 or 1"
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return (self._packed >> i) & 1
-
-    def __iter__(self) -> Iterator[int]:
-        p = self._packed
-        for _ in range(self.n):
-            yield p & 1
-            p >>= 1
 
     def __xor__(self, other: "BitWord") -> "BitWord":
         if self.n != other.n:

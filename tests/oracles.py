@@ -1,17 +1,45 @@
-"""Lane-by-lane reference versions of the packed set-up code.
+"""Lane-by-lane reference versions of the packed library code.
 
 Each function here is the plain form of a library routine that now runs on
-packed lanes: standard_form reads and writes one Z4 symbol at a time,
-low_table doubles a sweep table with the ring's own combine on whole rows,
-and plotkin_bit_basis reduces in alpha/beta bit masks.  The property tests
-assert that the library's results equal these, byte for byte.
+packed lanes: the lane readers have one literal width per word type;
+standard_form, residue, dual_standard_form, syndromes and intersection read
+and write one Z4 symbol at a time; low_table doubles a sweep table with the
+ring's own combine on whole rows; and plotkin_bit_basis reduces in
+alpha/beta bit masks.  The property tests assert that the library's results
+equal these, byte for byte.
 """
 
 import numpy as np
 
 from z4rm import _engine
-from z4rm.linalg import StandardForm, mixed_radix_basis
+from z4rm.linalg import GeneratorMatrix, StandardForm, mixed_radix_basis
 from z4rm.z4core import Z4Word, add, alpha, beta, negate
+
+
+def z4_lane(w, i):
+    if not 0 <= i < w.n:
+        raise IndexError(i)
+    return (w._packed >> (2 * i)) & 3
+
+
+def z4_lanes(w):
+    p = w._packed
+    for _ in range(w.n):
+        yield p & 3
+        p >>= 2
+
+
+def bit_lane(w, i):
+    if not 0 <= i < w.n:
+        raise IndexError(i)
+    return (w._packed >> i) & 1
+
+
+def bit_lanes(w):
+    p = w._packed
+    for _ in range(w.n):
+        yield p & 1
+        p >>= 1
 
 
 def _scale(w, c):
@@ -128,3 +156,92 @@ def plotkin_bit_basis(a, b, inter):
     for g in b.rows + a.rows:
         basis += span.extend(g)
     return basis
+
+
+def residue(sf, x):
+    """(t, rest): x less each unit row times its lane at the pivot, then
+    less each even row whose pivot lane is 2, with t the frozen-order index
+    of what was taken away."""
+    t = 0
+    for i, col in enumerate(sf.unit_cols):
+        c = x[col]
+        t = t << 2 | c
+        if c:
+            x = add(x, _scale(negate(sf.rows[i]), c))
+    for j, col in enumerate(sf.two_cols):
+        e = x[col] == 2
+        t = t << 1 | e
+        if e:
+            x = add(x, negate(sf.rows[sf.k1 + j]))
+    return t, x
+
+
+def membership(sf, x):
+    return residue(sf, x)[1] == Z4Word.zero(sf.n)
+
+
+def mirror_index(sf):
+    t, rest = residue(sf, Z4Word([2] * sf.n))
+    return t if rest == Z4Word.zero(sf.n) else None
+
+
+def dual_standard_form(sf):
+    """[[-(B+AC)^T, C^T, I], [2A^T, 2I, 0]], one symbol at a time."""
+    k1, k2 = sf.k1, sf.k2
+    unit_rows, two_rows = sf.rows[:k1], sf.rows[k1:]
+    free = sf.column_permutation[k1 + k2 :]
+    dual_units = []
+    for col in free:
+        c = [row[col] // 2 for row in two_rows]  # column of C
+        symbols = [0] * sf.n
+        for u, row in zip(sf.unit_cols, unit_rows):
+            b_plus_ac = row[col] + sum(row[t] * cj for t, cj in zip(sf.two_cols, c))
+            symbols[u] = -b_plus_ac % 4
+        for t, cj in zip(sf.two_cols, c):
+            symbols[t] = cj
+        symbols[col] = 1
+        dual_units.append(Z4Word(symbols))
+    dual_twos = []
+    for t in sf.two_cols:
+        symbols = [0] * sf.n
+        for u, row in zip(sf.unit_cols, unit_rows):
+            symbols[u] = 2 * row[t] % 4
+        symbols[t] = 2
+        dual_twos.append(Z4Word(symbols))
+    return StandardForm(
+        n=sf.n, k1=len(free), k2=k2, rows=tuple(dual_units + dual_twos),
+        unit_cols=tuple(free), two_cols=sf.two_cols,
+    )
+
+
+def syndromes(sf, ys):
+    """v = y less y[u] times each unit row; then v[c] - sum_t v[t] (s_t[c] / 2)
+    at each free column c and 2 v[t] at each pivot-2 column t."""
+    pivots = set(sf.unit_cols + sf.two_cols)
+    free = [c for c in range(sf.n) if c not in pivots]
+    halves = [(t, [x // 2 for x in s]) for t, s in zip(sf.two_cols, sf.rows[sf.k1:])]
+    out = []
+    for y in ys:
+        for row, col in zip(sf.rows, sf.unit_cols):
+            if y[col]:
+                y = add(y, _scale(negate(row), y[col]))
+        v = list(y)
+        out.append([(v[c] - sum(v[t] * h[c] for t, h in halves)) % 4 for c in free]
+                   + [2 * v[t] % 4 for t in sf.two_cols])
+    return out
+
+
+def intersection(a, b):
+    """The image under B's rows of the kernel of the syndrome matrix of B's
+    rows against A; B itself when that matrix is zero."""
+    m = sorted({row for row in zip(*syndromes(a, b.rows)) if any(row)})
+    if not m:
+        return b
+    words = []
+    for c in dual_standard_form(standard_form(GeneratorMatrix([Z4Word(row) for row in m]))).rows:
+        w = Z4Word.zero(a.n)
+        for cj, row in zip(c, b.rows):
+            if cj:
+                w = add(w, _scale(row, cj))
+        words.append(w)
+    return standard_form(GeneratorMatrix(words, n=a.n))

@@ -205,6 +205,45 @@ def test_override_node_takes_only_ascii_integers(capsys, lrm12_file, command, no
     assert f"override node {node!r} is not of the form r,m" in err
 
 
+@pytest.mark.parametrize(
+    "argv, argument, text",
+    [
+        (["verify", "٢", "3"], "r", "٢"),  # int() reads "٢" as 2
+        (["verify", "2", "٣"], "m", "٣"),
+        (["verify-all", "٢"], "M", "٢"),
+        (["rm", "1", "٣"], "m", "٣"),
+        (["verify", "2", "3", "--budget", "٢٠"], "--budget", "٢٠"),
+        (["verify", "2", "3", "--workers", "٢"], "--workers", "٢"),
+        (["verify", "2", "3", "--workers", "²"], "--workers", "²"),  # refused today too
+        (["search-nonlinear", "٤", "4", "3"], "n", "٤"),
+        (["search-nonlinear", "4", "٤", "3"], "k", "٤"),
+        (["search-nonlinear", "4", "4", "٣"], "d", "٣"),
+        (["search-nonlinear", "4", "4", "3", "--limit", "٤"], "--limit", "٤"),
+        # int() also takes a sign, underscores and surrounding space
+        (["verify", "+1", "3"], "r", "+1"),
+        (["verify", "1_0", "3"], "r", "1_0"),
+        (["verify", " 1", "3"], "r", " 1"),
+        (["verify", "1", "3 "], "m", "3 "),
+        (["verify", "1", "3", "--budget", "+20"], "--budget", "+20"),
+        (["verify", "1", "3", "--workers", "0_1"], "--workers", "0_1"),
+        # refused today: past int()'s digit limit, the message stays
+        pytest.param(["verify", "9" * 5000, "3"], "r", "9" * 5000, id="5000-digits"),
+    ],
+)
+def test_integer_arguments_take_only_ascii_integers(capsys, argv, argument, text):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f": error: argument {argument}: invalid int value: {text!r}\n")
+
+
+@pytest.mark.parametrize("value", ["٢٠", "+20", "2_0", " 20"])
+def test_env_budget_takes_only_ascii_integers(capsys, lrm12_file, monkeypatch, value):
+    monkeypatch.setenv("Z4RM_BUDGET", value)
+    assert run(capsys, "mindist", lrm12_file) == (
+        2, "", f"error: Z4RM_BUDGET must be an integer, got {value!r}\n"
+    )
+
+
 def test_brute_oracle_past_32_coordinates(capsys, tmp_path):
     path = tmp_path / "lrm17.z4code"
     path.write_text(render_code(lrm(1, 7)), newline="")

@@ -16,29 +16,34 @@ from z4rm.linalg import GeneratorMatrix, intersection, standard_form
 from z4rm.z4core import Z4Word
 
 
+KINDS = ("random", "even", "repeat", "combination", "multiple")
+
+
 @st.composite
-def _matrices(draw):
-    """0-24 rows of length 1-70 (one to three limbs): random rows, even
-    rows, repeats, Z4 combinations of earlier rows, and 2 or 3 times one."""
-    n = draw(st.integers(1, 70))
+def _matrices(draw, max_rows=24, n=None, pool=(), kinds=KINDS):
+    """0-max_rows rows of length n, or 1-70 (one to three limbs): random
+    rows, even rows, repeats, Z4 combinations of earlier rows and of the
+    pool's, and 2 or 3 times one."""
+    n = draw(st.integers(1, 70)) if n is None else n
     symbols = st.lists(st.integers(0, 3), min_size=n, max_size=n)
     rows = []
-    for _ in range(draw(st.integers(0, 24))):
-        kind = draw(st.sampled_from(["random", "even", "repeat", "combination", "multiple"]))
-        if kind == "random" or not rows:
+    for _ in range(draw(st.integers(0, max_rows))):
+        kind = draw(st.sampled_from(kinds))
+        seen = rows + list(pool)
+        if kind == "random" or not seen:
             row = draw(symbols)
             if kind == "even":
                 row = [2 * s % 4 for s in row]
         elif kind == "even":
             row = [2 * s % 4 for s in draw(symbols)]
         elif kind == "repeat":
-            row = list(draw(st.sampled_from(rows)))
+            row = list(draw(st.sampled_from(seen)))
         elif kind == "combination":
-            picks = draw(st.lists(st.tuples(st.sampled_from(rows), st.integers(0, 3)),
+            picks = draw(st.lists(st.tuples(st.sampled_from(seen), st.integers(0, 3)),
                                   min_size=1, max_size=4))
             row = [sum(c * w[i] for w, c in picks) % 4 for i in range(n)]
         else:
-            row = [draw(st.sampled_from([2, 3])) * s % 4 for s in draw(st.sampled_from(rows))]
+            row = [draw(st.sampled_from([2, 3])) * s % 4 for s in draw(st.sampled_from(seen))]
         rows.append(Z4Word(row))
     return GeneratorMatrix(rows, n=n)
 
