@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 pass, 1 claim failure or absence, 2 usage error, 3 budget
-exceeded.  The default enumeration budget is 28 (log2 of codeword count),
-overridable by the Z4RM_BUDGET environment variable and the --budget flag;
+exceeded, 141 (128 + SIGPIPE) output pipe closed by its reader.  The
+default enumeration budget is 28 (log2 of codeword count), overridable by
+the Z4RM_BUDGET environment variable and the --budget flag;
 a budget outside 0..MAX_BUDGET, a worker count below 1, a level m above
 MAX_M (MAX_RM_M for rm) and a code file longer than MAX_LENGTH are usage
 errors.
@@ -11,10 +12,12 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from collections import Counter
 
+from . import _engine
 from .analysis import (
     BRUTE_ORACLE_BUDGET,
     image_is_linear,
@@ -28,7 +31,7 @@ from .analysis import (
 from .codes import MAX_M, MAX_RM_M, CodeParams, Z4Code, check_order, lrm, rm_binary
 from .errors import CapacityError, CodeFileError, DimensionError, OverrideError, ZeroCodeError
 from .fileformat import parse_code, render_code
-from .linalg import DEFAULT_BUDGET, enumerate_codewords
+from .linalg import DEFAULT_BUDGET, check_budget
 from .reports import nonequivalence_line, report_lines, verify_all_line
 from .z4core import BitWord, Z4Word, gray, gray_inverse
 
@@ -171,15 +174,18 @@ def _cmd_verify_all(args) -> int:
 
 
 def _cmd_gray(args) -> int:
-    for w in _read_words(args.file):
-        print(gray(w).digits())
+    sys.stdout.write("".join(gray(w).digits() + "\n" for w in _read_words(args.file)))
     return 0
 
 
 def _cmd_ungray(args) -> int:
-    for line in _read_text(args.file).split("\n"):
-        if line:
-            print(gray_inverse(BitWord.from_string(line)).digits())
+    lines = []
+    try:
+        for line in _read_text(args.file).split("\n"):
+            if line:
+                lines.append(gray_inverse(BitWord.from_string(line)).digits() + "\n")
+    finally:  # a bad line still leaves the words before it on stdout
+        sys.stdout.write("".join(lines))
     return 0
 
 
@@ -222,8 +228,9 @@ def _cmd_image_linear(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    for w in enumerate_codewords(_load_code(args.file).standard_form, budget=args.budget):
-        print(w.digits())
+    sf = _load_code(args.file).standard_form
+    check_budget(sf.log2_size, args.budget)
+    sys.stdout.writelines(_engine.codeword_lines(sf))
     return 0
 
 
@@ -235,8 +242,7 @@ def _cmd_compare_qrm(args) -> int:
 
 
 def _cmd_rm(args) -> int:
-    for row in rm_binary(args.r, args.m):
-        print(row.digits())
+    sys.stdout.write("".join(row.digits() + "\n" for row in rm_binary(args.r, args.m)))
     return 0
 
 
@@ -321,15 +327,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _command_parser(name) -> argparse.ArgumentParser:
+    """The named command's parser alone, built once per process.  Calls
+    stay apart: each parse fills a new namespace, the append action copies
+    its default list before it appends, and help is wrapped at the
+    terminal width of the moment it is printed."""
+    parser = argparse.ArgumentParser(prog=f"z4rm {name}")
+    _add_arguments(parser, _COMMANDS[name][2])
+    return parser
+
+
 def _parse(argv) -> argparse.Namespace:
     """Parse with the named command's parser alone.  It is built from the
     same table entry as the full parser's subparser, so its help and errors
     read the same.  No command, an unknown one, top-level help and leftover
     arguments go to the full parser, whose usage line those errors show."""
     if argv and argv[0] in _COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"z4rm {argv[0]}")
-        _add_arguments(parser, _COMMANDS[argv[0]][2])
-        args, extra = parser.parse_known_args(argv[1:])
+        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
         if not extra:
             args.command = argv[0]
             return args
@@ -344,7 +359,9 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "budget"):
             args.budget = _resolve_budget(args.budget)
-        return _COMMANDS[args.command][0](args)
+        status = _COMMANDS[args.command][0](args)
+        sys.stdout.flush()  # a reader that left is met here, not at exit
+        return status
     except CapacityError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
@@ -354,6 +371,16 @@ def main(argv=None) -> int:
     except (_UsageError, CodeFileError, DimensionError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader left (z4rm enumerate F | head -1): what is still buffered
+        # goes to os.devnull, so that the interpreter's last flush cannot raise
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, ValueError):  # no real file descriptor
+            pass
+        else:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 141
 
 
 if __name__ == "__main__":  # pragma: no cover

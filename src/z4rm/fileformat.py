@@ -76,9 +76,10 @@ def parse_code(text: str) -> Z4Code:
         )
     rows = []
     for i, body_line in enumerate(lines[1:], start=2):
-        for col, ch in enumerate(body_line, start=1):
-            if ch not in "0123":
-                raise CodeFileError(f"bad symbol character {ch!r}", line=i, column=col)
+        if body_line.strip("0123"):  # a bad character: find its column
+            col, ch = next((col, ch) for col, ch in enumerate(body_line, start=1)
+                           if ch not in "0123")
+            raise CodeFileError(f"bad symbol character {ch!r}", line=i, column=col)
         if len(body_line) != n:
             raise CodeFileError(
                 f"row has {len(body_line)} symbols, expected {n}",

@@ -3,9 +3,9 @@
 Words are stored bit-packed in a single Python int: a Z4Word keeps two bits
 per coordinate (coordinate i in bits 2i and 2i+1), a BitWord keeps one bit
 per coordinate.  Both share one class body, _PackedWord, and differ only in
-the lane width and their own algebra.  All arithmetic runs word-parallel on
-the packed integers; the observable behaviour is plain coordinatewise
-arithmetic.
+the lane width, the text of a word and their own algebra.  All arithmetic
+runs word-parallel on the packed integers; the observable behaviour is
+plain coordinatewise arithmetic.
 """
 
 from __future__ import annotations
@@ -85,9 +85,13 @@ class _PackedWord:
     lane i at bits _WIDTH*i and up.
 
     Subclasses set the lane width and the lane name used in error messages,
-    and add their own algebra.  The library reads words as packed ints, so
-    the one __getitem__/__iter__ pair here, which reads the width from the
-    class, serves digits() and callers outside the package.
+    and add their own algebra and digits(), the word's text from one
+    format() call (base 2, or base 16 with two lanes to a hex digit);
+    from_string() reads it back with one int() call in base 2^_WIDTH.
+    CPython exempts these power-of-two bases from its int/str digit limit.
+    The library reads words as packed ints, so the one __getitem__/__iter__
+    pair here, which reads the width from the class, serves only callers
+    outside the package.
     """
 
     __slots__ = ("n", "_packed")
@@ -126,10 +130,13 @@ class _PackedWord:
     @classmethod
     def from_string(cls: type[_W], digits: str) -> _W:
         alphabet = "0123"[: 1 << cls._WIDTH]
+        # checked first: int() also takes "_", spaces, a sign and non-ASCII digits
+        if digits and not digits.strip(alphabet):
+            return cls._raw(len(digits), int(digits[::-1], 1 << cls._WIDTH))
         for i, c in enumerate(digits):
             if c not in alphabet:
                 raise ValueError(f"bad {cls._LANE} character {c!r} at position {i}")
-        return cls(int(c) for c in digits)
+        return cls(())  # digits is "": too short
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -167,14 +174,14 @@ class _PackedWord:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.digits()!r})"
 
-    def digits(self) -> str:
-        return "".join(str(s) for s in self)
-
 
 # the slots' own setters, past the __setattr__ that refuses every write and
 # faster than object.__setattr__
 _set_n = _PackedWord.n.__set__
 _set_packed = _PackedWord._packed.__set__
+
+# a hex digit of a packed Z4Word holds two lanes: its text, lower lane first
+_HEX_LANES = str.maketrans({f"{v:x}": f"{v & 3}{v >> 2}" for v in range(16)})
 
 
 class Z4Word(_PackedWord):
@@ -190,6 +197,10 @@ class Z4Word(_PackedWord):
 
     def __neg__(self) -> "Z4Word":
         return negate(self)
+
+    def digits(self) -> str:
+        n = self.n
+        return format(self._packed, f"0{(n + 1) // 2}x")[::-1].translate(_HEX_LANES)[:n]
 
 
 class BitWord(_PackedWord):
@@ -207,6 +218,9 @@ class BitWord(_PackedWord):
 
     def weight(self) -> int:
         return self._packed.bit_count()
+
+    def digits(self) -> str:
+        return format(self._packed, f"0{self.n}b")[::-1]
 
 
 def add(x: Z4Word, y: Z4Word) -> Z4Word:

@@ -2,6 +2,7 @@
 
 Each function here is the plain form of a library routine that now runs on
 packed lanes: the lane readers have one literal width per word type;
+digits and from_string turn a word into text and back one lane at a time;
 standard_form, residue, dual_standard_form, syndromes and intersection read
 and write one Z4 symbol at a time; low_table doubles a sweep table with the
 ring's own combine on whole rows; and plotkin_bit_basis reduces in
@@ -40,6 +41,22 @@ def bit_lanes(w):
     for _ in range(w.n):
         yield p & 1
         p >>= 1
+
+
+def digits(w):
+    """One str per lane, lowest lane first."""
+    lanes = z4_lanes(w) if isinstance(w, Z4Word) else bit_lanes(w)
+    return "".join(str(s) for s in lanes)
+
+
+def from_string(cls, text):
+    """The word of class cls whose lanes are the characters of text, each
+    checked in turn; the errors are the library's."""
+    alphabet = "0123"[: 1 << cls._WIDTH]
+    for i, c in enumerate(text):
+        if c not in alphabet:
+            raise ValueError(f"bad {cls._LANE} character {c!r} at position {i}")
+    return cls(int(c) for c in text)
 
 
 def _scale(w, c):

@@ -1,3 +1,4 @@
+import random
 import signal
 from pathlib import Path
 
@@ -8,7 +9,13 @@ from z4rm.cli import MAX_LENGTH, MAX_M, MAX_RM_M, main
 from z4rm.codes import Z4Code, lrm, shipped_nonlinear_base
 from z4rm.errors import ZeroCodeError
 from z4rm.fileformat import render_code
-from z4rm.linalg import GeneratorMatrix
+from z4rm.linalg import GeneratorMatrix, enumerate_codewords
+from z4rm.z4core import Z4Word
+
+
+OVERRIDE_FILE = (
+    Path(__file__).parents[1] / "src" / "z4rm" / "data" / "nonlinear_ep_n8_k11.z4code"
+)
 
 
 @pytest.fixture
@@ -87,8 +94,7 @@ def test_overridden_verify_2_7_stdout_is_pinned(capsys, workers):
     want = (Path(__file__).parent / "data" / "verify_2_7_override.txt").read_text(
         encoding="ascii"
     )
-    base = Path(__file__).parents[1] / "src" / "z4rm" / "data" / "nonlinear_ep_n8_k11.z4code"
-    assert run(capsys, "verify", "2", "7", "--budget", "29", "--override", f"2,4={base}",
+    assert run(capsys, "verify", "2", "7", "--budget", "29", "--override", f"2,4={OVERRIDE_FILE}",
                "--workers", workers)[:2] == (0, want)
 
 
@@ -470,3 +476,40 @@ def test_level_at_the_bound_runs(capsys):
     assert MAX_RM_M > MAX_M
     code, out, _ = run(capsys, "rm", "0", str(MAX_M + 1))
     assert (code, out) == (0, "1" * (1 << (MAX_M + 1)) + "\n")
+
+
+def _random_matrix(rng, n, units, evens):
+    """units random rows and evens random even rows, of length n."""
+    rows = [[rng.randrange(4) for _ in range(n)] for _ in range(units + evens)]
+    rows[units:] = [[2 * s % 4 for s in row] for row in rows[units:]]
+    return GeneratorMatrix([Z4Word(row) for row in rows], n=n)
+
+
+@pytest.mark.parametrize("n", [1, 3, 31, 32, 33, 64, 65])
+def test_enumerate_text_is_the_enumerated_words(capsys, tmp_path, n):
+    # k from 0 to 16: two or more blocks of text from n = 31 up, where a
+    # block holds 2^12 to 2^14 words
+    rng = random.Random(n)
+    path = tmp_path / "code.z4code"
+    for units, evens in ((0, 0), (0, 1), (1, 2), (3, 1), (8, 0)):
+        code = Z4Code(_random_matrix(rng, n, units, evens))
+        path.write_text(render_code(code), newline="")
+        want = "".join(w.digits() + "\n" for w in enumerate_codewords(code.standard_form))
+        assert run(capsys, "enumerate", str(path)) == (0, want, "")
+
+
+def test_enumerate_text_of_the_zero_code_and_the_shipped_override(capsys, tmp_path):
+    zero = tmp_path / "zero.z4code"
+    zero.write_text("Z4CODE v1 n=40 rows=0\n")  # k = 0 and two limbs' worth of lanes
+    assert run(capsys, "enumerate", str(zero)) == (0, "0" * 40 + "\n", "")
+    code = shipped_nonlinear_base()
+    want = "".join(w.digits() + "\n" for w in enumerate_codewords(code.standard_form))
+    assert run(capsys, "enumerate", str(OVERRIDE_FILE)) == (0, want, "")
+
+
+def test_enumerate_over_budget_writes_nothing(capsys, tmp_path):
+    path = tmp_path / "lrm25.z4code"
+    path.write_text(render_code(lrm(2, 5)), newline="")
+    assert run(capsys, "enumerate", str(path), "--budget", "15") == (
+        3, "", "error: code has 2^16 words but the budget allows 2^15\n"
+    )

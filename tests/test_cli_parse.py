@@ -1,6 +1,7 @@
 """The CLI's parse layer: help, usage and error output pinned byte for byte,
 and the full parser built only where its output is needed."""
 
+import argparse
 from pathlib import Path
 
 import pytest
@@ -84,3 +85,38 @@ def test_named_command_builds_only_its_parser(capsys, tmp_path, build_calls):
 def test_help_and_errors_build_the_full_parser_once(capsys, build_calls, argv):
     assert cli.main(argv) in (0, 2)
     assert build_calls == [1]
+
+
+OVERRIDE = Path(cli.__file__).parent / "data" / "nonlinear_ep_n8_k11.z4code"
+
+
+def test_cached_parser_keeps_calls_apart(capsys, tmp_path, monkeypatch):
+    # one call's --override list, --fast flag or --workers count must not
+    # reach the next call through the command's cached parser
+    monkeypatch.delenv("Z4RM_BUDGET", raising=False)
+    a, b = tmp_path / "A.z4code", tmp_path / "B.z4code"
+    assert cli.main(["build", "2", "4", "--override", f"2,4={OVERRIDE}", "-o", str(a)]) == 0
+    assert cli.main(["build", "2", "4", "-o", str(b)]) == 0
+    assert "override" in a.read_text().split("\n")[0]
+    assert "override" not in b.read_text().split("\n")[0]
+    capsys.readouterr()
+
+    assert cli.main(["verify", "1", "3", "--fast"]) == 0
+    assert cli.main(["verify", "1", "3"]) == 0
+    fast, plain = capsys.readouterr().out.split("result=pass\n")[:2]
+    assert fast.startswith("order=(1,3) budget=28 mode=fast\n")
+    assert plain.startswith("order=(1,3) budget=28 mode=audit\n")
+
+    assert cli.main(["verify", "1", "3", "--workers", "2"]) == 0
+    two = capsys.readouterr().out
+    assert cli.main(["verify", "1", "3"]) == 0
+    assert capsys.readouterr().out == two == plain + "result=pass\n"
+
+
+def test_cached_parser_wraps_help_at_the_width_of_each_call(capsys, monkeypatch):
+    for columns in ("60", "120", "60"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert cli.main(["verify", "-h"]) == 0
+        fresh = argparse.ArgumentParser(prog="z4rm verify")
+        cli._add_arguments(fresh, cli._COMMANDS["verify"][2])
+        assert capsys.readouterr().out == fresh.format_help()

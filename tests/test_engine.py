@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_plotkin_route import _part_pairs
+from test_setup_oracles import _matrices
 from z4rm import _engine
 from z4rm import analysis
 from z4rm.analysis import binary_code_params
@@ -109,6 +110,25 @@ def test_paired_sweep_runs_one_block_of_each_negation_pair(monkeypatch, workers)
     )
     assert got == (min(lee[1:]), 1 + lee[1:].index(min(lee[1:])))
     assert len(run) == 36
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=_matrices(max_rows=6), block_log2=st.one_of(st.none(), st.integers(0, 3)))
+def test_codeword_lines_are_the_enumerated_words(g, block_log2):
+    # 1- to 8-word blocks of text, and the default, one block for these codes
+    sf = standard_form(g)
+    want = "".join(w.digits() + "\n" for w in enumerate_codewords(sf, budget=12))
+    assert "".join(_engine.codeword_lines(sf, block_log2)) == want
+
+
+def test_codeword_lines_keep_each_block_of_text_small():
+    # 2^13 lanes, the longest code file: 2^7 words in blocks of 32, each
+    # 32 lines of 8193 bytes
+    rows = [[1] * 8192, [0, 1] * 4096, [0, 0, 1, 1] * 2048, [0] * 8191 + [2]]
+    sf = standard_form(GeneratorMatrix([Z4Word(r) for r in rows]))
+    blocks = list(_engine.codeword_lines(sf))
+    assert [len(b) for b in blocks] == [32 * 8193] * 4
+    assert "".join(blocks) == "".join(w.digits() + "\n" for w in enumerate_codewords(sf))
 
 
 def test_wide_binary_weights_do_not_wrap():

@@ -5,6 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from z4rm.cli import main
+from z4rm.codes import lrm
+from z4rm.fileformat import render_code
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
 
@@ -48,3 +52,37 @@ def test_demo_runs(demo):
         env=checkout_env(),
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_closed_output_pipe_exits_141_without_a_traceback(tmp_path, buffered):
+    # LRM(2,5)'s 1.1 MB of text outgrows a pipe buffer, so the reader's
+    # leaving after one line breaks the pipe under a later write
+    path = tmp_path / "lrm25.z4code"
+    path.write_text(render_code(lrm(2, 5)), newline="")
+    env = checkout_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "z4rm", "enumerate", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), first, err) == (141, b"0" * 16 + b"\n", b"")
+
+
+def test_pipe_closed_before_the_last_flush_exits_141(monkeypatch):
+    # a short output waits in stdout's buffer: main flushes it, meets the
+    # closed pipe, and points the descriptor at os.devnull, so that the
+    # flush at exit, which finds the same bytes still buffered, passes
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w", encoding="ascii") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["rm", "1", "3"]) == 141
+        out.flush()

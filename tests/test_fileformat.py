@@ -64,6 +64,17 @@ def test_parse_bad_symbol_error():
     assert e.value.column == 3
 
 
+@pytest.mark.parametrize("row, column, char", [
+    ("x123", 1, "x"), ("01_3", 3, "_"), ("0124", 4, "4"),  # start, middle, end
+    ("0٢23", 2, "٢"), (" 123", 1, " "), ("12+", 3, "+"),  # the last one also short
+])
+def test_parse_bad_symbol_position(row, column, char):
+    with pytest.raises(CodeFileError) as e:
+        parse_code(f"Z4CODE v1 n=4 rows=3\n0123\n{row}\n3210\n")
+    assert (e.value.line, e.value.column) == (3, column)
+    assert str(e.value) == f"bad symbol character {char!r} (line 3, column {column})"
+
+
 def test_parse_header_errors():
     with pytest.raises(CodeFileError):
         parse_code("NOTACODE v1 n=1 rows=0\n")

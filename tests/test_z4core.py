@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from z4rm.errors import DimensionError
 from z4rm.z4core import (
     BitWord,
@@ -312,3 +313,42 @@ def test_z4word_never_equals_bitword(n, data):
     z, b = W._raw(n, packed), B._raw(n, packed)
     assert z != b and b != z
     assert len({z, b}) == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(cls=st.sampled_from([W, B]), n=st.integers(1, 300), data=st.data())
+def test_text_equals_the_lane_by_lane_oracle(cls, n, data):
+    # odd n leaves half of a Z4Word's last hex digit unused
+    lanes = data.draw(st.lists(st.integers(0, (1 << cls._WIDTH) - 1), min_size=n, max_size=n))
+    x = cls(lanes)
+    text = oracles.digits(x)
+    assert x.digits() == text
+    assert cls.from_string(text) == oracles.from_string(cls, text) == x
+
+
+@settings(max_examples=300, deadline=None)
+@given(cls=st.sampled_from([W, B]), text=st.text(st.sampled_from("0123_ +-x٢²"), max_size=12))
+def test_from_string_equals_the_oracle_on_any_text(cls, text):
+    try:
+        want = oracles.from_string(cls, text)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            cls.from_string(text)
+        assert str(got.value) == str(e)
+    else:
+        assert cls.from_string(text) == want
+
+
+# int() reads each of these in base 2 or 4, or refuses it with another message
+_TEXT_INT_TAKES = ["", " 1", "1 ", "0_1", "+1", "-1", "٢", "²", "4"]
+
+
+@pytest.mark.parametrize(
+    "cls, text", [(W, t) for t in _TEXT_INT_TAKES] + [(B, t) for t in _TEXT_INT_TAKES + ["2"]]
+)
+def test_from_string_refuses_what_int_takes(cls, text):
+    with pytest.raises(ValueError) as want:
+        oracles.from_string(cls, text)
+    with pytest.raises(ValueError) as got:
+        cls.from_string(text)
+    assert str(got.value) == str(want.value)
