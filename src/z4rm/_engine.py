@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import ZeroCodeError
 from .linalg import dual_standard_form, intersection, mirror_index, mixed_radix_basis
-from .z4core import Z4Word, _lane_masks
+from .z4core import Z4Word, _BYTE_LANES, _lane_masks
 
 U64 = np.uint64
 _LO = U64(0x5555555555555555)
@@ -493,8 +493,7 @@ def z4_basis_from_standard_form(sf):
 
 
 # _LANE_TEXT[b] is the text of the four Z4 lanes in byte b, lowest lane first
-_LANE_TEXT = np.array([[ord("0") + (b >> 2 * i & 3) for i in range(4)] for b in range(256)],
-                      dtype=np.uint8)
+_LANE_TEXT = np.frombuffer(_BYTE_LANES.encode("ascii"), dtype=np.uint8).reshape(256, 4)
 # Blocks of codeword_lines hold at most 2^TEXT_BLOCK_LOG2 bytes of text
 # (512 KiB): 2^5 words of the longest code file (2^13 lanes), 2^14 of
 # LRM(2,5)'s.  Text of LRM(2,5) and of random codes with n = 16..8192 and
@@ -503,18 +502,17 @@ _LANE_TEXT = np.array([[ord("0") + (b >> 2 * i & 3) for i in range(4)] for b in 
 TEXT_BLOCK_LOG2 = 19
 
 
-def codeword_lines(sf, block_log2=None):
+def codeword_lines(sf):
     """The codewords of sf's code in the frozen order, one line of lane
     digits each, as one str per block of the Sweep over its enumeration
-    basis.  block_log2 defaults to the largest (at most
-    DEFAULT_BLOCK_LOG2) whose text stays within 2^TEXT_BLOCK_LOG2 bytes.
-    The budget is the caller's to check."""
+    basis.  A block is the largest (at most DEFAULT_BLOCK_LOG2) whose text
+    stays within 2^TEXT_BLOCK_LOG2 bytes.  The budget is the caller's to
+    check."""
     n, k = sf.n, sf.log2_size
     if k == 0:  # a Sweep of no basis words has one limb, whatever n is
         yield "0" * n + "\n"
         return
-    if block_log2 is None:
-        block_log2 = min(DEFAULT_BLOCK_LOG2, TEXT_BLOCK_LOG2 - n.bit_length())
+    block_log2 = min(DEFAULT_BLOCK_LOG2, TEXT_BLOCK_LOG2 - n.bit_length())
     sweep = Sweep(z4_basis_from_standard_form(sf), k, z4_add, block_log2)
     text = np.full((sweep.block_size(), n + 1), ord("\n"), dtype=np.uint8)
     for h in range(sweep.block_count):

@@ -12,7 +12,7 @@ errors.
 from __future__ import annotations
 
 import argparse
-import functools
+import io
 import os
 import sys
 from collections import Counter
@@ -131,6 +131,23 @@ def _load_code(path) -> Z4Code:
     return code
 
 
+def _write(text: str) -> None:
+    """Write text to stdout, so that a reader who leaves mid-write raises
+    BrokenPipeError.  An unbuffered stdout (python -u, PYTHONUNBUFFERED)
+    hands each write straight to its file, which may take only part of a
+    long one before the reader leaves, and its text layer drops that short
+    count.  Such a stdout gets the bytes through its file until all are
+    taken, so a reader who left is met by the next of those writes."""
+    raw = getattr(sys.stdout, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[raw.write(data):]
+
+
 def _read_words(path):
     """Z4 words from a code file (its generator rows) or a bare word list."""
     text = _read_text(path)
@@ -174,7 +191,7 @@ def _cmd_verify_all(args) -> int:
 
 
 def _cmd_gray(args) -> int:
-    sys.stdout.write("".join(gray(w).digits() + "\n" for w in _read_words(args.file)))
+    _write("".join(gray(w).digits() + "\n" for w in _read_words(args.file)))
     return 0
 
 
@@ -185,7 +202,7 @@ def _cmd_ungray(args) -> int:
             if line:
                 lines.append(gray_inverse(BitWord.from_string(line)).digits() + "\n")
     finally:  # a bad line still leaves the words before it on stdout
-        sys.stdout.write("".join(lines))
+        _write("".join(lines))
     return 0
 
 
@@ -230,7 +247,8 @@ def _cmd_image_linear(args) -> int:
 def _cmd_enumerate(args) -> int:
     sf = _load_code(args.file).standard_form
     check_budget(sf.log2_size, args.budget)
-    sys.stdout.writelines(_engine.codeword_lines(sf))
+    for block in _engine.codeword_lines(sf):
+        _write(block)
     return 0
 
 
@@ -242,7 +260,7 @@ def _cmd_compare_qrm(args) -> int:
 
 
 def _cmd_rm(args) -> int:
-    sys.stdout.write("".join(row.digits() + "\n" for row in rm_binary(args.r, args.m)))
+    _write("".join(row.digits() + "\n" for row in rm_binary(args.r, args.m)))
     return 0
 
 
@@ -327,24 +345,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-@functools.cache
-def _command_parser(name) -> argparse.ArgumentParser:
-    """The named command's parser alone, built once per process.  Calls
-    stay apart: each parse fills a new namespace, the append action copies
-    its default list before it appends, and help is wrapped at the
-    terminal width of the moment it is printed."""
-    parser = argparse.ArgumentParser(prog=f"z4rm {name}")
-    _add_arguments(parser, _COMMANDS[name][2])
-    return parser
-
-
 def _parse(argv) -> argparse.Namespace:
     """Parse with the named command's parser alone.  It is built from the
     same table entry as the full parser's subparser, so its help and errors
     read the same.  No command, an unknown one, top-level help and leftover
     arguments go to the full parser, whose usage line those errors show."""
     if argv and argv[0] in _COMMANDS:
-        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
+        parser = argparse.ArgumentParser(prog=f"z4rm {argv[0]}")
+        _add_arguments(parser, _COMMANDS[argv[0]][2])
+        args, extra = parser.parse_known_args(argv[1:])
         if not extra:
             args.command = argv[0]
             return args
@@ -372,14 +381,18 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except BrokenPipeError:
-        # the reader left (z4rm enumerate F | head -1): what is still buffered
-        # goes to os.devnull, so that the interpreter's last flush cannot raise
+        # the reader left (z4rm enumerate F | head -1).  For the console
+        # script's process, which ends next: stdout's descriptor now points at
+        # os.devnull, so that what is still buffered cannot raise again in
+        # the interpreter's last flush
         try:
             fd = sys.stdout.fileno()
         except (AttributeError, ValueError):  # no real file descriptor
             pass
         else:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
         return 141
 
 

@@ -180,8 +180,13 @@ class _PackedWord:
 _set_n = _PackedWord.n.__set__
 _set_packed = _PackedWord._packed.__set__
 
-# a hex digit of a packed Z4Word holds two lanes: its text, lower lane first
-_HEX_LANES = str.maketrans({f"{v:x}": f"{v & 3}{v >> 2}" for v in range(16)})
+# The text of a packed Z4Word's lanes, lower lane first: _NIBBLE_LANES[v]
+# for the two lanes of a hex digit v, which digits() translates through
+# _HEX_LANES, and _BYTE_LANES[4*b : 4*b + 4] for the four of a byte b, which
+# _engine.codeword_lines reads.
+_NIBBLE_LANES = [f"{v & 3}{v >> 2}" for v in range(16)]
+_HEX_LANES = str.maketrans({f"{v:x}": lanes for v, lanes in enumerate(_NIBBLE_LANES)})
+_BYTE_LANES = "".join(_NIBBLE_LANES[b & 15] + _NIBBLE_LANES[b >> 4] for b in range(256))
 
 
 class Z4Word(_PackedWord):

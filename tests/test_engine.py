@@ -115,10 +115,15 @@ def test_paired_sweep_runs_one_block_of_each_negation_pair(monkeypatch, workers)
 @settings(max_examples=100, deadline=None)
 @given(g=_matrices(max_rows=6), block_log2=st.one_of(st.none(), st.integers(0, 3)))
 def test_codeword_lines_are_the_enumerated_words(g, block_log2):
-    # 1- to 8-word blocks of text, and the default, one block for these codes
+    # 1- to 8-word blocks of text, through a smaller text bound, and the
+    # default bound, one block for these codes
     sf = standard_form(g)
     want = "".join(w.digits() + "\n" for w in enumerate_codewords(sf, budget=12))
-    assert "".join(_engine.codeword_lines(sf, block_log2)) == want
+    text_log2 = _engine.TEXT_BLOCK_LOG2
+    if block_log2 is not None:
+        text_log2 = sf.n.bit_length() + block_log2
+    with mock.patch.object(_engine, "TEXT_BLOCK_LOG2", text_log2):
+        assert "".join(_engine.codeword_lines(sf)) == want
 
 
 def test_codeword_lines_keep_each_block_of_text_small():

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from z4rm.cli import main
-from z4rm.codes import lrm
+from z4rm.codes import lrm, rm_binary
 from z4rm.fileformat import render_code
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,17 +55,24 @@ def test_demo_runs(demo):
 
 
 @pytest.mark.parametrize("buffered", [True, False])
-def test_closed_output_pipe_exits_141_without_a_traceback(tmp_path, buffered):
-    # LRM(2,5)'s 1.1 MB of text outgrows a pipe buffer, so the reader's
-    # leaving after one line breaks the pipe under a later write
+@pytest.mark.parametrize("command", ["enumerate", "rm"])
+def test_closed_output_pipe_exits_141_without_a_traceback(tmp_path, command, buffered):
+    # each output outgrows a pipe buffer, so the reader's leaving after one
+    # line breaks the pipe under a later write: LRM(2,5)'s 1.1 MB of text
+    # comes in blocks, RM(1,14)'s 246 kB in one write, which an unbuffered
+    # stdout's file takes only in part
     path = tmp_path / "lrm25.z4code"
     path.write_text(render_code(lrm(2, 5)), newline="")
+    argv, first_line = {
+        "enumerate": (["enumerate", str(path)], "0" * 16),
+        "rm": (["rm", "1", "14"], rm_binary(1, 14)[0].digits()),
+    }[command]
     env = checkout_env()
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen(
-        [sys.executable, "-m", "z4rm", "enumerate", str(path)],
+        [sys.executable, "-m", "z4rm", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
@@ -73,16 +80,23 @@ def test_closed_output_pipe_exits_141_without_a_traceback(tmp_path, buffered):
     first = proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read()
-    assert (proc.wait(timeout=60), first, err) == (141, b"0" * 16 + b"\n", b"")
+    assert (proc.wait(timeout=60), first, err) == (141, first_line.encode() + b"\n", b"")
 
 
 def test_pipe_closed_before_the_last_flush_exits_141(monkeypatch):
     # a short output waits in stdout's buffer: main flushes it, meets the
     # closed pipe, and points the descriptor at os.devnull, so that the
-    # flush at exit, which finds the same bytes still buffered, passes
+    # flush at exit, which finds the same bytes still buffered, passes.
+    # The descriptor it opened on os.devnull is closed again: the lowest
+    # free one before the call is still free after it.
     read, write = os.pipe()
     os.close(read)
     with open(write, "w", encoding="ascii") as out:
         monkeypatch.setattr(sys, "stdout", out)
+        free = os.open(os.devnull, os.O_RDONLY)
+        os.close(free)
         assert main(["rm", "1", "3"]) == 141
         out.flush()
+        probe = os.open(os.devnull, os.O_RDONLY)
+        os.close(probe)
+        assert probe == free
