@@ -26,7 +26,8 @@ itself with wt(x + 2·1) = 2n - wt(x).  So the Z4 direct and dual-side
 sweeps weigh one block field of each orbit of {id, neg, +2·1, neg∘+2·1}
 (Sweep.orbit), and add its counts as they are and reversed; binary sweeps
 of a code with the all-ones word pair each block with its complement.  The
-histogram and the first index of each weight stay those of the full sweep.
+histogram and the least (weight, index) stay the full sweep's: reversed
+counts offer only a weight, and a stop-at search names an image's index.
 
 Route describes the three exact routes to a code's Lee weight
 distribution, and lee_route picks the cheapest.
@@ -191,8 +192,6 @@ class Sweep:
         q = min(units, (k - self.low_bits) // 2)
         self._field_shift = k - self.low_bits - 2 * q if q else 0
         self._odd_bits = self._lo & ((1 << 2 * q) - 1)
-        # the low bit of every unit pair of the index
-        self._odd_index = (((1 << 2 * units) - 1) // 3) << (k - 2 * units)
         self.images = np.zeros((1 << self.low_bits, self._limbs), dtype=U64, order="F")
         words = basis[: self.low_bits]
         images = self._image(words).tolist()
@@ -212,7 +211,6 @@ class Sweep:
                     np.bitwise_xor(y, images[j][l], out=x)
         high = basis[self.low_bits :]
         self._high_basis = [sum(v << 64 * l for l, v in enumerate(r)) for r in high.tolist()]
-        self.mirror = mirror
         self._mirror_field = 0
         if mirror is not None:
             self._mirror_field = mirror >> self.low_bits >> self._field_shift
@@ -238,10 +236,7 @@ class Sweep:
         f ^ (P's field), at weight mirror_weight - w.  These maps and their
         product form a group, and only the blocks whose field is the least
         of its orbit are weighed: once for each field of the orbit that id or
-        neg reaches (plain), and once reversed for each other field.  All
-        words of a smaller field lie at smaller indices, so the first index
-        of each weight is in a weighed block, or, reversed, the image of a
-        word of the weighed block's greatest weight.
+        neg reaches (plain), and once reversed for each other field.
         """
         f = h >> self._field_shift
         neg = self._negate_field(f)
@@ -253,8 +248,8 @@ class Sweep:
         return 1 + (neg != f), 0 if m in (f, neg) else 1 + (neg_m != m)
 
     def mirror_floor(self, h):
-        """No image that mirror_first(h, ...) weighs at a smaller index can
-        improve on block h's own minimum.
+        """No image of block h's words under the mirror, with or without
+        negation, at a smaller index can improve on block h's own minimum.
 
         The images' fields are exactly m = h's field ^ P's field and neg(m).
         With no unit pair in the field (h itself), negation can move an
@@ -263,15 +258,6 @@ class Sweep:
         own minimum comes first."""
         m = (h >> self._field_shift) ^ self._mirror_field
         return min(m, self._negate_field(m)) << self._field_shift + self.low_bits
-
-    def mirror_first(self, h, low):
-        """The least index that the mirror maps, with or without negation,
-        a word of block h at the table indices low to."""
-        t = (low ^ (self.mirror & ((1 << self.low_bits) - 1))).astype(U64)
-        t |= U64((h ^ self.mirror >> self.low_bits) << self.low_bits)
-        if self._odd_index:
-            t = np.minimum(t, t ^ (t & U64(self._odd_index)) << _ONE)
-        return int(t.min())
 
     def _offset(self, h):
         """The word at sweep index h * block_size, as a Python int."""
@@ -390,9 +376,11 @@ def min_weight_sweep(
     block's.  The weights follow from combine (Sweep.weights); the weights
     parameter (lee_weights or bit_weights) stays for the callers that pass
     it.  units and mirror (Sweep's) weigh one block of each orbit; a block
-    with mirrored images also offers mirror_weight less its greatest
-    weight, at the least index its words of that weight map to.  mirror
-    needs the whole sweep, so it refuses stop_at, and a basis of
+    h with mirrored images also offers their least weight d (mirror_weight
+    less its greatest) as (d, mirror_floor(h), -1), behind the words of
+    weight d up to that index.  If an offer is the minimum, a search with
+    stop_at=d and no mirror, in the same blocks, names its first index.
+    mirror needs the whole sweep, so it refuses stop_at, and a basis of
     independent words, so that only index 0 holds the zero word.
 
     Each thread keeps the least (weight, index) of its blocks.  With
@@ -421,18 +409,20 @@ def min_weight_sweep(
                         limit[:] = h, r
             best = r if best is None or r < best else best
         if mirrored:
-            top = int(w.max())
-            d = sweep.mirror_weight - top  # 0: the image of 2·1, the zero word
+            d = sweep.mirror_weight - int(w.max())  # 0: the image of 2·1, the zero word
             if d and (best is None or (d, sweep.mirror_floor(h)) < best):
-                r = (d, sweep.mirror_first(h, np.flatnonzero(w == top)))
-                best = r if best is None or r < best else best
+                best = (d, sweep.mirror_floor(h), -1)  # an offer: the search names it
         return best
 
     blocks = takewhile(lambda unit: unit[0] <= limit[0], _counted_blocks(sweep))
     partials = _fold_units(blocks, fold, workers)
     if limit[1] is not None:
         return limit[1]
-    return min((p for p in partials if p is not None), default=None)
+    best = min((p for p in partials if p is not None), default=None)
+    if best is not None and len(best) > 2:
+        return min_weight_sweep(basis, k, combine, weights, workers, stop_at=best[0],
+                                block_log2=block_log2, units=units)
+    return best
 
 
 def _weight_counts(w, max_weight):
@@ -607,7 +597,8 @@ class Route(NamedTuple):
         """(minimum nonzero Lee weight, sweep index of its first word) of C.
 
         On the direct route the orbit-paired full sweep is the whole
-        computation.  On the others counts() proves the minimum d, and the
+        computation, with a stop-at search of its own when an image may
+        come first.  On the others counts() proves the minimum d, and the
         sweep, in WITNESS_BLOCK_LOG2 blocks, stops at the first block
         holding a word of weight d: it misses no lighter word, and the index
         is the one the full sweep returns.

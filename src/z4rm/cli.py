@@ -164,7 +164,7 @@ def _cmd_build(args) -> int:
         with open(args.output, "w", encoding="ascii", newline="") as f:
             f.write(text)
     else:
-        sys.stdout.write(text)
+        _write(text)
     return 0
 
 
@@ -267,10 +267,7 @@ def _cmd_rm(args) -> int:
 def _cmd_search(args) -> int:
     target = CodeParams(args.n, args.k, args.d)
     found = search_nonlinear_base(target, length_limit=args.limit)
-    for i, code in enumerate(found):
-        if i:
-            print()
-        sys.stdout.write(render_code(code))
+    _write("\n".join(render_code(code) for code in found))
     return 0 if found else 1
 
 

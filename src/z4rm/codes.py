@@ -42,7 +42,8 @@ __all__ = [
 # at m = 13 (2-vCPU x86 KVM guest).  So lrm stops at m = 14.
 MAX_M = 14
 # rm_binary builds RM(r,m), of length 2^m, with no budget: `z4rm rm 1 16`
-# took 3 s and `z4rm rm 1 18` 42 s on the same guest, so its m stops at 16.
+# takes 0.22-0.29 s on the same guest, most of it start-up, but RM(m,m) has
+# 2^m rows of 2^m digits (4 GiB of text at m = 16), so its m stops at 16.
 MAX_RM_M = 16
 
 
@@ -256,13 +257,13 @@ def rm_binary(r: int, m: int) -> tuple:
     if m > MAX_RM_M:
         raise ValueError(f"level m={m} exceeds MAX_RM_M = {MAX_RM_M}")
     npts = 1 << m
+    ones = (1 << npts) - 1
+    # v_i is 1 at the points j with bit m - i set: runs of p = 2^(m-i) zeros
+    # then p ones, so one set bit every 2p, times p ones shifted up by p
     var_rows = []
     for i in range(1, m + 1):
-        bits = 0
-        for j in range(npts):
-            bits |= ((j >> (m - i)) & 1) << j
-        var_rows.append(bits)
-    ones = (1 << npts) - 1
+        p = 1 << (m - i)
+        var_rows.append(ones // ((1 << 2 * p) - 1) * (((1 << p) - 1) << p))
     rows = []
     for degree in range(r + 1):
         for subset in itertools.combinations(range(m), degree):

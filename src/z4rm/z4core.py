@@ -239,10 +239,10 @@ def add(x: Z4Word, y: Z4Word) -> Z4Word:
 
 
 def negate(x: Z4Word) -> Z4Word:
-    """Coordinatewise additive inverse mod 4."""
-    lo, full = _lane_masks(x.n)
-    c = x._packed ^ full  # 3 - s per lane
-    return Z4Word._raw(x.n, (c ^ lo) ^ ((c & lo) << 1))  # add 1 per lane
+    """Coordinatewise additive inverse mod 4: swaps 1 and 3, so each lane
+    whose low bit is set flips its high bit."""
+    lo = _lane_masks(x.n)[0]
+    return Z4Word._raw(x.n, x._packed ^ ((x._packed & lo) << 1))
 
 
 def lee_weight(x: Z4Word) -> int:

@@ -370,6 +370,16 @@ def _with_mirror(rows):
 # field, neg(m), lies below m: a fold that skips by m alone returns index 16
 @example(code=_with_mirror(["222222222", "202320213", "310200000"]), block_log2=1,
          workers=1, paired=True)
+# the first word of weight 2, at index 4, is an image, and a word of weight 3
+# lies at index 3: a search for the image's index that stops at weight 3
+# returns it
+@example(code=_with_mirror(["2222", "2100"]), block_log2=0, workers=1, paired=True)
+# the first word of weight 17, at index 377, is an image that ranks before a
+# weighed word of weight 17 at index 456 only by mirror_floor
+@example(code=_with_mirror(["111111111111111111111111111", "303112110322103103110232011",
+                            "322023013120030032103021312", "300001332001131333032311312",
+                            "032210112203202302020100331"]),
+         block_log2=0, workers=1, paired=True)
 def test_orbit_sweeps_equal_the_unpaired_full_sweep(code, block_log2, workers, paired):
     # 1- to 8-word blocks: the unit pairs lie in the block's field, straddle
     # it or sit in the table, and with units = 0 the mirror pairs whole blocks
@@ -455,6 +465,12 @@ def test_orbit_sweeps_weigh_one_block_of_each_orbit(monkeypatch):
         _engine.weight_histogram(basis, k, _engine.z4_add, None, 2 * sf.n, units=units,
                                  mirror=mirror)
         assert len(run) == blocks, (units, mirror)
+    # the minimum weighs the same 20 blocks: its first word of weight 16, at
+    # index 1, lies below every image, so no search runs
+    run.clear()
+    assert _engine.min_weight_sweep(basis, k, _engine.z4_add, None, units=sf.k1, mirror=p) \
+        == (16, 1)
+    assert len(run) == 20
     # the XOR path on RM(2,6): each block with its complement
     run.clear()
     assert binary_code_params(rm_binary(2, 6)).d == 16

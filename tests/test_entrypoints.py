@@ -55,17 +55,18 @@ def test_demo_runs(demo):
 
 
 @pytest.mark.parametrize("buffered", [True, False])
-@pytest.mark.parametrize("command", ["enumerate", "rm"])
+@pytest.mark.parametrize("command", ["enumerate", "rm", "build"])
 def test_closed_output_pipe_exits_141_without_a_traceback(tmp_path, command, buffered):
     # each output outgrows a pipe buffer, so the reader's leaving after one
     # line breaks the pipe under a later write: LRM(2,5)'s 1.1 MB of text
-    # comes in blocks, RM(1,14)'s 246 kB in one write, which an unbuffered
-    # stdout's file takes only in part
+    # comes in blocks, RM(1,14)'s 246 kB and LRM(9,10)'s 263 kB code file in
+    # one write each, which an unbuffered stdout's file takes only in part
     path = tmp_path / "lrm25.z4code"
     path.write_text(render_code(lrm(2, 5)), newline="")
     argv, first_line = {
         "enumerate": (["enumerate", str(path)], "0" * 16),
         "rm": (["rm", "1", "14"], rm_binary(1, 14)[0].digits()),
+        "build": (["build", "9", "10"], render_code(lrm(9, 10)).split("\n", 1)[0]),
     }[command]
     env = checkout_env()
     env.pop("PYTHONUNBUFFERED", None)
