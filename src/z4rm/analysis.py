@@ -17,7 +17,7 @@ import numpy as np
 from . import _engine
 from .codes import CodeParams, RMOrder, Z4Code, check_order, lrm, qrm_log2_size, theorem1_params
 from .errors import CapacityError, DimensionError, ZeroCodeError
-from .linalg import DEFAULT_BUDGET, GeneratorMatrix, check_budget, codeword_at
+from .linalg import DEFAULT_BUDGET, GeneratorMatrix, StandardForm, check_budget, codeword_at
 from .z4core import BitWord, Z4Word, alpha, beta, gray
 
 __all__ = [
@@ -151,7 +151,13 @@ def lee_weight_distribution(
 
 
 def image_is_linear(c: Z4Code) -> bool:
-    """Whether the Gray image is closed under XOR, decided from generators.
+    """Whether the Gray image is closed under XOR, decided from generators
+    (_form_image_is_linear on the code's standard form)."""
+    return _form_image_is_linear(c.standard_form)
+
+
+def _form_image_is_linear(sf: StandardForm) -> bool:
+    """Whether the Gray image of the code in standard form sf is XOR-closed.
 
     The image is linear iff 2*(alpha(u)*alpha(v)) lies in the code for every
     generator pair (Hammons et al. 1994); of the standard-form rows only
@@ -160,7 +166,6 @@ def image_is_linear(c: Z4Code) -> bool:
     the pivot-2 columns t where a has a bit, w_t being the even row with
     pivot t.  The brute-force oracle is its reference in the tests.
     """
-    sf = c.standard_form
     units = [alpha(u)._packed for u in sf.rows[: sf.k1]]
     halves = {1 << t: beta(w)._packed for t, w in zip(sf.two_cols, sf.rows[sf.k1 :])}
     two_mask = sum(halves)
@@ -340,11 +345,13 @@ def search_nonlinear_base(
 
     Candidates are generator matrices already in standard form with pivots
     at the leftmost columns, one shape per admissible (k1, k2) split; every
-    matrix in that shape is visited (subject only to pruning by partial-span
-    minimum weight, which cannot discard a valid code).  Codes that are
-    column permutations of a found code are not searched separately.  Cost
-    grows as 4^(free columns) per row, so lengths much beyond the default
-    limit are impractical.
+    matrix in that shape is visited (_search_shape), subject only to pruning
+    by weight: a candidate row is dropped when one of the words it adds to
+    the partial span weighs less than d, which cannot discard a valid code.
+    Each row's candidates are weighed against the whole partial span in one
+    array operation.  Codes that are column permutations of a found code are
+    not searched separately.  Cost grows as 4^(free columns) per row, so
+    lengths much beyond the default limit are impractical.
     """
     if target.binary:
         raise ValueError("search targets are quaternary parameter triples")
@@ -394,7 +401,7 @@ def search_nonlinear_base(
 
 def _row_candidates(n, k1, k2, pos, is_top):
     """Packed candidate rows for one pivot position, in frozen order, as an
-    (N, 1) single-limb array."""
+    (N,) single-limb array."""
     free = range(k1 + k2, n)
     out = []
     if is_top:
@@ -415,50 +422,75 @@ def _row_candidates(n, k1, k2, pos, is_top):
             for col, s in zip(free, free_part):
                 p |= s << (2 * col)
             out.append(p)
-    return np.array(out, dtype=np.uint64)[:, None]
+    return np.array(out, dtype=np.uint64)
+
+
+def _least_weights(span, steps, chunk=1 << _engine.DEFAULT_BLOCK_LOG2):
+    """(N,) least Lee weight of w + s·v over the words w of span and the
+    nonzero multiples s·v of each candidate v, given as the (order - 1, N)
+    array steps.  All sums of a run of span words are weighed at once; the
+    run is as long as keeps them within chunk words, and one word long when
+    its sums alone are more."""
+    flat = steps.reshape(-1)
+    run = max(1, chunk // len(flat))
+    least = None
+    for lo in range(0, len(span), run):
+        sums = _engine.z4_add(span[lo : lo + run, None], flat)
+        part = _engine.lee_weights(sums.reshape(-1, 1)).reshape(sums.shape).min(axis=0)
+        least = part if least is None else np.minimum(least, part)
+    return least.reshape(steps.shape).min(axis=0)
+
+
+def _grow(span, steps):
+    """The span after adding a row of nonzero multiples steps (s·v for
+    s = 1..order-1): span, then span + s·v for each s."""
+    grown = np.empty((len(steps) + 1, len(span)), dtype=span.dtype)
+    grown[0] = span
+    _engine.z4_add(span, steps[:, None], out=grown[1:])
+    return grown.reshape(-1)
 
 
 def _search_shape(n, k1, k2, d, results, stop_after):
-    # depth-first over rows: the order-2 rows first (fewest choices), then
-    # the order-4 rows; the partial span's minimum weight prunes subtrees
-    plan = [("two", j) for j in range(k2)] + [("top", i) for i in range(k1)]
-    cand = [
-        _row_candidates(n, k1, k2, pos, kind == "top") for kind, pos in plan
-    ]
-    span0 = np.zeros((1, 1), dtype=np.uint64)
+    """Append to results every code of the (k1, k2) shape, in frozen order,
+    with minimum Lee weight d and a nonlinear Gray image.
 
-    def extend(span, row, order):
-        parts = [span]
-        for _ in range(1, order):
-            parts.append(_engine.z4_add(parts[-1], row))
-        return np.concatenate(parts)
+    Depth-first over rows: the order-2 rows first (fewest choices), then the
+    order-4 rows.  A candidate row v at a node survives when every new word
+    w + s·v, for w in the node's span and s = 1..order-1, weighs at least d;
+    those are all the words the row adds, so a leaf's code has minimum
+    weight d iff some row on its path added a word of weight d, and the
+    leaf's span is never built.  The chosen rows are already what
+    linalg.standard_form gives, so a leaf's form takes no elimination: unit
+    rows with pivot 1 at columns 0..k1-1 and lane 0 or 1 at the pivot-2
+    columns k1..k1+k2-1, even rows with pivot 2 there, and 0 at every other
+    pivot column.
+    """
+    orders = [2] * k2 + [4] * k1
+    steps = []  # per depth, the (order - 1, N) nonzero multiples of its candidates
+    for depth, order in enumerate(orders):
+        top = depth >= k2
+        v = _row_candidates(n, k1, k2, depth - k2 if top else depth, top)
+        multiples = [v]
+        for _ in range(2, order):
+            multiples.append(_engine.z4_add(multiples[-1], v))
+        steps.append(np.stack(multiples))
+    label = f"search[n={n},k={2 * k1 + k2},d={d},type=({k1},{k2})]"
+    unit_cols, two_cols = tuple(range(k1)), tuple(range(k1, k1 + k2))
 
-    def dfs(depth, span, chosen):
-        if stop_after is not None and len(results) >= stop_after:
-            return
-        if depth == len(plan):
-            w = _engine.lee_weights(span[1:])
-            if int(w.min()) != d:
+    def dfs(depth, span, chosen, reached):
+        least = _least_weights(span, steps[depth])
+        for i in np.flatnonzero(least >= d):
+            if stop_after is not None and len(results) >= stop_after:
                 return
-            rows = [Z4Word._raw(n, int(p)) for _, p in sorted(chosen)]
-            code = Z4Code(
-                GeneratorMatrix(rows, n=n),
-                label=f"search[n={n},k={2 * k1 + k2},d={d},type=({k1},{k2})]",
-            )
-            if not image_is_linear(code):
-                results.append(code)
-            return
-        kind, pos = plan[depth]
-        order = 4 if kind == "top" else 2
-        rows = cand[depth]
-        ok = np.ones(len(rows), dtype=bool)
-        scaled = np.zeros_like(rows)
-        for _ in range(1, order):
-            scaled = _engine.z4_add(scaled, rows)
-            for w in span:
-                ok &= _engine.lee_weights(_engine.z4_add(scaled, w)) >= d
-        for row in rows[ok]:
-            key = (0, pos) if kind == "top" else (1, pos)
-            dfs(depth + 1, extend(span, row, order), chosen + [(key, int(row[0]))])
+            path = chosen + [int(steps[depth][0, i])]
+            hit = reached or least[i] == d
+            if depth + 1 < len(orders):
+                dfs(depth + 1, _grow(span, steps[depth][:, i]), path, hit)
+            elif hit:
+                rows = tuple(Z4Word._raw(n, p) for p in path[k2:] + path[:k2])
+                sf = StandardForm(n=n, k1=k1, k2=k2, rows=rows, unit_cols=unit_cols,
+                                  two_cols=two_cols)
+                if not _form_image_is_linear(sf):
+                    results.append(Z4Code(GeneratorMatrix(rows, n=n), label=label))
 
-    dfs(0, span0, [])
+    dfs(0, np.zeros(1, dtype=np.uint64), [], False)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import os
 import sys
 from collections import Counter
@@ -28,7 +29,7 @@ from .analysis import (
     search_nonlinear_base,
     verify_theorem1,
 )
-from .codes import MAX_M, MAX_RM_M, CodeParams, Z4Code, check_order, lrm, rm_binary
+from .codes import MAX_M, MAX_RM_M, CodeParams, Z4Code, check_order, lrm, rm_binary_rows
 from .errors import CapacityError, CodeFileError, DimensionError, OverrideError, ZeroCodeError
 from .fileformat import parse_code, render_code
 from .linalg import DEFAULT_BUDGET, check_budget
@@ -260,7 +261,11 @@ def _cmd_compare_qrm(args) -> int:
 
 
 def _cmd_rm(args) -> int:
-    _write("".join(row.digits() + "\n" for row in rm_binary(args.r, args.m)))
+    # in blocks of at most 2^TEXT_BLOCK_LOG2 bytes: RM(m,m) has 2^m rows of 2^m digits
+    rows = rm_binary_rows(args.r, args.m)
+    per_block = max(1, (1 << _engine.TEXT_BLOCK_LOG2) // ((1 << args.m) + 1))
+    while block := list(itertools.islice(rows, per_block)):
+        _write("".join(row.digits() + "\n" for row in block))
     return 0
 
 

@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import _engine
 from .errors import CapacityError, DimensionError, OverrideError
@@ -246,12 +246,19 @@ def lrm(
 
 
 def rm_binary(r: int, m: int) -> tuple:
-    """Generator rows of the binary Reed-Muller code RM(r,m).
+    """Generator rows of the binary Reed-Muller code RM(r,m): the tuple of
+    rm_binary_rows(r, m)."""
+    return tuple(rm_binary_rows(r, m))
+
+
+def rm_binary_rows(r: int, m: int) -> Iterator[BitWord]:
+    """Generator rows of the binary Reed-Muller code RM(r,m), one at a time.
 
     Rows are evaluation vectors, over the 2^m points of Z2^m, of all
     monomials in v_1..v_m of degree at most r.  Points are ordered by the
     integer value of (v_1..v_m) with v_1 most significant; monomials are
-    graded by degree, then lexicographic.  m is at most MAX_RM_M.
+    graded by degree, then lexicographic.  m is at most MAX_RM_M, checked
+    when the first row is drawn.
     """
     check_order(r, m)
     if m > MAX_RM_M:
@@ -264,14 +271,12 @@ def rm_binary(r: int, m: int) -> tuple:
     for i in range(1, m + 1):
         p = 1 << (m - i)
         var_rows.append(ones // ((1 << 2 * p) - 1) * (((1 << p) - 1) << p))
-    rows = []
     for degree in range(r + 1):
         for subset in itertools.combinations(range(m), degree):
             bits = ones
             for i in subset:
                 bits &= var_rows[i]
-            rows.append(BitWord._raw(npts, bits))
-    return tuple(rows)
+            yield BitWord._raw(npts, bits)
 
 
 def shipped_nonlinear_base() -> Z4Code:

@@ -1,12 +1,16 @@
 import dataclasses
+import functools
 import itertools
 import random
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from z4rm import analysis
 from z4rm.analysis import (
     MATERIALIZE_BUDGET,
     gray_image_params,
@@ -23,8 +27,11 @@ from z4rm.analysis import (
 )
 from z4rm.codes import CodeParams, Z4Code, lrm, rm_binary, shipped_nonlinear_base, theorem1_params
 from z4rm.errors import CapacityError, DimensionError, ZeroCodeError
-from z4rm.linalg import GeneratorMatrix, enumerate_codewords
-from z4rm.z4core import BitWord, Z4Word, gray, hamming_distance, lee_distance, lee_weight
+from z4rm.fileformat import render_code
+from z4rm.linalg import GeneratorMatrix, enumerate_codewords, standard_form
+from z4rm.z4core import (
+    BitWord, Z4Word, add, gray, hamming_distance, lee_distance, lee_weight, negate,
+)
 
 WITNESS = Z4Code(GeneratorMatrix.from_strings(["1013", "0112"]))
 
@@ -335,6 +342,63 @@ def test_search_stop_after():
     assert [w.digits() for w in first[0].generators] == [
         w.digits() for w in full[0].generators
     ]
+
+
+@pytest.mark.parametrize("target", [(4, 4, 3), (5, 5, 3), (6, 7, 4)])
+def test_search_leaf_forms_are_standard_forms(monkeypatch, target):
+    # every leaf whose code has the target distance is tested on a form built
+    # from its rows as chosen, with no elimination
+    forms = []
+
+    def spy(sf):
+        forms.append(sf)
+        return real(sf)
+
+    real = analysis._form_image_is_linear
+    monkeypatch.setattr(analysis, "_form_image_is_linear", spy)
+    found = search_nonlinear_base(CodeParams(*target), length_limit=target[0])
+    assert len(forms) >= len(found) > 0
+    for sf in forms:
+        assert sf == standard_form(GeneratorMatrix(sf.rows, n=sf.n))
+
+
+@pytest.mark.parametrize("chunk", [1, 30, 45, 60, 150, 1 << 16])
+def test_least_weights_match_the_word_by_word_minimum(chunk):
+    # 13 span words against 3 x 5 multiples, in runs of 1, 2, 3, 4, 10 and 13
+    # words; the last span word alone gives the first candidate weight 0
+    rng = random.Random(chunk)
+    n = 7
+    steps = [[rng.randrange(4**n) for _ in range(5)] for _ in range(3)]
+    span = [rng.randrange(4**n) for _ in range(12)]
+    span.append(negate(Z4Word._raw(n, steps[0][0]))._packed)
+    got = analysis._least_weights(
+        np.array(span, dtype=np.uint64), np.array(steps, dtype=np.uint64), chunk=chunk
+    )
+    want = [
+        min(lee_weight(add(Z4Word._raw(n, w), Z4Word._raw(n, row[i])))
+            for w in span for row in steps)
+        for i in range(5)
+    ]
+    assert want[0] == 0
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 100])
+@pytest.mark.parametrize("target", [(4, 4, 3), (5, 5, 3)])
+def test_search_is_independent_of_the_chunk_bound(monkeypatch, chunk, target):
+    # small bounds weigh one span word, or a few with a short last run, at a time
+    monkeypatch.setattr(
+        analysis, "_least_weights", functools.partial(analysis._least_weights, chunk=chunk)
+    )
+    found = search_nonlinear_base(CodeParams(*target), length_limit=target[0])
+    name = "search_nonlinear_{}_{}_{}.txt".format(*target)
+    want = (Path(__file__).parent / "data" / name).read_text(encoding="ascii")
+    assert "\n".join(render_code(c) for c in found) == want
+
+
+def test_search_first_extended_perfect_code_is_the_shipped_one():
+    first = search_nonlinear_base(CodeParams(8, 11, 4), length_limit=8, stop_after=1)
+    assert [c.generators for c in first] == [shipped_nonlinear_base().generators]
 
 
 def test_shipped_nonlinear_base_properties():

@@ -1,9 +1,11 @@
+import hashlib
 import random
 import signal
 from pathlib import Path
 
 import pytest
 
+from z4rm import _engine
 from z4rm.analysis import image_is_linear, min_lee_weight
 from z4rm.cli import MAX_LENGTH, MAX_M, MAX_RM_M, main
 from z4rm.codes import Z4Code, lrm, shipped_nonlinear_base
@@ -376,6 +378,25 @@ def test_rm_subcommand(capsys):
     assert out.split() == ["1111", "0011", "0101"]
 
 
+def test_rm_writes_bounded_blocks(monkeypatch):
+    # RM(13,13) is 67 MB of text; it reaches stdout in blocks of at most
+    # 2^TEXT_BLOCK_LOG2 bytes, and their concatenation is the text that the
+    # single-write command printed
+    sizes, digest = [], hashlib.sha256()
+
+    def spy(text):
+        sizes.append(len(text))
+        digest.update(text.encode("ascii"))
+
+    monkeypatch.setattr("z4rm.cli._write", spy)
+    assert main(["rm", "13", "13"]) == 0
+    assert max(sizes) <= 1 << _engine.TEXT_BLOCK_LOG2
+    assert sum(sizes) == (1 << 13) * ((1 << 13) + 1)
+    assert digest.hexdigest() == (
+        "d4ec98214c081aecf4f0cb1d613e92cf62eda0745f40bfa39effb69a3c51944c"
+    )
+
+
 def test_search_nonlinear_subcommand(capsys):
     code, out, _ = run(capsys, "search-nonlinear", "2", "3", "2", "--limit", "2")
     assert code == 1
@@ -383,6 +404,27 @@ def test_search_nonlinear_subcommand(capsys):
 
     code, out, _ = run(capsys, "search-nonlinear", "9", "2", "2", "--limit", "8")
     assert code == 3
+
+
+@pytest.mark.parametrize("n, k, d", [(4, 4, 3), (5, 5, 3)])
+def test_search_nonlinear_stdout_is_pinned(capsys, n, k, d):
+    # captured from the search that tested candidates one span word at a time
+    want = (Path(__file__).parent / "data" / f"search_nonlinear_{n}_{k}_{d}.txt").read_text(
+        encoding="ascii"
+    )
+    assert run(capsys, "search-nonlinear", str(n), str(k), str(d), "--limit", str(n))[:2] == (
+        0, want,
+    )
+
+
+def test_search_nonlinear_6_7_4_stdout_is_pinned(capsys):
+    code, out, _ = run(capsys, "search-nonlinear", "6", "7", "4", "--limit", "6")
+    assert code == 0
+    assert out.count("Z4CODE") == 864
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+        "91d750c3e3e87f043f5313c1f3fa6ed9dce9a2d7c5ad6f0f777f716ab6d4ea8b"
+    )
+
 
 
 @pytest.mark.parametrize(
