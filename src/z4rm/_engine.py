@@ -44,7 +44,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ZeroCodeError
-from .linalg import dual_standard_form, intersection, mirror_index, mixed_radix_basis
+from .linalg import (
+    dual_standard_form, intersection, mirror_index, mixed_radix_basis, plotkin_split,
+)
 from .z4core import Z4Word, _BYTE_LANES, _lane_masks
 
 U64 = np.uint64
@@ -523,7 +525,7 @@ def _sweep_mirror(sf):
 WITNESS_BLOCK_LOG2 = 10
 
 # Every route but the direct one pays 2^FIXED_COST_LOG2 words on top of its
-# own work (the dual's or the parts' standard forms, A ∩ B, a second sweep
+# own work (the dual's standard form or plotkin_split, A ∩ B, a second sweep
 # set-up, the witness search).  At k = 14..16, with the route forced through
 # Route.witness (one process, medians of 30 and of 40 alternating runs,
 # 2-vCPU x86 KVM guest), route time over direct time per word, less the
@@ -563,9 +565,10 @@ class Route(NamedTuple):
     - "direct": a sweep of C's 2^k words;
     - "dual": a sweep of C⊥'s 2^(2n-k) words (linalg.dual_standard_form),
       which lee_macwilliams turns into C's counts;
-    - "plotkin": for C = {(x, x+y) : x in A, y in B} that codes.plotkin
-      built, one sweep of A + B (A itself when B ⊆ A) whose index rows are
-      the cosets of B and whose row heads are the cosets of A ∩ B in A.
+    - "plotkin": for C = {(x, x+y) : x in A, y in B}, with A and B read
+      off C's own rows by linalg.plotkin_split, one sweep of A + B (A
+      itself when B ⊆ A) whose index rows are the cosets of B and whose
+      row heads are the cosets of A ∩ B in A.
       Their per-coset histograms combine, one chunk of cosets at a time, in
       one int64 product, into C's counts (plotkin_lee_distribution), at the
       cost of plotkin_cost.  parts is then the standard forms (a, b, A ∩ B);
@@ -617,19 +620,20 @@ class Route(NamedTuple):
         )
 
 
-def lee_route(sf, parts=None):
-    """The cheapest Route for sf's code, parts being (A, B), codes with a
-    standard_form, on a code that codes.plotkin built, else None.  Ties go
-    to the earlier method in Route's list."""
+def lee_route(sf):
+    """The cheapest Route for sf's code, a function of the code alone: the
+    Plotkin route is priced when linalg.plotkin_split finds C = plotkin(A,
+    B).  Ties go to the earlier method in Route's list."""
     k = sf.log2_size
     best = Route("direct", k, sf, None)
     dual = _plus_fixed(2 * sf.n - k)
     if dual < k:
         best = Route("dual", dual, sf, None)
     # The plotkin route's int64 counts reach 2^k.  B has at most 4^(n/2)
-    # words, so A has at least 2^(k-n), and the route sweeps at least A.
-    if parts is not None and k < 63 and _plus_fixed(k - sf.n) < best.cost:
-        a, b = (p.standard_form for p in parts)
+    # words, so A has at least 2^(k-n), and the route sweeps at least A:
+    # when that cannot win, C is not split at all.
+    if k < 63 and _plus_fixed(k - sf.n) < best.cost and (split := plotkin_split(sf)):
+        a, b = split
         if _plus_fixed(a.log2_size) < best.cost:
             inter = intersection(a, b)
             cost = _plus_fixed(plotkin_cost(a.log2_size, b.log2_size, inter.log2_size, a.n))

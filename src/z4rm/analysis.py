@@ -131,7 +131,7 @@ def min_lee_weight_witness(c: Z4Code, budget: int = DEFAULT_BUDGET, workers: int
     gates C's own size."""
     sf = c.standard_form
     check_budget(sf.log2_size, budget)
-    d, t = _engine.lee_route(sf, c.parts).witness(workers)
+    d, t = _engine.lee_route(sf).witness(workers)
     return d, codeword_at(sf, t)
 
 
@@ -147,7 +147,7 @@ def lee_weight_distribution(
     _engine.Route.  The budget gates C's own size."""
     sf = c.standard_form
     check_budget(sf.log2_size, budget)
-    return WeightDistribution(tuple(_engine.lee_route(sf, c.parts).counts(workers)))
+    return WeightDistribution(tuple(_engine.lee_route(sf).counts(workers)))
 
 
 def image_is_linear(c: Z4Code) -> bool:
@@ -371,7 +371,7 @@ def search_nonlinear_base(
     if k > MATERIALIZE_BUDGET:
         raise CapacityError(
             f"target log2 size {k} exceeds {MATERIALIZE_BUDGET}: the search "
-            f"materializes 2^k-word spans",
+            f"materializes spans of up to 2^{k - 1} words",
             required=k,
             configured=MATERIALIZE_BUDGET,
         )
@@ -401,28 +401,20 @@ def search_nonlinear_base(
 
 def _row_candidates(n, k1, k2, pos, is_top):
     """Packed candidate rows for one pivot position, in frozen order, as an
-    (N,) single-limb array."""
+    (N,) single-limb array: the pivot, then one lane per column after the
+    unit pivots (0 or 1 at a pivot-2 column and 0..3 at a free one on an
+    order-4 row, 0 or 2 at a free one on an order-2 row), each column's
+    lane varying faster than the one before it."""
     free = range(k1 + k2, n)
-    out = []
     if is_top:
-        pivot = 1 << (2 * pos)
-        for two_part in itertools.product((0, 1), repeat=k2):
-            base = pivot
-            for j, s in enumerate(two_part):
-                base |= s << (2 * (k1 + j))
-            for free_part in itertools.product(range(4), repeat=len(free)):
-                p = base
-                for col, s in zip(free, free_part):
-                    p |= s << (2 * col)
-                out.append(p)
+        out = np.array([1 << 2 * pos], dtype=np.uint64)
+        lanes = [(k1 + j, (0, 1)) for j in range(k2)] + [(col, (0, 1, 2, 3)) for col in free]
     else:
-        pivot = 2 << (2 * (k1 + pos))
-        for free_part in itertools.product((0, 2), repeat=len(free)):
-            p = pivot
-            for col, s in zip(free, free_part):
-                p |= s << (2 * col)
-            out.append(p)
-    return np.array(out, dtype=np.uint64)
+        out = np.array([2 << 2 * (k1 + pos)], dtype=np.uint64)
+        lanes = [(col, (0, 2)) for col in free]
+    for col, values in lanes:
+        out = (out[:, None] | np.array(values, dtype=np.uint64) << np.uint64(2 * col)).reshape(-1)
+    return out
 
 
 def _least_weights(span, steps, chunk=1 << _engine.DEFAULT_BLOCK_LOG2):

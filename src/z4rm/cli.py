@@ -308,9 +308,9 @@ _COMMANDS = {
                    (_arg("M", type=_level), _BUDGET, _WORKERS)),
     "gray": (_cmd_gray, "map a code file or word list through the Gray isometry", (_FILE,)),
     "ungray": (_cmd_ungray, "map binary words back through the inverse Gray map", (_FILE,)),
-    "mindist": (_cmd_mindist, "exact minimum Lee distance (smaller of C and its dual)",
+    "mindist": (_cmd_mindist, "exact minimum Lee distance (direct, dual or Plotkin)",
                 (_FILE, _BUDGET, _WORKERS)),
-    "wdist": (_cmd_wdist, "exact Lee weight counts (smaller of C and its dual)",
+    "wdist": (_cmd_wdist, "exact Lee weight counts (direct, dual or Plotkin)",
               (_FILE, _BUDGET, _WORKERS)),
     "member": (_cmd_member, "test whether WORD lies in the code", (_FILE, _arg("word"))),
     "image-linear": (_cmd_image_linear, "is the Gray image closed under XOR?", (

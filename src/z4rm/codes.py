@@ -84,12 +84,10 @@ class Z4Code:
     """Quaternary linear code given by generator rows.
 
     The label is a human-readable construction trace; every override
-    applied along an LRM recursion shows up in it.  parts is (A, B) on a
-    code that plotkin built as {(x, x+y) : x in A, y in B}, and None on
-    every other code.
+    applied along an LRM recursion shows up in it.  Nothing else records
+    how the code was made: its route (_engine.lee_route) is read off its
+    standard form alone.
     """
-
-    parts = None
 
     def __init__(self, generators: GeneratorMatrix | Iterable[Z4Word], label: str = "",
                  n: int | None = None):
@@ -110,7 +108,7 @@ class Z4Code:
     def _min_lee_weight(self) -> int:
         """Exact minimum nonzero Lee weight, along the cheapest route of
         _engine.lee_route.  It gates no budget: the caller checks one first."""
-        return _engine.lee_route(self.standard_form, self.parts).witness()[0]
+        return _engine.lee_route(self.standard_form).witness()[0]
 
     @property
     def log2_size(self) -> int:
@@ -137,7 +135,9 @@ def plotkin(c1: Z4Code, c2: Z4Code, label: str | None = None) -> Z4Code:
     """Doubling construction: the code {(x, x+y) : x in c1, y in c2}.
 
     Generated by {(g, g)} for generators g of c1 plus {(0, h)} for
-    generators h of c2, so sizes multiply.
+    generators h of c2, so sizes multiply.  The code keeps no link to c1
+    and c2: linalg.plotkin_split recovers their standard forms from its
+    words.
     """
     if c1.n != c2.n:
         raise DimensionError(f"length mismatch: {c1.n} vs {c2.n}")
@@ -146,9 +146,7 @@ def plotkin(c1: Z4Code, c2: Z4Code, label: str | None = None) -> Z4Code:
     rows += [_concat(zero, h) for h in c2.generators]
     if label is None:
         label = f"plotkin[{c1.label or '?'};{c2.label or '?'}]"
-    code = Z4Code(GeneratorMatrix(rows, n=2 * c1.n), label=label)
-    code.parts = (c1, c2)
-    return code
+    return Z4Code(GeneratorMatrix(rows, n=2 * c1.n), label=label)
 
 
 def theorem1_params(r: int, m: int) -> CodeParams:

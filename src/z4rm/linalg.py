@@ -28,6 +28,7 @@ __all__ = [
     "check_budget",
     "dual_standard_form",
     "intersection",
+    "plotkin_split",
 ]
 
 # log2 of the largest codeword count the enumeration paths will sweep
@@ -323,6 +324,29 @@ def intersection(a: StandardForm, b: StandardForm) -> StandardForm:
                 w = _add_times(w, cj, row._packed, lo)
         words.append(Z4Word._raw(a.n, w))
     return standard_form(GeneratorMatrix(words, n=a.n))
+
+
+def plotkin_split(sf: StandardForm) -> tuple | None:
+    """Standard forms (a, b) of codes A and B with C = {(x, x+y) : x in A,
+    y in B}, for sf's code C, or None when C is no such code.
+
+    Each row of sf is (u, v), u its low n/2 lanes (as codes.plotkin packs
+    x).  A is spanned by the u and B by the v - u, so C lies in plotkin(A,
+    B), which has |A|·|B| words: C is plotkin(A, B) iff k_A + k_B = k.
+    Then (0, v - u) is in C for every row; the first row's is tested before
+    any part is reduced.
+    """
+    if sf.n % 2:
+        return None
+    h = sf.n // 2
+    lo, full = _lane_masks(h)
+    halves = [(r._packed & full, r._packed >> 2 * h) for r in sf.rows]
+    diffs = [_add_times(v, 3, u, lo) for u, v in halves]
+    if diffs and _reduce(sf, diffs[0] << 2 * h)[1]:
+        return None
+    a = standard_form(GeneratorMatrix([Z4Word._raw(h, u) for u, _ in halves], n=h))
+    b = standard_form(GeneratorMatrix([Z4Word._raw(h, w) for w in diffs], n=h))
+    return (a, b) if a.log2_size + b.log2_size == sf.log2_size else None
 
 
 def check_budget(k: int, budget: int) -> None:

@@ -5,9 +5,9 @@ packed lanes: the lane readers have one literal width per word type;
 digits and from_string turn a word into text and back one lane at a time;
 standard_form, residue, dual_standard_form, syndromes and intersection read
 and write one Z4 symbol at a time; low_table doubles a sweep table with the
-ring's own combine on whole rows; and plotkin_bit_basis reduces in
-alpha/beta bit masks.  The property tests assert that the library's results
-equal these, byte for byte.
+ring's own combine on whole rows; plotkin_bit_basis reduces in
+alpha/beta bit masks; and plotkin_split enumerates the code.  The property
+tests assert that the library's results equal these, byte for byte.
 """
 
 import numpy as np
@@ -262,3 +262,23 @@ def intersection(a, b):
                 w = add(w, _scale(row, cj))
         words.append(w)
     return standard_form(GeneratorMatrix(words, n=a.n))
+
+
+def plotkin_split(words):
+    """The projections A = {x : (x, z) in C} and B = {z - x : (x, z) in C}
+    of the code C given as the list of all its words, as sets of lane
+    tuples, when C = {(x, x + y) : x in A, y in B}; None when a word of that
+    set is missing from C, or the length is odd.  C lies in the set, so a
+    missing word is met within |C| + 1 tries."""
+    n = words[0].n
+    if n % 2:
+        return None
+    h = n // 2
+    code = {tuple(z4_lanes(w)) for w in words}
+    a = {w[:h] for w in code}
+    b = {tuple((z - x) % 4 for x, z in zip(w[:h], w[h:])) for w in code}
+    for x in a:
+        for y in b:
+            if x + tuple((s + t) % 4 for s, t in zip(x, y)) not in code:
+                return None
+    return a, b

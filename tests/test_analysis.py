@@ -323,7 +323,8 @@ def test_search_refuses_long_rows_and_large_spans():
     with pytest.raises(CapacityError, match="target length 33 exceeds 32") as e:
         search_nonlinear_base(CodeParams(33, 2, 2), length_limit=40)
     assert (e.value.required, e.value.configured) == (33, 32)
-    # the search materializes spans of 2^k words
+    # the search materializes spans of up to 2^(k - 1) words: the span that
+    # a last order-2 row is weighed against
     with pytest.raises(CapacityError, match="target log2 size 21 exceeds 20") as e:
         search_nonlinear_base(CodeParams(12, 21, 2), length_limit=12)
     assert (e.value.required, e.value.configured) == (21, MATERIALIZE_BUDGET)
@@ -381,6 +382,37 @@ def test_least_weights_match_the_word_by_word_minimum(chunk):
     ]
     assert want[0] == 0
     assert got.tolist() == want
+
+
+def _product_candidates(n, k1, k2, pos, is_top):
+    """Candidate rows one Python int at a time, through nested products: the
+    reference for _row_candidates' frozen order."""
+    free = range(k1 + k2, n)
+    out = []
+    if is_top:
+        for two_part in itertools.product((0, 1), repeat=k2):
+            base = 1 << (2 * pos)
+            for j, s in enumerate(two_part):
+                base |= s << (2 * (k1 + j))
+            for free_part in itertools.product(range(4), repeat=len(free)):
+                out.append(base | sum(s << (2 * col) for col, s in zip(free, free_part)))
+    else:
+        for free_part in itertools.product((0, 2), repeat=len(free)):
+            out.append(2 << (2 * (k1 + pos)) | sum(s << (2 * col) for col, s in zip(free, free_part)))
+    return out
+
+
+def test_row_candidates_equal_the_product_loops():
+    # every pivot position of every (k1, k2) shape with n <= 6
+    for n in range(1, 7):
+        for k1 in range(n + 1):
+            for k2 in range(n - k1 + 1):
+                for is_top, count in ((True, k1), (False, k2)):
+                    for pos in range(count):
+                        got = analysis._row_candidates(n, k1, k2, pos, is_top)
+                        assert got.dtype == np.uint64
+                        want = _product_candidates(n, k1, k2, pos, is_top)
+                        assert got.tolist() == want, (n, k1, k2, pos, is_top)
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 100])

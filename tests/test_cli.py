@@ -8,9 +8,9 @@ import pytest
 from z4rm import _engine
 from z4rm.analysis import image_is_linear, min_lee_weight
 from z4rm.cli import MAX_LENGTH, MAX_M, MAX_RM_M, main
-from z4rm.codes import Z4Code, lrm, shipped_nonlinear_base
+from z4rm.codes import Z4Code, lrm, shipped_nonlinear_base, theorem1_params
 from z4rm.errors import ZeroCodeError
-from z4rm.fileformat import render_code
+from z4rm.fileformat import parse_code, render_code
 from z4rm.linalg import GeneratorMatrix, enumerate_codewords
 from z4rm.z4core import Z4Word
 
@@ -74,19 +74,42 @@ def test_verify_all_7_stdout_is_pinned(capsys):
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-@pytest.mark.parametrize("r, m", [(1, 7), (2, 6), (3, 5)])
+@pytest.mark.parametrize("r, m", [(1, 7), (2, 6), (3, 5), (2, 7)])
 def test_mindist_wdist_stdout_is_pinned(capsys, tmp_path, r, m, workers):
-    # captured from direct sweeps of every codeword: LRM(1,7) is one two-limb
-    # block, LRM(2,6) 64 2^16-word blocks; LRM(3,5) (2^26 words) was swept
-    # directly at capture and now goes through its 2^6-word dual
+    # each captured from a direct sweep of every codeword of the code file
+    # (LRM(2,7), 2^29 words, at budget 29).  Only LRM(1,7), of 2^8 words,
+    # still sweeps directly; the files of LRM(2,6) and LRM(2,7) split, and
+    # take the Plotkin route, and LRM(3,5) goes through its 2^6-word dual
     want = (Path(__file__).parent / "data" / f"lrm_{r}_{m}_mindist_wdist.txt").read_text(
         encoding="ascii"
     )
+    budget = str(max(28, theorem1_params(r, m).k))
     path = str(tmp_path / "code.z4code")
     assert run(capsys, "build", str(r), str(m), "-o", path)[:2] == (0, "")
-    code_min, out_min, _ = run(capsys, "mindist", path, "--workers", workers)
-    code_w, out_w, _ = run(capsys, "wdist", path, "--workers", workers)
+    code_min, out_min, _ = run(capsys, "mindist", path, "--workers", workers, "--budget", budget)
+    code_w, out_w, _ = run(capsys, "wdist", path, "--workers", workers, "--budget", budget)
     assert (code_min, code_w, out_min + out_w) == (0, 0, want)
+
+
+def test_a_code_file_takes_the_plotkin_route(capsys, tmp_path, monkeypatch):
+    # the file of LRM(2,7) holds only rows, yet it splits into LRM(2,6) and
+    # LRM(1,6): wdist sweeps A = LRM(2,6)'s 2^22 words (B ⊆ A), not the
+    # file's 2^29
+    path = tmp_path / "code.z4code"
+    assert run(capsys, "build", "2", "7", "-o", str(path))[:2] == (0, "")
+    assert _engine.lee_route(parse_code(path.read_text("ascii")).standard_form).method == "plotkin"
+    sizes = []
+    real = _engine.Sweep.__init__
+
+    def spy(self, basis, k, *args, **kwargs):
+        sizes.append(k)
+        real(self, basis, k, *args, **kwargs)
+
+    monkeypatch.setattr(_engine.Sweep, "__init__", spy)
+    code, out, _ = run(capsys, "wdist", str(path), "--budget", "29")
+    assert (code, sizes) == (0, [22])
+    want = (Path(__file__).parent / "data" / "lrm_2_7_mindist_wdist.txt").read_text(encoding="ascii")
+    assert out == want.split("\n", 2)[2]  # the lines after mindist's two
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -433,7 +456,7 @@ def test_search_nonlinear_6_7_4_stdout_is_pinned(capsys):
         (["33", "2", "2", "--limit", "40"],
          "target length 33 exceeds 32, the search's single-limb candidate rows"),
         (["12", "21", "2", "--limit", "12"],
-         "target log2 size 21 exceeds 20: the search materializes 2^k-word spans"),
+         "target log2 size 21 exceeds 20: the search materializes spans of up to 2^20 words"),
         (["16", "2", "2", "--limit", "16"],
          "the search builds 2^30 candidates for a row, more than 2^20"),
     ],

@@ -30,6 +30,7 @@ from z4rm.linalg import (
     enumerate_codewords,
     intersection,
     mirror_index,
+    plotkin_split,
     standard_form,
 )
 from z4rm.z4core import BitWord, Z4Word, add, gray, lee_weight, negate
@@ -237,8 +238,7 @@ def test_an_error_in_any_block_is_raised_not_a_partial_result():
         n=6))
     k = sf.log2_size
     basis = _engine.z4_basis_from_standard_form(sf)
-    code = lrm(2, 6)
-    a, b = (p.standard_form for p in code.parts)
+    a, b = plotkin_split(lrm(2, 6).standard_form)
     inter = intersection(a, b)
     calls = [
         # 2-word blocks of 2^6 words; the plotkin route's 2^16 words in 2^14
@@ -488,8 +488,9 @@ def test_callers_pair_only_sweeps_of_more_than_one_block(monkeypatch):
     monkeypatch.setattr(_engine.Sweep, "__init__", spy)
     for r, m in ((1, 4), (2, 6)):  # 2^11 words: one block; 2^22 words: 64
         sf = lrm(r, m).standard_form
-        _engine.lee_route(sf).witness()
-        _engine.lee_route(sf).counts()
+        route = _engine.Route("direct", sf.log2_size, sf, None)  # LRM(2,6) splits
+        route.witness()
+        route.counts()
     assert [p is not None for p in seen] == [False, False, True, True]
 
 

@@ -12,10 +12,12 @@ from test_macwilliams import monomial_copy
 from test_plotkin_route import ROUTE_VARIANTS
 from test_setup_oracles import _matrices
 from z4rm import linalg
-from z4rm.codes import lrm
+from z4rm.codes import Z4Code, lrm, plotkin
 from z4rm.linalg import (
+    GeneratorMatrix,
     codeword_at,
     dual_standard_form,
+    enumerate_codewords,
     intersection,
     membership,
     mirror_index,
@@ -93,6 +95,32 @@ def test_intersection_equals_the_lane_by_lane_form(parts):
     assert (got is b) == (want is b)
 
 
+@st.composite
+def _maybe_doublings(draw):
+    """Rows of length n <= 10 spanning at most 2^12 words: drawn on their
+    own, or the rows of plotkin(A, B) for drawn A and B of length n/2, with
+    or without one drawn row more."""
+    n = draw(st.integers(1, 10))
+    if n % 2 or draw(st.booleans()):
+        return draw(_matrices(6, n))
+    a, b = (Z4Code(draw(_matrices(rows, n // 2))) for rows in (3, 2))
+    extra = draw(_matrices(1, n)).rows
+    return GeneratorMatrix(plotkin(a, b).generators.rows + extra, n=n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_maybe_doublings())
+def test_plotkin_split_equals_the_enumeration_oracle(g):
+    sf = standard_form(g)
+    got = linalg.plotkin_split(sf)
+    want = oracles.plotkin_split(list(enumerate_codewords(sf)))
+    assert (got is None) == (want is None)
+    assert got is None or sf.n % 2 == 0
+    if got is not None:
+        assert tuple({tuple(oracles.z4_lanes(w)) for w in enumerate_codewords(p)}
+                     for p in got) == want
+
+
 def _monomial_map(rng, n):
     return rng.permutation(n).tolist(), rng.integers(0, 2, n).tolist()
 
@@ -107,7 +135,8 @@ def test_packed_linalg_of_every_order_equals_the_lane_by_lane_forms(variant, cop
     for m in range(1, 8):
         for r in range(m + 1):
             code = lrm(r, m, ROUTE_VARIANTS[variant])
-            parts = code.parts
+            split = linalg.plotkin_split(code.standard_form)
+            parts = split and [Z4Code(GeneratorMatrix(p.rows, n=p.n)) for p in split]
             if copy:  # the code, and both its parts by one map of their length
                 code = monomial_copy(code, *_monomial_map(rng, code.n))
                 if parts:

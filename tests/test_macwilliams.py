@@ -184,7 +184,7 @@ def test_public_calls_match_direct_sweep(r, m, override_index, workers):
     # (2^26) have smaller duals, so the public calls go through MacWilliams;
     # of the three, only LRM(3,5) contains the overridden (2,4) node
     code, counts, (d, witness) = _direct_reference(r, m, override_index)
-    assert _engine.lee_route(code.standard_form, code.parts)[0] == "dual"
+    assert _engine.lee_route(code.standard_form)[0] == "dual"
     assert list(lee_weight_distribution(code, workers=workers).counts) == counts
     got_d, got_witness = min_lee_weight_witness(code, workers=workers)
     assert (got_d, got_witness.digits()) == (d, witness.digits())

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_macwilliams import direct_counts, direct_min, macwilliams_counts, monomial_copy
@@ -32,7 +32,7 @@ VARIANTS = {
 
 
 def route_distribution(code):
-    a, b = (p.standard_form for p in code.parts)
+    a, b = linalg.plotkin_split(code.standard_form)
     return _engine.plotkin_lee_distribution(a, b, intersection(a, b))
 
 
@@ -40,7 +40,7 @@ def route_distribution(code):
 @pytest.mark.parametrize("r, m", [(1, 4), (2, 5), (2, 6)])
 def test_route_matches_direct_and_macwilliams(r, m, variant):
     code = lrm(r, m, VARIANTS[variant])
-    a, b = (p.standard_form for p in code.parts)
+    a, b = linalg.plotkin_split(code.standard_form)
     nested = intersection(a, b).log2_size == b.log2_size
     # LRM(1,4) lies in neither override, so only the plain family nests
     # past m = 4
@@ -84,6 +84,23 @@ def _part_pairs(draw):
     else:
         b_rows = rows(draw(st.integers(0, 4)))
     return Z4Code(GeneratorMatrix(a_rows, n=n)), Z4Code(GeneratorMatrix(b_rows, n=n))
+
+
+_NONE = Z4Code(GeneratorMatrix([], n=3))
+_ONE = Z4Code(GeneratorMatrix([Z4Word([1, 2, 0])]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(parts=_part_pairs())
+@example(parts=(_NONE, _ONE))
+@example(parts=(_ONE, _NONE))
+@example(parts=(_NONE, _NONE))
+def test_split_of_a_doubling_gives_its_parts(parts):
+    # k_A = 0 and k_B = 0 included: C = plotkin(A, B) splits into the
+    # standard forms of A and B, whatever C's own form made of their rows
+    a_code, b_code = parts
+    split = linalg.plotkin_split(plotkin(a_code, b_code).standard_form)
+    assert split == (a_code.standard_form, b_code.standard_form)
 
 
 @settings(max_examples=120, deadline=None)
@@ -135,7 +152,7 @@ def test_route_properties_on_random_parts(parts):
         assert list(lee_weight_distribution(code).counts) == direct
         sf = code.standard_form
         if sf.log2_size:
-            assert _engine.lee_route(sf, code.parts).witness() == direct_min(sf)
+            assert _engine.lee_route(sf).witness() == direct_min(sf)
 
 
 def _chunks(acc, row, heads, full):
@@ -219,8 +236,7 @@ def test_route_holds_one_chunk_of_cosets_at_a_time():
 
 def test_route_refuses_counts_that_miss_the_code_size():
     # a histogram that counts each word twice breaks sum W_C = |C|
-    code = lrm(2, 6)
-    a, b = (p.standard_form for p in code.parts)
+    a, b = linalg.plotkin_split(lrm(2, 6).standard_form)
     with _with_fold(lambda fold: lambda acc, row, h, c: fold(acc, row, h, 2 * c)):
         with pytest.raises(ArithmeticError, match="not 2\\^22"):
             _engine.plotkin_lee_distribution(a, b, intersection(a, b))
@@ -249,7 +265,7 @@ def test_route_choice(r, m, method, variant):
         # 2^16.5, each plus the fixed cost against 2^16 words
         method = "plotkin"
     code = lrm(r, m, ROUTE_VARIANTS[variant])
-    assert _engine.lee_route(code.standard_form, code.parts)[0] == method
+    assert _engine.lee_route(code.standard_form)[0] == method
 
 
 # log2 of the words each route's counts sweep: C, C⊥, or A + B
@@ -275,7 +291,7 @@ def test_each_route_sweeps_what_it_reports(monkeypatch, r, m, method, k):
         real(self, basis, k, *args, **kwargs)
 
     code = lrm(r, m)
-    route = _engine.lee_route(code.standard_form, code.parts)
+    route = _engine.lee_route(code.standard_form)
     assert (route.method, SWEPT_LOG2[method](route)) == (method, k)
     monkeypatch.setattr(_engine.Sweep, "__init__", spy)
     route.counts()
@@ -287,7 +303,7 @@ def test_route_for_lrm_2_8_is_chosen_without_a_sweep():
     # 2^21 cosets of 129 weights, 2^35.06 units in all against 2^37 words
     # for the direct sweep
     code = lrm(2, 8)
-    route = _engine.lee_route(code.standard_form, code.parts)
+    route = _engine.lee_route(code.standard_form)
     assert (route.method, round(route.cost, 2), route.parts[2].log2_size) == ("plotkin", 35.06, 8)
 
 
@@ -303,32 +319,39 @@ def test_route_counts_cells_and_products_of_small_cosets():
     b_code = Z4Code(GeneratorMatrix([two], n=n))
     code = plotkin(a_code, b_code)
     assert _engine.plotkin_cost(21, 1, 1, n) > 29
-    route = _engine.lee_route(code.standard_form, code.parts)
+    route = _engine.lee_route(code.standard_form)
     assert (route.method, route.cost, route.parts) == ("direct", 22, None)
 
 
-def test_route_skips_parts_that_cannot_win():
+def test_route_skips_parts_that_cannot_win(monkeypatch):
     # LRM(3,5) = plotkin(A, B) with B of length 8 has |A| >= 2^(26 - 16),
     # more than its 2^6-word dual, and both routes pay the fixed cost of
-    # 2^14.5 words, so the parts are not reduced at all
-    class Unreduced:
-        @property
-        def standard_form(self):
-            raise AssertionError("standard form of a part computed")
+    # 2^14.5 words, so the code is not split at all
+    def unsplit(sf):
+        raise AssertionError("plotkin_split called")
 
-    sf = lrm(3, 5).standard_form
-    route = _engine.lee_route(sf, (Unreduced(), Unreduced()))
+    monkeypatch.setattr(_engine, "plotkin_split", unsplit)
+    route = _engine.lee_route(lrm(3, 5).standard_form)
     assert (route.method, round(route.cost, 3), route.parts) == ("dual", 14.504, None)
 
 
 def test_parts_only_on_plotkin_nodes():
-    code = lrm(2, 6, VARIANTS["shipped-base"])
-    a, b = code.parts
-    assert code.label == f"LRM(2,6):plotkin[{a.label};{b.label}]"
-    assert a.parts[0].label.startswith("LRM(2,4):override[")
-    assert a.parts[0].parts is None
-    assert lrm(0, 3).parts is None and lrm(3, 3).parts is None
-    assert Z4Code(code.generators).parts is None
+    # a node of the recursion splits into the forms of the two nodes it is
+    # built from, and a bare matrix of its rows, reversed, the same way; the
+    # override node, not a doubling, does not split.  The r = 0 and r = m
+    # leaves split too: 2·1 into (2·1, {0}), Z4^n into Z4^(n/2) twice
+    over = VARIANTS["shipped-base"]
+    code = lrm(2, 6, over)
+    parts = (lrm(2, 5, over).standard_form, lrm(1, 5, over).standard_form)
+    assert linalg.plotkin_split(code.standard_form) == parts
+    reversed_rows = Z4Code(GeneratorMatrix(code.generators.rows[::-1]))
+    assert linalg.plotkin_split(reversed_rows.standard_form) == parts
+    node = lrm(2, 4, over)
+    assert node.label.startswith("LRM(2,4):override[")
+    assert linalg.plotkin_split(node.standard_form) is None
+    zero = linalg.standard_form(GeneratorMatrix([], n=4))
+    assert linalg.plotkin_split(lrm(0, 4).standard_form) == (lrm(0, 3).standard_form, zero)
+    assert linalg.plotkin_split(lrm(4, 4).standard_form) == (lrm(3, 3).standard_form,) * 2
 
 
 def _pinned_witnesses():

@@ -12,7 +12,7 @@ from test_macwilliams import monomial_copy
 from test_plotkin_route import ROUTE_VARIANTS, _part_pairs
 from z4rm import _engine
 from z4rm.codes import lrm
-from z4rm.linalg import GeneratorMatrix, intersection, standard_form
+from z4rm.linalg import GeneratorMatrix, intersection, plotkin_split, standard_form
 from z4rm.z4core import Z4Word
 
 
@@ -106,10 +106,10 @@ def test_plotkin_bit_basis_of_every_plotkin_order(variant):
     nested = set()
     for m in range(2, 8):
         for r in range(m + 1):
-            code = lrm(r, m, ROUTE_VARIANTS[variant])
-            if code.parts is None:
+            split = plotkin_split(lrm(r, m, ROUTE_VARIANTS[variant]).standard_form)
+            if split is None:
                 continue
-            a, b = (p.standard_form for p in code.parts)
+            a, b = split
             inter = intersection(a, b)
             if inter is b:
                 nested.add((r, m))
