@@ -5,12 +5,13 @@ lanes per limb) and walks the full mixed-radix enumeration in blocks.  The
 Z4 sweep packs linalg's enumeration basis, so the word at sweep index t is
 the t-th enumerated codeword.
 
-Workers share one sweep (_fold_units): each thread takes the next block,
-or chunk of blocks, from one lock-guarded iterator and folds it into a
-private partial (the least (weight, index), an int64 histogram, or int64
-Plotkin product counts), and the calling thread merges the partials in a
-fixed order.  A minimum over tuples and sums of int64 counts are exact in
-any order, so results are identical for any worker count.
+Workers share only the full direct, dual-side and binary sweeps
+(_fold_units): each takes the next block from one lock-guarded iterator
+and folds it into a private partial (the least (weight, index), or an
+int64 histogram), and the calling thread merges the partials in a fixed
+order.  Both are exact in any order, so results are identical for any
+worker count.  A stop-at search and the Plotkin coset sweep run in the
+calling thread, in index order.
 
 A block's weights are one XOR and one popcount per limb: the sweep keeps
 its low table as images in Hamming space (the Gray map for Z4), so the
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from itertools import chain, takewhile
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -295,17 +296,17 @@ class Sweep:
 def _fold_units(units, fold, workers):
     """Per-thread partials of fold over the iterator units, in a fixed order:
     the calling thread's first, then each started thread's (None for one
-    that took no unit).
+    that took no unit), for the full sweeps of min_weight_sweep and
+    weight_histogram.
 
     fold(acc, unit, scratch) returns the partial acc (None before a thread's
     first unit) with unit folded in, using buffers kept in the thread's own
     dict scratch.  The first unit runs in the calling thread, and threads
-    start only if units has more, so a search that stops in its first
-    block starts none.  The calling thread and workers - 1 started ones
-    then each take the next unit left, under one lock, until none is left.
-    Threads beyond the CPUs the process may run on only add overhead, so
-    workers is clamped to them.  The units are taken as they run, never
-    listed: a search may stop in the first of 2^54 blocks.  An exception in
+    start only if units has more, so a one-block sweep starts none.  The
+    calling thread and workers - 1 started ones then each take the next
+    unit left, under one lock, until none is left.  Threads beyond the CPUs
+    the process may run on only add overhead, so workers is clamped to
+    them.  The units are taken as they run, never listed.  An exception in
     any thread stops the others taking units and is raised here once all
     have ended, so no partial is silently lost.
     """
@@ -373,8 +374,9 @@ def min_weight_sweep(
     """(min weight, first sweep index achieving it) over the 2^k - 1 words
     after index 0 (the zero word), or None when k = 0.
 
-    stop_at ends the sweep at the first block whose own minimum is
-    <= stop_at, and the result is that block's: it lies below every earlier
+    stop_at makes the call a search: it weighs the blocks in index order,
+    in the calling thread, and returns at the first block whose own minimum
+    is <= stop_at, with that block's result: it lies below every earlier
     block's.  The weights follow from combine (Sweep.weights); the weights
     parameter (lee_weights or bit_weights) stays for the callers that pass
     it.  units and mirror (Sweep's) weigh one block of each orbit; a block
@@ -385,18 +387,12 @@ def min_weight_sweep(
     mirror needs the whole sweep, so it refuses stop_at, and a basis of
     independent words, so that only index 0 holds the zero word.
 
-    Each thread keeps the least (weight, index) of its blocks.  With
-    stop_at, the lowest block whose result is <= stop_at so far (the
-    limit) and its result are shared: no block above the limit is taken,
-    and results of blocks above it are discarded, so the answer is the
-    serial one for any worker count.
+    Without stop_at, workers share the blocks (_fold_units).
     """
     if mirror is not None and stop_at is not None:
         raise ValueError("mirror pairs blocks of the whole sweep; it cannot stop early")
     sweep = Sweep(basis, k, combine, block_log2, units, mirror=mirror)
     size = sweep.block_size()
-    lock = threading.Lock()
-    limit = [sweep.block_count, None]  # (block, its result) once one is <= stop_at
 
     def fold(best, unit, scratch):
         h, _, mirrored = unit
@@ -405,10 +401,6 @@ def min_weight_sweep(
         if len(w) > first:
             i = first + int(np.argmin(w[first:]))
             r = (int(w[i]), h * size + i)
-            if stop_at is not None and r[0] <= stop_at:
-                with lock:
-                    if h < limit[0]:
-                        limit[:] = h, r
             best = r if best is None or r < best else best
         if mirrored:
             d = sweep.mirror_weight - int(w.max())  # 0: the image of 2·1, the zero word
@@ -416,13 +408,17 @@ def min_weight_sweep(
                 best = (d, sweep.mirror_floor(h), -1)  # an offer: the search names it
         return best
 
-    blocks = takewhile(lambda unit: unit[0] <= limit[0], _counted_blocks(sweep))
-    partials = _fold_units(blocks, fold, workers)
-    if limit[1] is not None:
-        return limit[1]
+    if stop_at is not None:
+        best, scratch = None, {}
+        for unit in _counted_blocks(sweep):
+            best = fold(best, unit, scratch)
+            if best is not None and best[0] <= stop_at:
+                return best
+        return best
+    partials = _fold_units(_counted_blocks(sweep), fold, workers)
     best = min((p for p in partials if p is not None), default=None)
     if best is not None and len(best) > 2:
-        return min_weight_sweep(basis, k, combine, weights, workers, stop_at=best[0],
+        return min_weight_sweep(basis, k, combine, weights, stop_at=best[0],
                                 block_log2=block_log2, units=units)
     return best
 
@@ -587,7 +583,7 @@ class Route(NamedTuple):
     def counts(self, workers=1):
         """Exact Lee weight counts (w = 0..2n, Python ints) of C."""
         if self.method == "plotkin":
-            return plotkin_lee_distribution(*self.parts, workers=workers)
+            return plotkin_lee_distribution(*self.parts)
         dual = self.method == "dual"
         side = dual_standard_form(self.sf) if dual else self.sf
         counts = weight_histogram(
@@ -730,21 +726,20 @@ def plotkin_bit_basis(a, b, inter):
 HISTOGRAM_BLOCK_LOG2 = 14
 
 
-def coset_histograms(basis, k, low, head, max_weight, fold, workers=1,
-                     block_log2=HISTOGRAM_BLOCK_LOG2):
-    """Per-thread partials (as _fold_units returns them) of
-    fold(acc, row, H_head, H) over consecutive chunks of whole rows, where
-    H_head and H are (rows, max_weight + 1) int64 counts by Lee weight of
-    rows row, row + 1, ...: row c of H counts the words at sweep indices
+def coset_histograms(basis, k, low, head, max_weight, fold, block_log2=HISTOGRAM_BLOCK_LOG2):
+    """fold(acc, row, H_head, H) folded over consecutive chunks of whole
+    rows, in order, from acc = None; returns the last acc.  H_head and H
+    are (rows, max_weight + 1) int64 counts by Lee weight of rows row,
+    row + 1, ...: row c of H counts the words at sweep indices
     c * 2^low .. (c + 1) * 2^low - 1 of the packed basis, and row c of
     H_head the first 2^head of them (head <= low; H_head is H when
     head == low).
 
     A block spans whole rows, or lies in one row, which its blocks then sum
-    into one chunk, the unit a thread takes.  Each row bins its head and its
-    tail apart, in one bincount of the block.  Blocks are cut to at most
-    2^block_log2 / (max_weight + 1) rows, so H in a chunk holds no more
-    counts than a full block holds words.
+    into one chunk.  Each row bins its head and its tail apart, in one
+    bincount of the block.  Blocks are cut to at most 2^block_log2 /
+    (max_weight + 1) rows, so H in a chunk holds no more counts than a
+    full block holds words.  It runs in the calling thread.
     """
     width = max_weight + 1
     split = 1 if head == low else 2  # cell groups per row: head, then tail
@@ -758,27 +753,23 @@ def coset_histograms(basis, k, low, head, max_weight, fold, workers=1,
     tail = (np.arange(min(size, 1 << low)) >> head != 0) * group
     cells = (np.arange(0, group, width)[:, None] + tail).ravel()
     blocks_per_row = max(1, (1 << low) // size)
-
-    def binned(h, scratch):
-        start = (h * size) % (1 << low)
-        # widened out of the narrow weights before the cell offsets are added
-        cell = cells if start == 0 else (group if start >> head else 0)
-        w = np.add(sweep.weights(h, scratch), cell, dtype=np.intp)
-        return np.bincount(w, minlength=split * group)
-
-    def chunk(acc, first, scratch):
-        counts = binned(first, scratch)
-        for h in range(first + 1, first + blocks_per_row):
-            counts += binned(h, scratch)
+    acc, scratch = None, {}
+    for first in range(0, sweep.block_count, blocks_per_row):
+        for h in range(first, first + blocks_per_row):
+            start = (h * size) % (1 << low)
+            # widened out of the narrow weights before the cell offsets are added
+            cell = cells if start == 0 else (group if start >> head else 0)
+            w = np.add(sweep.weights(h, scratch), cell, dtype=np.intp)
+            binned = np.bincount(w, minlength=split * group)
+            counts = binned if h == first else counts + binned  # then one row's cells
         counts = counts.reshape(split, rows, width)
         heads = counts[0]
         full = heads + counts[1] if split == 2 else heads
-        return fold(acc, (first * size) >> low, heads, full)
+        acc = fold(acc, (first * size) >> low, heads, full)
+    return acc
 
-    return _fold_units(iter(range(0, sweep.block_count, blocks_per_row)), chunk, workers)
 
-
-def plotkin_lee_distribution(a, b, inter, workers=1):
+def plotkin_lee_distribution(a, b, inter):
     """Exact Lee weight counts (w = 0..4n, Python ints) of the code
     C = {(x, x+y) : x in A, y in B} of length 2n, from the standard forms
     a, b of A and B and inter of A ∩ B.
@@ -789,12 +780,12 @@ def plotkin_lee_distribution(a, b, inter, workers=1):
     plotkin_bit_basis gives the histograms H_B[D, w] of the cosets D + B
     as its rows and H_A[D, w] of the cosets D as the rows' heads; when
     B ⊆ A the sweep is of A alone and D + B = D.  W_C[s] is the sum of
-    (H_A^T H_B)[u, v] over u + v = s, reduced chunk by chunk of cosets in
-    the thread that swept them, in int64 einsum over the weights that occur
-    in H_B, and the threads' counts are added at the end.  Each entry is at
-    most |C| = 2^(k_A + k_B) words, so the product is exact below 2^63
-    words (lee_route keeps to that).  Raises ArithmeticError unless the
-    counts sum to |C|.
+    (H_A^T H_B)[u, v] over u + v = s, reduced chunk by chunk of cosets as
+    the sweep bins them, in the calling thread (coset_histograms), in int64
+    einsum over the weights that occur in H_B.  Each entry is at most
+    |C| = 2^(k_A + k_B) words, so the product is exact below 2^63 words
+    (lee_route keeps to that).  Raises ArithmeticError unless the counts
+    sum to |C|.
     """
     ka, kb, ki = a.log2_size, b.log2_size, inter.log2_size
     basis = pack_rows(plotkin_bit_basis(a, b, inter), a.n, 2)
@@ -808,8 +799,7 @@ def plotkin_lee_distribution(a, b, inter, workers=1):
         np.add.at(counts, u[:, None] + u, np.einsum("cu,cv->uv", ha[:, u], hb[:, u]))
         return counts
 
-    partials = coset_histograms(basis, ka + kb - ki, kb, ki, max_weight, product, workers)
-    counts = [int(c) for c in sum(p for p in partials if p is not None)]
+    counts = [int(c) for c in coset_histograms(basis, ka + kb - ki, kb, ki, max_weight, product)]
     if sum(counts) != 1 << (ka + kb):
         raise ArithmeticError(f"Plotkin counts sum to {sum(counts)}, not 2^{ka + kb}")
     return counts

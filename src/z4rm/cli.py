@@ -5,8 +5,8 @@ exceeded, 141 (128 + SIGPIPE) output pipe closed by its reader.  The
 default enumeration budget is 28 (log2 of codeword count), overridable by
 the Z4RM_BUDGET environment variable and the --budget flag;
 a budget outside 0..MAX_BUDGET, a worker count below 1, a level m above
-MAX_M (MAX_RM_M for rm) and a code file longer than MAX_LENGTH are usage
-errors.
+MAX_M (MAX_RM_M for rm), a top level M below 1 and a code file longer
+than MAX_LENGTH are usage errors.
 """
 
 from __future__ import annotations
@@ -99,6 +99,12 @@ def _level(text: str) -> int:
 
 def _rm_level(text: str) -> int:
     return _bounded_level(text, MAX_RM_M)
+
+
+def _top_level(text: str) -> int:
+    if (m := _level(text)) < 1:  # verify-all and compare-qrm cover levels 1..M
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {m}")
+    return m
 
 
 def _parse_overrides(pairs):
@@ -262,7 +268,7 @@ def _cmd_compare_qrm(args) -> int:
 
 def _cmd_rm(args) -> int:
     # in blocks of at most 2^TEXT_BLOCK_LOG2 bytes: RM(m,m) has 2^m rows of 2^m digits
-    rows = rm_binary_rows(args.r, args.m)
+    rows = rm_binary_rows(*check_order(args.r, args.m))  # checked before 1 << m
     per_block = max(1, (1 << _engine.TEXT_BLOCK_LOG2) // ((1 << args.m) + 1))
     while block := list(itertools.islice(rows, per_block)):
         _write("".join(row.digits() + "\n" for row in block))
@@ -305,7 +311,7 @@ _COMMANDS = {
              help="report mode=fast; the distance check is the same exact one"),
         _arg("--override", **_OVERRIDE))),
     "verify-all": (_cmd_verify_all, "verify every order with m <= M",
-                   (_arg("M", type=_level), _BUDGET, _WORKERS)),
+                   (_arg("M", type=_top_level), _BUDGET, _WORKERS)),
     "gray": (_cmd_gray, "map a code file or word list through the Gray isometry", (_FILE,)),
     "ungray": (_cmd_ungray, "map binary words back through the inverse Gray map", (_FILE,)),
     "mindist": (_cmd_mindist, "exact minimum Lee distance (direct, dual or Plotkin)",
@@ -320,7 +326,7 @@ _COMMANDS = {
         _BUDGET)),
     "enumerate": (_cmd_enumerate, "list every codeword in the frozen order", (_FILE, _BUDGET)),
     "compare-qrm": (_cmd_compare_qrm, "size comparison against QRM for all m <= M",
-                    (_arg("M", type=_level),)),
+                    (_arg("M", type=_top_level),)),
     "rm": (_cmd_rm, "emit binary Reed-Muller RM(r,m) generator rows", (
         _ORDER[0], _arg("m", type=_rm_level, help="level (code length 2^m)"))),
     "search-nonlinear": (

@@ -524,14 +524,24 @@ def test_code_file_length_bound_is_the_length_at_max_m(capsys, tmp_path):
     "argv, argument, bound",
     [(["rm", "1", "40"], "m", MAX_RM_M), (["rm", "1", "17"], "m", MAX_RM_M),
      (["build", "1", "40"], "m", MAX_M), (["verify", "1", "15"], "m", MAX_M),
-     (["verify-all", "15"], "M", MAX_M), (["compare-qrm", "15"], "M", MAX_M)],
+     (["verify-all", "15"], "M", MAX_M), (["compare-qrm", "15"], "M", MAX_M),
+     (["verify-all", "0"], "M", 1), (["compare-qrm", "0"], "M", 1)],
 )
 def test_level_is_bounded_before_work_starts(capsys, argv, argument, bound):
-    # rm 1 40 would run a 2^40-step loop; the refusal is a usage error
+    # rm 1 40 would run a 2^40-step loop; the refusal is a usage error.
+    # verify-all 0 and compare-qrm 0 would cover no level and exit 0
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
+    limit = "at most" if int(argv[-1]) > bound else "at least"
     assert err.endswith(
-        f"z4rm {argv[0]}: error: argument {argument}: must be at most {bound}, got {argv[-1]}\n"
+        f"z4rm {argv[0]}: error: argument {argument}: must be {limit} {bound}, got {argv[-1]}\n"
+    )
+
+
+def test_rm_checks_its_order_before_sizing_blocks(capsys):
+    # the text block size shifts by m, which raised "negative shift count"
+    assert run(capsys, "rm", "1", "-2") == (
+        2, "", "error: invalid order (r=1, m=-2): need 0 <= r <= m and m >= 1\n"
     )
 
 

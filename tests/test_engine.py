@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from test_plotkin_route import _part_pairs
+from test_linalg import _counted_threads
 from test_setup_oracles import _matrices
 from z4rm import _engine
 from z4rm import analysis
@@ -248,7 +248,7 @@ def test_an_error_in_any_block_is_raised_not_a_partial_result():
                                          workers=4, block_log2=1, stop_at=0),
         lambda: _engine.weight_histogram(basis, k, _engine.z4_add, _engine.lee_weights,
                                          max_weight=12, workers=4, block_log2=1),
-        lambda: _engine.plotkin_lee_distribution(a, b, inter, workers=4),
+        lambda: _engine.plotkin_lee_distribution(a, b, inter),
     ]
     threads = threading.active_count()
     with _four_cpus():
@@ -325,17 +325,71 @@ def test_sweeps_do_not_depend_on_worker_count(case, block_log2):
             _same_for_1_and_4_workers(min_weight(stop_at))
 
 
-@settings(max_examples=40, deadline=None)
-@given(parts=_part_pairs(), block_log2=st.integers(3, 6))
-def test_plotkin_route_does_not_depend_on_worker_count(parts, block_log2):
-    # 8- to 64-word blocks, so that threads share the cosets
-    a, b = (p.standard_form for p in parts)
-    inter = intersection(a, b)
-    real = _engine.coset_histograms
-    with mock.patch.object(_engine, "coset_histograms",
-                           functools.partial(real, block_log2=block_log2)):
-        _same_for_1_and_4_workers(
-            lambda workers: _engine.plotkin_lee_distribution(a, b, inter, workers=workers))
+def _block_minima(lee, size):
+    """(least weight, its first index) of each block of size words of the
+    weights lee, in index order, index 0 (the zero word) left out."""
+    minima = []
+    for start in range(0, len(lee), size):
+        first = max(start, 1)
+        block = lee[first : start + size]
+        minima.append((min(block), first + block.index(min(block))) if block else None)
+    return minima
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_search_returns_the_first_block_at_or_below_stop_at(monkeypatch, workers):
+    # every stop_at from d to the largest weight, on 2- to 8-word blocks,
+    # with and without negation pairing: the result is that of the first
+    # block, in index order, whose least weight is <= stop_at, and no block
+    # after it is weighed
+    run = []
+    weights = _engine.Sweep.weights
+    monkeypatch.setattr(_engine.Sweep, "weights",
+                        lambda self, h, scratch: run.append(h) or weights(self, h, scratch))
+    with _four_cpus():
+        for g in _random_codes():
+            sf = standard_form(g)
+            k = sf.log2_size
+            if k == 0:
+                continue
+            lee = [lee_weight(w) for w in enumerate_codewords(sf)]
+            basis = _engine.z4_basis_from_standard_form(sf)
+            for block_log2, units in itertools.product((1, 2, 3), (0, sf.k1)):
+                minima = _block_minima(lee, 1 << min(k, block_log2))
+                for stop_at in range(min(lee[1:]), max(lee) + 1):
+                    h = next(h for h, r in enumerate(minima) if r and r[0] <= stop_at)
+                    run.clear()
+                    got = _engine.min_weight_sweep(
+                        basis, k, _engine.z4_add, None, workers=workers, stop_at=stop_at,
+                        block_log2=block_log2, units=units,
+                    )
+                    assert got == minima[h], (g.n, k, block_log2, units, stop_at)
+                    assert max(run) == h
+
+
+def test_only_full_sweeps_start_threads(monkeypatch):
+    # at workers=4 on four CPUs, the Plotkin route's counts and witness and
+    # a search that goes on past block 0 run in the calling thread; full
+    # sweeps of more than one block each start three threads
+    sf = lrm(2, 6).standard_form
+    a, b = plotkin_split(sf)
+    route = _engine.Route("plotkin", 0.0, sf, (a, b, intersection(a, b)))
+    want = route.counts(), route.witness()
+    small = standard_form(GeneratorMatrix.from_strings(["123", "230", "302"]))
+    basis, k = _engine.z4_basis_from_standard_form(small), small.log2_size
+    sweep = dict(workers=4, block_log2=2)
+    full = _engine.min_weight_sweep(basis, k, _engine.z4_add, None, block_log2=2)
+    with _four_cpus():
+        started = _counted_threads(monkeypatch)
+        assert (route.counts(workers=4), route.witness(workers=4)) == want
+        # no word weighs 0, so the search weighs all 16 blocks
+        assert _engine.min_weight_sweep(basis, k, _engine.z4_add, None, stop_at=0,
+                                        **sweep) == full
+        assert started == []
+        _engine.min_weight_sweep(basis, k, _engine.z4_add, None, **sweep)
+        assert len(started) == 3
+        _engine.weight_histogram(basis, k, _engine.z4_add, None, 2 * small.n, **sweep)
+        assert len(started) == 6
 
 
 @st.composite

@@ -325,10 +325,19 @@ def test_witness_search_that_stops_in_block_0_starts_no_thread(monkeypatch):
     started = _counted_threads(monkeypatch)
     assert _engine.lee_route(sf).witness(workers=4) == want
     assert started == []
-    # a sweep that goes on past block 0 starts them
+    # a search that goes on past block 0 starts none either (no word weighs
+    # 0, so it weighs all 16 blocks); a full sweep of more than one block
+    # starts them
     small = standard_form(G(["123", "230", "302"]))
-    _engine.min_weight_sweep(_engine.z4_basis_from_standard_form(small), small.log2_size,
-                             _engine.z4_add, _engine.lee_weights, workers=4, block_log2=2)
+    basis = _engine.z4_basis_from_standard_form(small)
+    full = _engine.min_weight_sweep(basis, small.log2_size, _engine.z4_add,
+                                    _engine.lee_weights, block_log2=2)
+    assert _engine.min_weight_sweep(basis, small.log2_size, _engine.z4_add,
+                                    _engine.lee_weights, workers=4, block_log2=2,
+                                    stop_at=0) == full
+    assert started == []
+    _engine.min_weight_sweep(basis, small.log2_size, _engine.z4_add, _engine.lee_weights,
+                             workers=4, block_log2=2)
     assert len(started) == 3
 
 

@@ -160,16 +160,15 @@ def _chunks(acc, row, heads, full):
     return (acc or []) + [(row, heads, full)]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("r", [1, 2])
 @pytest.mark.parametrize("head", [0, 1, 3])
 @pytest.mark.parametrize("block_log2", [1, 2, 3, 18])
-def test_coset_histograms_across_block_sizes(monkeypatch, block_log2, head, workers):
+def test_coset_histograms_across_block_sizes(block_log2, head, r):
     # 2-, 4- and 8-word blocks put one row of 2^3 words in several blocks,
     # in exactly one, or several rows in one block; a head of 1, 2 or 8
-    # words lies in one block, spans several, or is the whole row.  Two
-    # CPUs, so that two workers start a thread on any host
-    monkeypatch.setattr(_engine.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    sf = lrm(2, 4).standard_form
+    # words lies in one block, spans several, or is the whole row.
+    # LRM(1,4) has 4 rows, and LRM(2,4) 256
+    sf = lrm(r, 4).standard_form
     basis = mixed_radix_basis(sf)
     lee = [lee_weight(w) for w in enumerate_codewords(sf)]
     want = np.zeros((2, 1 << (sf.log2_size - 3), 2 * sf.n + 1), dtype=np.int64)
@@ -177,13 +176,11 @@ def test_coset_histograms_across_block_sizes(monkeypatch, block_log2, head, work
         want[1, t >> 3, w] += 1
         if t % 8 < 1 << head:
             want[0, t >> 3, w] += 1
-    partials = _engine.coset_histograms(
+    # one accumulator, the fold's chunks in the order it took them
+    chunks = _engine.coset_histograms(
         _engine.pack_rows(basis, sf.n, 2), sf.log2_size, 3, head, 2 * sf.n, _chunks,
-        workers=workers, block_log2=block_log2,
+        block_log2=block_log2,
     )
-    chunks = sorted((c for p in partials if p for c in p), key=lambda c: c[0])
-    # one partial per worker, unless one chunk ends the sweep in the caller
-    assert len(partials) == (1 if len(chunks) == 1 else workers)
     for i in (0, 1):
         assert (np.concatenate([c[1 + i] for c in chunks]) == want[i]).all()
     # the chunks are consecutive runs of rows, each named by its first
