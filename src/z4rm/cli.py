@@ -29,7 +29,9 @@ from .analysis import (
     search_nonlinear_base,
     verify_theorem1,
 )
-from .codes import MAX_M, MAX_RM_M, CodeParams, Z4Code, check_order, lrm, rm_binary_rows
+from .codes import (
+    MAX_M, MAX_RM_M, CodeParams, Z4Code, check_order, lrm, lrm_nodes, rm_binary_rows,
+)
 from .errors import CapacityError, CodeFileError, DimensionError, OverrideError, ZeroCodeError
 from .fileformat import parse_code, render_code
 from .linalg import DEFAULT_BUDGET, check_budget
@@ -107,18 +109,26 @@ def _top_level(text: str) -> int:
     return m
 
 
-def _parse_overrides(pairs):
-    overrides = {}
+def _parse_overrides(pairs, r, m):
+    """The --override pairs as {node: code}, each node one that LRM(r,m)'s
+    recursion reaches; the files are read only once every node is."""
+    paths = {}
     for item in pairs:
         node, eq, path = item.partition("=")
         if not eq:
             raise _UsageError(f"override {item!r} is not of the form r,m=FILE")
         try:
-            r, m = map(_integer, node.split(","))
+            node_r, node_m = map(_integer, node.split(","))
         except (argparse.ArgumentTypeError, ValueError):  # ValueError: not two parts
             raise _UsageError(f"override node {node!r} is not of the form r,m")
-        overrides[check_order(r, m)] = _load_code(path)
-    return overrides
+        paths[check_order(node_r, node_m)] = path
+    reached = lrm_nodes(r, m, paths)
+    for node in paths:
+        if node not in reached:
+            raise _UsageError(
+                f"override at ({node.r},{node.m}) is never reached by the recursion of LRM({r},{m})"
+            )
+    return {node: _load_code(path) for node, path in paths.items()}
 
 
 def _read_text(path) -> str:
@@ -164,7 +174,7 @@ def _read_words(path):
 
 
 def _cmd_build(args) -> int:
-    overrides = _parse_overrides(args.override)
+    overrides = _parse_overrides(args.override, args.r, args.m)
     code = lrm(args.r, args.m, overrides or None, budget=args.budget)
     text = render_code(code)
     if args.output:
@@ -176,7 +186,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    overrides = _parse_overrides(args.override)
+    overrides = _parse_overrides(args.override, args.r, args.m)
     rep = verify_theorem1(
         args.r, args.m, overrides or None,
         budget=args.budget, workers=args.workers, fast=args.fast,

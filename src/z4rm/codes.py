@@ -243,6 +243,21 @@ def lrm(
     return node(r, m)
 
 
+def lrm_nodes(r: int, m: int, overridden=()) -> set:
+    """The nodes (r', m') that lrm(r, m) builds when the nodes in overridden
+    carry overrides: (r, m), and below each node with 0 < r' < m' and no
+    override, (r', m' - 1) and (r' - 1, m' - 1).  An override at any other
+    node would never be used."""
+    nodes, todo = set(), [check_order(r, m)]
+    while todo:
+        r, m = node = todo.pop()
+        if node not in nodes:
+            nodes.add(node)
+            if 0 < r < m and node not in overridden:
+                todo += [(r, m - 1), (r - 1, m - 1)]
+    return nodes
+
+
 def rm_binary(r: int, m: int) -> tuple:
     """Generator rows of the binary Reed-Muller code RM(r,m): the tuple of
     rm_binary_rows(r, m)."""

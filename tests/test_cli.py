@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from z4rm import _engine
+from z4rm import _engine, cli
 from z4rm.analysis import image_is_linear, min_lee_weight
 from z4rm.cli import MAX_LENGTH, MAX_M, MAX_RM_M, main
 from z4rm.codes import Z4Code, lrm, shipped_nonlinear_base, theorem1_params
@@ -123,6 +123,13 @@ def test_overridden_verify_2_7_stdout_is_pinned(capsys, workers):
                "--workers", workers)[:2] == (0, want)
 
 
+def test_verify_2_8_stdout_is_pinned(capsys):
+    # LRM(2,8)'s d comes from the per-coset minima of one sweep of LRM(2,7);
+    # captured when it came from the route's coset counts
+    want = (Path(__file__).parent / "data" / "verify_2_8.txt").read_text(encoding="ascii")
+    assert run(capsys, "verify", "2", "8", "--budget", "37")[:2] == (0, want)
+
+
 @pytest.mark.parametrize("command", ["mindist", "wdist"])
 def test_budget_gates_the_code_not_its_dual(capsys, tmp_path, command):
     # LRM(3,5) is computed through its 2^6-word dual, but its own 2^26 words
@@ -234,6 +241,27 @@ def test_override_node_takes_only_ascii_integers(capsys, lrm12_file, command, no
     code, out, err = run(capsys, command, "2", "5", f"--override={node}={lrm12_file}")
     assert (code, out) == (2, "")
     assert f"override node {node!r} is not of the form r,m" in err
+
+
+@pytest.mark.parametrize("command, order, nodes, unreached", [
+    ("build", ("1", "3"), ["2,4"], "(2,4)"),
+    ("verify", ("2", "5"), ["3,4"], "(3,4)"),
+    # (2,5)'s override replaces the subtree that holds (2,4)
+    ("verify", ("2", "6"), ["2,5", "2,4"], "(2,4)"),
+])
+def test_override_the_recursion_never_reaches_is_refused(capsys, monkeypatch, command, order,
+                                                          nodes, unreached):
+    # the file, an (8, 2^11, 4) code, was once silently ignored at such a
+    # node; now no file is read and no code built
+    def refused(path):
+        raise AssertionError(f"{path} read")
+
+    monkeypatch.setattr(cli, "_load_code", refused)
+    argv = [f"--override={node}={OVERRIDE_FILE}" for node in nodes]
+    assert run(capsys, command, *order, *argv) == (
+        2, "", f"error: override at {unreached} is never reached by the recursion of "
+        f"LRM({order[0]},{order[1]})\n",
+    )
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from z4rm.codes import (
     CodeParams,
     Z4Code,
     lrm,
+    lrm_nodes,
     plotkin,
     qrm_log2_size,
     rm_binary,
@@ -200,6 +201,23 @@ def test_override_deep_node_shows_in_trace():
     c = lrm(3, 5, overrides={(2, 4): shipped})
     assert "override[nonlinear-ep(8,11,4)]" in c.label
     assert c.label.startswith("LRM(3,5):plotkin[")
+
+
+def test_lrm_nodes_are_the_nodes_lrm_builds():
+    # an override shows in the label exactly where lrm_nodes says the
+    # recursion reaches its node
+    plain = {(r, m): lrm(r, m) for m in range(1, 6) for r in range(m + 1)}
+    for r, m in plain:
+        reached = lrm_nodes(r, m)
+        for (nr, nm), code in plain.items():
+            label = lrm(r, m, {(nr, nm): code}, budget=32).label
+            assert (f"LRM({nr},{nm}):override" in label) == ((nr, nm) in reached), (r, m, nr, nm)
+    # an override replaces its subtree: (2,5)'s hides (2,4) from LRM(2,6),
+    # while (3,6) still reaches (2,4) through (3,5)
+    assert (2, 4) in lrm_nodes(2, 6) and (2, 4) not in lrm_nodes(2, 6, {(2, 5)})
+    assert (2, 4) in lrm_nodes(3, 6, {(2, 5)})
+    with pytest.raises(ValueError, match="invalid order"):
+        lrm_nodes(5, 4)
 
 
 def test_plotkin_size_law_along_recursion():

@@ -363,5 +363,118 @@ def test_witness_is_the_direct_sweeps(r, m, variant, d, witness):
     # every order with m <= 7 and k <= 28, and LRM(2,7) at budget 29, as the
     # direct sweep of the whole code found them
     k = theorem1_params(r, m).k
-    got_d, got = min_lee_weight_witness(lrm(r, m, VARIANTS[variant]), budget=max(28, k))
+    got_d, got = min_lee_weight_witness(lrm(r, m, ROUTE_VARIANTS[variant]), budget=max(28, k))
     assert (got_d, got.digits()) == (d, witness)
+
+
+def _first_nonzero(counts):
+    return next(w for w, a in enumerate(counts) if w and a)
+
+
+def _min_weight(sf, block_log2=_engine.HISTOGRAM_BLOCK_LOG2):
+    """(plotkin_min_weight, the Plotkin counts' first nonzero weight) of a
+    code that splits."""
+    a, b = linalg.plotkin_split(sf)
+    inter = intersection(a, b)
+    counts = _engine.plotkin_lee_distribution(a, b, inter)
+    return _engine.plotkin_min_weight(a, b, inter, block_log2=block_log2), _first_nonzero(counts)
+
+
+def _split_orders(variant, max_sweep_log2):
+    """The nonzero codes lrm(r, m) with m <= 7 of a variant that split, and
+    whose sweep of A + B has at most 2^max_sweep_log2 words."""
+    for m in range(1, 8):
+        for r in range(m + 1):
+            sf = lrm(r, m, ROUTE_VARIANTS[variant]).standard_form
+            split = sf.log2_size and linalg.plotkin_split(sf)
+            if split:
+                a, b = split
+                if a.log2_size + b.log2_size - intersection(a, b).log2_size <= max_sweep_log2:
+                    yield (r, m), sf
+
+
+@pytest.mark.parametrize("variant", ROUTE_VARIANTS)
+@pytest.mark.parametrize("block_log2, max_sweep_log2", [(14, 24), (6, 18), (3, 17)])
+def test_min_weight_pass_matches_the_counts_on_every_split_order(variant, block_log2,
+                                                                  max_sweep_log2):
+    # the pass's d against the counts' directly: a d below the true minimum
+    # would still give the right witness, through a search that sweeps all.
+    # 2^14-word blocks hold many rows; 2^6, LRM(2,7)'s 2^7-word rows in two
+    # blocks each; 2^3, every row, and every head past 2^3 words, in several
+    orders = []
+    for order, sf in _split_orders(variant, max_sweep_log2):
+        got, want = _min_weight(sf, block_log2)
+        assert got == want, order
+        orders.append(order)
+    assert {(0, 2), (2, 5)} <= set(orders)
+    assert ((2, 7) in orders) == (max_sweep_log2 >= 24)
+
+
+@pytest.mark.parametrize("variant", ["shipped-base", "nested-copy"])
+@pytest.mark.parametrize("block_log2", [0, 1, 2, 3, 4, 5, 6, 14])
+def test_min_weight_pass_across_block_sizes(variant, block_log2):
+    # LRM(2,5) sweeps rows of 2^5 words: with the shipped base (2^13 words)
+    # the heads, A ∩ B's cosets, hold 2^3 words; with the nesting copy
+    # (2^11 words) a head is its whole row.  Blocks of 2^0..2^2 words cut a
+    # head into several; 2^3, a shipped-base head into one; 2^4, a row into
+    # two; 2^5 hold one row, and 2^6 and 2^14 several
+    assert _min_weight(lrm(2, 5, ROUTE_VARIANTS[variant]).standard_form, block_log2) == (8, 8)
+
+
+def test_min_weight_pass_widens_before_it_adds():
+    # LRM(0,8) = plotkin(2·1, {0}) at half length 64: the row of 2·1 is its
+    # own head, 128 + 128 = 256 > 255.  LRM(1,8)'s parts weigh up to 128
+    for r in (0, 1):
+        assert _min_weight(lrm(r, 8).standard_form) == (256 >> r,) * 2
+
+
+_A_ONLY = Z4Code(GeneratorMatrix([Z4Word([0, 0, 1])]))
+
+
+def _code(*rows):
+    return Z4Code(GeneratorMatrix.from_strings(list(rows)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(parts=_part_pairs(), block_log2=st.integers(0, 4))
+@example(parts=(_NONE, _ONE), block_log2=0)  # k_A = 0
+@example(parts=(_ONE, _NONE), block_log2=0)  # k_B = 0
+@example(parts=(_ONE, _ONE), block_log2=1)  # B ⊆ A
+@example(parts=(_ONE, _A_ONLY), block_log2=1)  # A ∩ B = {0}
+# 8-word rows in two blocks, one row's least weight only in its second
+@example(parts=(_code("320231"), _code("022020", "223213")), block_log2=2)
+# 4-word heads in one-word blocks, one head's least weight past its first
+@example(parts=(_code("1332", "0222", "1302", "3013"), _code("1213")), block_log2=0)
+# A ∩ B of 2 words in rows of 16, a head's least weight above its row's
+@example(parts=(_code("002220", "202222", "132103", "131332"), _code("233103", "321032")),
+         block_log2=0)
+def test_min_weight_pass_on_random_parts(parts, block_log2):
+    a_code, b_code = parts
+    a, b = a_code.standard_form, b_code.standard_form
+    if a.log2_size + b.log2_size:
+        direct = direct_counts(plotkin(a_code, b_code))
+        got = _engine.plotkin_min_weight(a, b, intersection(a, b), block_log2=block_log2)
+        assert got == _first_nonzero(direct)
+
+
+def test_plotkin_witness_sweeps_a_plus_b_once_and_builds_no_counts(monkeypatch):
+    # one sweep of A = LRM(2,5) (B ⊆ A), then the stop-at search's sweep of C
+    sf = lrm(2, 6).standard_form
+    route = _engine.lee_route(sf)
+    assert route.method == "plotkin"
+    want = direct_min(sf)
+    sizes = []
+    real = _engine.Sweep.__init__
+
+    def spy(self, basis, k, *args, **kwargs):
+        sizes.append(k)
+        real(self, basis, k, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the witness built the Plotkin counts")
+
+    monkeypatch.setattr(_engine.Sweep, "__init__", spy)
+    monkeypatch.setattr(_engine, "plotkin_lee_distribution", refused)
+    monkeypatch.setattr(_engine, "coset_histograms", refused)
+    assert route.witness() == want
+    assert sizes == [16, 22]
