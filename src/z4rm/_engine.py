@@ -32,8 +32,8 @@ counts offer only a weight, and a stop-at search names an image's index.
 
 Route describes the three exact routes to a code's Lee weight
 distribution, and lee_route picks the cheapest.  On the Plotkin route the
-minimum weight needs no distribution: plotkin_min_weight adds per-coset
-minima from one sweep of A + B.
+minimum weight needs no distribution: split_min_weight applies
+d(C) = min(2·d(A), d(B)) down the split.
 """
 
 from __future__ import annotations
@@ -543,8 +543,8 @@ def plotkin_cost(ka, kb, ki, n):
     (twice that unless B ⊆ A: its head and its tail) and at most
     (2n + 1)^2 terms in H_A^T H_B.  Measured on a 2-vCPU x86 KVM guest, a
     word swept took 3.6-8 ns, a cell 1-6 ns and a term 0.7-3.5 ns.  The
-    route's witness (plotkin_min_weight) pays only the words, so this
-    over-prices a call that wants d alone; lee_route prices the counts.
+    route's witness (split_min_weight) sweeps only the split's leaves, so
+    this over-prices a call that wants d alone; lee_route prices the counts.
     """
     cosets = 1 << (ka - ki)
     width = 2 * n + 1
@@ -571,8 +571,7 @@ class Route(NamedTuple):
       row heads are the cosets of A ∩ B in A.
       Their per-coset histograms combine, one chunk of cosets at a time, in
       one int64 product, into C's counts (plotkin_lee_distribution), at the
-      cost of plotkin_cost; their per-coset minima alone give C's minimum
-      (plotkin_min_weight).  parts is then the standard forms (a, b, A ∩ B);
+      cost of plotkin_cost.  parts is then the standard forms (a, b, A ∩ B);
       it is None on the other routes.
 
     Direct and dual-side sweeps weigh one block field of each orbit
@@ -604,10 +603,11 @@ class Route(NamedTuple):
         computation, with a stop-at search of its own when an image may
         come first.  On the others the minimum d is proved first: by
         counts() on the dual route, and on the Plotkin route by
-        plotkin_min_weight, one weight pass over A + B with no histogram.
-        The sweep of C, in WITNESS_BLOCK_LOG2 blocks, then stops at the
-        first block holding a word of weight d: it misses no lighter word,
-        and the index is the one the full sweep returns.
+        split_min_weight of parts a and b.  The sweep of C, in
+        WITNESS_BLOCK_LOG2 blocks, then stops at the first block holding a
+        word of weight d: it misses no lighter word, and the index is the
+        one the full sweep returns.  Raises ArithmeticError if the search
+        finds another weight, which a wrong proof of d would give.
         """
         sf = self.sf
         if sf.log2_size == 0:
@@ -615,13 +615,17 @@ class Route(NamedTuple):
         if self.method == "direct":
             stop_at, block_log2, mirror = None, DEFAULT_BLOCK_LOG2, _sweep_mirror(sf)
         else:
-            stop_at = (plotkin_min_weight(*self.parts) if self.method == "plotkin"
+            stop_at = (split_min_weight(*self.parts[:2], workers) if self.method == "plotkin"
                        else next(w for w, a in enumerate(self.counts(workers)) if w and a))
             block_log2, mirror = WITNESS_BLOCK_LOG2, None
-        return min_weight_sweep(
+        found = min_weight_sweep(
             z4_basis_from_standard_form(sf), sf.log2_size, z4_add, lee_weights, workers=workers,
             stop_at=stop_at, block_log2=block_log2, units=sf.k1, mirror=mirror,
         )
+        if stop_at is not None and found[0] != stop_at:
+            raise ArithmeticError(f"the {self.method} route proved d = {stop_at}, "
+                                  f"but the search found weight {found[0]}")
+        return found
 
 
 def lee_route(sf):
@@ -644,6 +648,31 @@ def lee_route(sf):
             if cost < best.cost:
                 best = Route("plotkin", cost, sf, (a, b, inter))
     return best
+
+
+def split_min_weight(a, b, workers=1):
+    """Minimum nonzero Lee weight of C = {(x, x+y) : x in A, y in B}, C not
+    {0}, from the standard forms a and b of A and B.
+
+    d(C) = min(2·d(A), d(B)), for any A and B: a nonzero (x, x) weighs
+    2·wt(x); with y nonzero, wt(x) + wt(x + y) >= wt(y) by the Lee triangle
+    inequality; and (x_A, x_A) and (0, y_B), for least words x_A and y_B,
+    reach the two bounds.  A side with no nonzero word is left out.  A
+    part with k above FIXED_COST_LOG2 that plotkin_split splits gets its d
+    by this identity again; any other takes its own route's witness (below
+    FIXED_COST_LOG2 always direct).
+    """
+
+    def part(sf):
+        if sf.log2_size > FIXED_COST_LOG2 and (split := plotkin_split(sf)):
+            return split_min_weight(*split, workers)
+        return lee_route(sf).witness(workers)[0]
+
+    if not b.log2_size:
+        return 2 * part(a)
+    if not a.log2_size:
+        return part(b)
+    return min(2 * part(a), part(b))
 
 
 class _Span:
@@ -726,28 +755,11 @@ def plotkin_bit_basis(a, b, inter):
 # route slows by 40% or more.  Smaller blocks cost more per word swept, and
 # LRM(2,7)'s larger sweep is fastest at 2^15-2^16.  plotkin_lee_distribution,
 # medians of interleaved runs on a 2-vCPU x86 KVM guest, at block_log2
-# 13/14/15/16: LRM(2,6) with
-# the family benchmark's seed-3 (2,4) override (B ⊆ A, 2^16 words swept)
-# 1.19/1.14/1.77/2.14 ms, with its seed-1 override (B ⊄ A, 2^17 words)
-# 1.88/1.76/2.47/3.37 ms; LRM(2,7) 51/32/27/28 ms, with the seed-1 copy at
-# (2,4) 97/67/60/58 ms.  plotkin_min_weight, the range of two medians of
-# 15 runs (of 3 for LRM(2,8)) on the same guest, at 13/14/15/16: the seed-1
-# LRM(2,6) 0.39-0.48/0.33-0.41/0.30-0.35/0.51-0.60 ms, the seed-3 one
-# 0.22-0.26/0.19-0.23/0.18-0.22/0.39-0.47 ms, LRM(2,7) 6.6-8.2/5.0-6.1/
-# 4.2-5.0/4.1-4.5 ms, LRM(2,8) 1.56-1.63/1.08-1.27/0.83-0.92/0.77-0.87 s.
-# LRM(2,6)'s copies would take about twice as long at 2^16.
+# 13/14/15/16: LRM(2,6) with the family benchmark's seed-3 (2,4) override
+# (B ⊆ A, 2^16 words swept) 1.19/1.14/1.77/2.14 ms, with its seed-1
+# override (B ⊄ A, 2^17 words) 1.88/1.76/2.47/3.37 ms; LRM(2,7)
+# 51/32/27/28 ms, with the seed-1 copy at (2,4) 97/67/60/58 ms.
 HISTOGRAM_BLOCK_LOG2 = 14
-
-
-def _row_chunks(sweep, low):
-    """Consecutive chunks of whole rows of 2^low sweep indices, in order, as
-    (first row, [(h, start), ...]): one block h holding whole rows, or the
-    blocks of one row, start being the offset in its row of block h's
-    first word (0 for a block of whole rows)."""
-    size = sweep.block_size()
-    per_row = max(1, (1 << low) // size)
-    for first in range(0, sweep.block_count, per_row):
-        yield (first * size) >> low, [(h, (h - first) * size) for h in range(first, first + per_row)]
 
 
 def coset_histograms(basis, k, low, head, max_weight, fold, block_log2=HISTOGRAM_BLOCK_LOG2):
@@ -777,60 +789,19 @@ def coset_histograms(basis, k, low, head, max_weight, fold, block_log2=HISTOGRAM
     tail = (np.arange(min(size, 1 << low)) >> head != 0) * group
     cells = (np.arange(0, group, width)[:, None] + tail).ravel()
     acc, scratch = None, {}
-    for row, blocks in _row_chunks(sweep, low):
-        for h, start in blocks:
-            # widened out of the narrow weights before the cell offsets are added
-            cell = cells if start == 0 else (group if start >> head else 0)
-            w = np.add(sweep.weights(h, scratch), cell, dtype=np.intp)
-            binned = np.bincount(w, minlength=split * group)
-            counts = binned if start == 0 else counts + binned  # then one row's cells
-        counts = counts.reshape(split, rows, width)
-        heads = counts[0]
-        full = heads + counts[1] if split == 2 else heads
-        acc = fold(acc, row, heads, full)
+    for h in range(sweep.block_count):
+        start = h * size & ((1 << low) - 1)  # in its row; 0 for a block of whole rows
+        # widened out of the narrow weights before the cell offsets are added
+        cell = cells if start == 0 else (group if start >> head else 0)
+        w = np.add(sweep.weights(h, scratch), cell, dtype=np.intp)
+        binned = np.bincount(w, minlength=split * group)
+        counts = binned if start == 0 else counts + binned  # then one row's cells
+        if start + size >= 1 << low:  # the chunk's last block
+            counts = counts.reshape(split, rows, width)
+            heads = counts[0]
+            full = heads + counts[1] if split == 2 else heads
+            acc = fold(acc, h * size >> low, heads, full)
     return acc
-
-
-def plotkin_min_weight(a, b, inter, block_log2=HISTOGRAM_BLOCK_LOG2):
-    """Minimum nonzero Lee weight of C = {(x, x+y) : x in A, y in B}, C not
-    {0}, from the standard forms a, b of A and B and inter of A ∩ B.
-
-    For each coset D of A ∩ B in A, C holds exactly the pairs D × (D + B),
-    so d(C) is the least minwt(D) + minwt(D + B) (the exact form of the
-    (u|u+v) bound, MacWilliams and Sloane ch. 13).  One sweep of A + B in
-    the basis of plotkin_bit_basis, cut into rows as coset_histograms cuts
-    it, gives minwt(D + B) as a row's least weight and minwt(D) as its
-    head's.  Row 0 is B itself, with D = A ∩ B ⊆ B, so it offers only B's
-    least weight past index 0, the zero word.  It runs in the calling
-    thread.
-    """
-    ka, kb, ki = a.log2_size, b.log2_size, inter.log2_size
-    basis = pack_rows(plotkin_bit_basis(a, b, inter), a.n, 2)
-    sweep = Sweep(basis, ka + kb - ki, z4_add, block_log2)
-    size, head = sweep.block_size(), 1 << ki
-    width = min(size, 1 << kb)  # a row's words in one block
-    split = head < width  # the block's rows each cut into head and tail
-    cuts = (np.arange(0, size, width)[:, None] + ([0, head] if split else [0])).ravel()
-    best, scratch = 4 * a.n + 1, {}  # above every weight of C
-    for row, blocks in _row_chunks(sweep, kb):
-        for h, start in blocks:
-            w = sweep.weights(h, scratch)
-            if h == 0:
-                w[0] = np.iinfo(w.dtype).max  # index 0 is the zero word
-            # one reduction along the block, run by run: numpy's row-wise
-            # min(axis=1) took 2.1x as long on 2^14-word blocks of 64-word rows
-            # (2-vCPU x86 KVM guest)
-            mins = np.minimum.reduceat(w, cuts)
-            heads, full = (mins[::2], np.minimum(mins[::2], mins[1::2])) if split else (mins, mins)
-            least = full if start == 0 else np.minimum(least, full)
-            if start < head:
-                head_least = heads if start == 0 else np.minimum(head_least, heads)
-        # widened first: a head and a row weigh up to 4n together
-        sums = np.add(head_least, least, dtype=np.intp)
-        if row == 0:
-            sums[0] = least[0] if kb else best
-        best = min(best, int(sums.min()))
-    return best
 
 
 def plotkin_lee_distribution(a, b, inter):

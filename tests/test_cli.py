@@ -73,6 +73,15 @@ def test_verify_all_7_stdout_is_pinned(capsys):
     assert run(capsys, "verify-all", "7")[:2] == (0, want)
 
 
+def test_verify_all_8_budget_37_stdout_is_pinned(capsys):
+    # captured from the per-coset minima of one sweep of A + B; at budget 37
+    # the plain (2,7) and (2,8) take their Plotkin witnesses, among 29
+    # passing orders
+    want = (Path(__file__).parent / "data" / "verify_all_8_budget_37.txt").read_text(
+        encoding="ascii")
+    assert run(capsys, "verify-all", "8", "--budget", "37")[:2] == (0, want)
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("r, m", [(1, 7), (2, 6), (3, 5), (2, 7)])
 def test_mindist_wdist_stdout_is_pinned(capsys, tmp_path, r, m, workers):

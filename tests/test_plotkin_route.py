@@ -1,8 +1,9 @@
 """The Plotkin coset route: A ∩ B, the coset basis of A + B, the per-coset
 histograms and the coset sums W_C = sum over D of W_D ⊛ W_{D+B} for
 C = plotkin(A, B), each checked against the exhaustive direct sweep of C and,
-where C⊥ is small, the dual's MacWilliams transform; the route choice; and
-the witnesses of the public calls, pinned from the direct sweep."""
+where C⊥ is small, the dual's MacWilliams transform; the route choice; the
+split identity d(C) = min(2·d(A), d(B)) that proves the Plotkin witness's
+d; and the witnesses of the public calls, pinned from the direct sweep."""
 
 from pathlib import Path
 from unittest import mock
@@ -371,15 +372,6 @@ def _first_nonzero(counts):
     return next(w for w, a in enumerate(counts) if w and a)
 
 
-def _min_weight(sf, block_log2=_engine.HISTOGRAM_BLOCK_LOG2):
-    """(plotkin_min_weight, the Plotkin counts' first nonzero weight) of a
-    code that splits."""
-    a, b = linalg.plotkin_split(sf)
-    inter = intersection(a, b)
-    counts = _engine.plotkin_lee_distribution(a, b, inter)
-    return _engine.plotkin_min_weight(a, b, inter, block_log2=block_log2), _first_nonzero(counts)
-
-
 def _split_orders(variant, max_sweep_log2):
     """The nonzero codes lrm(r, m) with m <= 7 of a variant that split, and
     whose sweep of A + B has at most 2^max_sweep_log2 words."""
@@ -394,71 +386,67 @@ def _split_orders(variant, max_sweep_log2):
 
 
 @pytest.mark.parametrize("variant", ROUTE_VARIANTS)
-@pytest.mark.parametrize("block_log2, max_sweep_log2", [(14, 24), (6, 18), (3, 17)])
-def test_min_weight_pass_matches_the_counts_on_every_split_order(variant, block_log2,
-                                                                  max_sweep_log2):
-    # the pass's d against the counts' directly: a d below the true minimum
-    # would still give the right witness, through a search that sweeps all.
-    # 2^14-word blocks hold many rows; 2^6, LRM(2,7)'s 2^7-word rows in two
-    # blocks each; 2^3, every row, and every head past 2^3 words, in several
+def test_split_identity_matches_the_counts_on_every_split_order(variant):
+    # the identity's d against the counts' directly: a d off the true
+    # minimum makes the witness search raise, so a wrong tree shows here
+    # first.  LRM(2,7)'s A + B has 2^22 words (B ⊆ A) or 2^24 (B ⊄ A)
     orders = []
-    for order, sf in _split_orders(variant, max_sweep_log2):
-        got, want = _min_weight(sf, block_log2)
-        assert got == want, order
+    for order, sf in _split_orders(variant, 24):
+        a, b = linalg.plotkin_split(sf)
+        counts = _engine.plotkin_lee_distribution(a, b, intersection(a, b))
+        assert _engine.split_min_weight(a, b) == _first_nonzero(counts), order
         orders.append(order)
-    assert {(0, 2), (2, 5)} <= set(orders)
-    assert ((2, 7) in orders) == (max_sweep_log2 >= 24)
-
-
-@pytest.mark.parametrize("variant", ["shipped-base", "nested-copy"])
-@pytest.mark.parametrize("block_log2", [0, 1, 2, 3, 4, 5, 6, 14])
-def test_min_weight_pass_across_block_sizes(variant, block_log2):
-    # LRM(2,5) sweeps rows of 2^5 words: with the shipped base (2^13 words)
-    # the heads, A ∩ B's cosets, hold 2^3 words; with the nesting copy
-    # (2^11 words) a head is its whole row.  Blocks of 2^0..2^2 words cut a
-    # head into several; 2^3, a shipped-base head into one; 2^4, a row into
-    # two; 2^5 hold one row, and 2^6 and 2^14 several
-    assert _min_weight(lrm(2, 5, ROUTE_VARIANTS[variant]).standard_form, block_log2) == (8, 8)
-
-
-def test_min_weight_pass_widens_before_it_adds():
-    # LRM(0,8) = plotkin(2·1, {0}) at half length 64: the row of 2·1 is its
-    # own head, 128 + 128 = 256 > 255.  LRM(1,8)'s parts weigh up to 128
-    for r in (0, 1):
-        assert _min_weight(lrm(r, 8).standard_form) == (256 >> r,) * 2
+    assert {(0, 2), (2, 5), (2, 7)} <= set(orders)
 
 
 _A_ONLY = Z4Code(GeneratorMatrix([Z4Word([0, 0, 1])]))
-
-
-def _code(*rows):
-    return Z4Code(GeneratorMatrix.from_strings(list(rows)))
+# one word each, of Lee weight 1 and 6, so that as (A, B) one way round the
+# doubled side is the minimum, and the other way round B's
+_UNIT = Z4Code(GeneratorMatrix([Z4Word([1, 0, 0])]))
+_TWOS = Z4Code(GeneratorMatrix([Z4Word([2, 2, 2])]))
 
 
 @settings(max_examples=120, deadline=None)
-@given(parts=_part_pairs(), block_log2=st.integers(0, 4))
-@example(parts=(_NONE, _ONE), block_log2=0)  # k_A = 0
-@example(parts=(_ONE, _NONE), block_log2=0)  # k_B = 0
-@example(parts=(_ONE, _ONE), block_log2=1)  # B ⊆ A
-@example(parts=(_ONE, _A_ONLY), block_log2=1)  # A ∩ B = {0}
-# 8-word rows in two blocks, one row's least weight only in its second
-@example(parts=(_code("320231"), _code("022020", "223213")), block_log2=2)
-# 4-word heads in one-word blocks, one head's least weight past its first
-@example(parts=(_code("1332", "0222", "1302", "3013"), _code("1213")), block_log2=0)
-# A ∩ B of 2 words in rows of 16, a head's least weight above its row's
-@example(parts=(_code("002220", "202222", "132103", "131332"), _code("233103", "321032")),
-         block_log2=0)
-def test_min_weight_pass_on_random_parts(parts, block_log2):
+@given(parts=_part_pairs())
+@example(parts=(_NONE, _ONE))  # k_A = 0
+@example(parts=(_ONE, _NONE))  # k_B = 0
+@example(parts=(_ONE, _ONE))  # B ⊆ A
+@example(parts=(_ONE, _A_ONLY))  # A ∩ B = {0}
+@example(parts=(_UNIT, _TWOS))  # 2·d(A) = 2 < d(B) = 6
+@example(parts=(_TWOS, _UNIT))  # 2·d(A) = 12 > d(B) = 1
+def test_split_identity_on_random_parts(parts):
+    # on the LRM family 2·d(A) = d(B) at every node with 0 < r < m, so a tree
+    # that keeps only d(B) passes there; parts whose sides differ catch it,
+    # and a tree that keeps only 2·d(A) or doubles both
     a_code, b_code = parts
     a, b = a_code.standard_form, b_code.standard_form
     if a.log2_size + b.log2_size:
         direct = direct_counts(plotkin(a_code, b_code))
-        got = _engine.plotkin_min_weight(a, b, intersection(a, b), block_log2=block_log2)
-        assert got == _first_nonzero(direct)
+        assert _engine.split_min_weight(a, b) == _first_nonzero(direct)
 
 
-def test_plotkin_witness_sweeps_a_plus_b_once_and_builds_no_counts(monkeypatch):
-    # one sweep of A = LRM(2,5) (B ⊆ A), then the stop-at search's sweep of C
+PLAIN_REACH = [(2, m) for m in range(5, 11)]
+OVERRIDE_REACH = [(2, 5), (2, 6), (2, 7), (2, 8), (3, 7), (3, 8), (2, 10)]
+
+
+@pytest.mark.parametrize(
+    "variant, r, m",
+    [("plain", r, m) for r, m in PLAIN_REACH] + [("shipped-base", r, m) for r, m in OVERRIDE_REACH],
+)
+def test_split_identity_reaches_the_theorem(variant, r, m):
+    # far past any sweep of the code: LRM(2,10) has 2^56 words.  The
+    # overridden orders' own routes stay direct, so the tree is called on
+    # their split
+    code = lrm(r, m, ROUTE_VARIANTS[variant])
+    assert _engine.split_min_weight(*linalg.plotkin_split(code.standard_form)) == \
+        theorem1_params(r, m).d
+
+
+def test_plotkin_witness_sweeps_the_leaves_and_builds_no_counts(monkeypatch):
+    # LRM(2,6) splits into A = LRM(2,5) (k = 16, above FIXED_COST_LOG2, so
+    # it splits again into LRM(2,4) and LRM(1,4)) and B = LRM(1,5); each
+    # leaf sweeps directly, then the stop-at search sweeps C.  A + B's 2^16
+    # words are never swept
     sf = lrm(2, 6).standard_form
     route = _engine.lee_route(sf)
     assert route.method == "plotkin"
@@ -477,4 +465,17 @@ def test_plotkin_witness_sweeps_a_plus_b_once_and_builds_no_counts(monkeypatch):
     monkeypatch.setattr(_engine, "plotkin_lee_distribution", refused)
     monkeypatch.setattr(_engine, "coset_histograms", refused)
     assert route.witness() == want
-    assert sizes == [16, 22]
+    assert sizes == [11, 5, 6, 22]
+
+
+@pytest.mark.parametrize("m, off", [(6, 1), (5, -1)])
+def test_a_wrong_proof_raises(monkeypatch, m, off):
+    # d + 1 on LRM(2,6): the search stops in block 0 at a word of weight d;
+    # d - 1 on LRM(2,5): it sweeps all 2^16 words.  Either way it finds d,
+    # not the proof's weight, and the witness raises rather than print it
+    route = _engine.lee_route(lrm(2, m).standard_form)
+    assert route.method == "plotkin"
+    real = _engine.split_min_weight
+    monkeypatch.setattr(_engine, "split_min_weight", lambda *args: real(*args) + off)
+    with pytest.raises(ArithmeticError, match="proved d"):
+        route.witness()
