@@ -5,6 +5,7 @@ where C⊥ is small, the dual's MacWilliams transform; the route choice; the
 split identity d(C) = min(2·d(A), d(B)) that proves the Plotkin witness's
 d; and the witnesses of the public calls, pinned from the direct sweep."""
 
+import functools
 from pathlib import Path
 from unittest import mock
 
@@ -386,17 +387,25 @@ def _split_orders(variant, max_sweep_log2):
 
 
 @pytest.mark.parametrize("variant", ROUTE_VARIANTS)
-def test_split_identity_matches_the_counts_on_every_split_order(variant):
-    # the identity's d against the counts' directly: a d off the true
+@pytest.mark.parametrize("block_log2, max_sweep_log2", [(14, 24), (6, 18), (3, 17)])
+def test_min_weight_pass_matches_the_counts_on_every_split_order(monkeypatch, variant,
+                                                                  block_log2, max_sweep_log2):
+    # the split identity's d against the counts' directly: a d off the true
     # minimum makes the witness search raise, so a wrong tree shows here
-    # first.  LRM(2,7)'s A + B has 2^22 words (B ⊆ A) or 2^24 (B ⊄ A)
+    # first.  The counts bin their cosets' rows in blocks of at most
+    # 2^block_log2 words: 2^14 hold many small rows, 2^6 and 2^3 cut the
+    # larger rows into several.  LRM(2,7)'s A + B has 2^22 words (B ⊆ A) or
+    # 2^24 (B ⊄ A)
+    monkeypatch.setattr(_engine, "coset_histograms",
+                        functools.partial(_engine.coset_histograms, block_log2=block_log2))
     orders = []
-    for order, sf in _split_orders(variant, 24):
+    for order, sf in _split_orders(variant, max_sweep_log2):
         a, b = linalg.plotkin_split(sf)
         counts = _engine.plotkin_lee_distribution(a, b, intersection(a, b))
         assert _engine.split_min_weight(a, b) == _first_nonzero(counts), order
         orders.append(order)
-    assert {(0, 2), (2, 5), (2, 7)} <= set(orders)
+    assert {(0, 2), (2, 5)} <= set(orders)
+    assert ((2, 7) in orders) == (max_sweep_log2 >= 24)
 
 
 _A_ONLY = Z4Code(GeneratorMatrix([Z4Word([0, 0, 1])]))
