@@ -31,9 +31,11 @@ histogram and the least (weight, index) stay the full sweep's: reversed
 counts offer only a weight, and a stop-at search names an image's index.
 
 Route describes the three exact routes to a code's Lee weight
-distribution, and lee_route picks the cheapest.  On the Plotkin route the
-minimum weight needs no distribution: split_min_weight applies
-d(C) = min(2·d(A), d(B)) down the split.
+distribution, and lee_route picks the cheapest for what the caller wants:
+the counts, or the minimum weight and its first index.  On the Plotkin
+route the minimum weight needs no distribution: split_min_weight applies
+d(C) = min(2·d(A), d(B)) down the split.  A route that proves d first
+weighs the word at index 1, and searches further only when it is heavier.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .errors import ZeroCodeError
 from .linalg import (
     dual_standard_form, intersection, mirror_index, mixed_radix_basis, plotkin_split,
 )
-from .z4core import Z4Word, _BYTE_LANES, _lane_masks
+from .z4core import Z4Word, _BYTE_LANES, _lane_masks, lee_weight
 
 U64 = np.uint64
 _LO = U64(0x5555555555555555)
@@ -518,8 +520,10 @@ def _sweep_mirror(sf):
     return mirror_index(sf) if sf.log2_size > DEFAULT_BLOCK_LOG2 else None
 
 
-# The witness search usually stops in its first block (at index 1 for every
-# dual-side LRM order with m <= 6), so small blocks keep its table build cheap.
+# Route.witness searches only when the word at index 1 is heavier than the
+# proved d, which no LRM order tried (up to LRM(7,14)) has needed, and a
+# search usually stops in its first block, so small blocks keep its table
+# build cheap.
 WITNESS_BLOCK_LOG2 = 10
 
 # Every route but the direct one pays 2^FIXED_COST_LOG2 words on top of its
@@ -543,8 +547,8 @@ def plotkin_cost(ka, kb, ki, n):
     (twice that unless B ⊆ A: its head and its tail) and at most
     (2n + 1)^2 terms in H_A^T H_B.  Measured on a 2-vCPU x86 KVM guest, a
     word swept took 3.6-8 ns, a cell 1-6 ns and a term 0.7-3.5 ns.  The
-    route's witness (split_min_weight) sweeps only the split's leaves, so
-    this over-prices a call that wants d alone; lee_route prices the counts.
+    route's witness (split_min_weight) sweeps only the split's leaves, and
+    lee_route(sf, witness=True) prices it by them (_witness_cost).
     """
     cosets = 1 << (ka - ki)
     width = 2 * n + 1
@@ -552,15 +556,28 @@ def plotkin_cost(ka, kb, ki, n):
     return math.log2((cosets << kb) + cosets * (cells + width * width))
 
 
+def _log2_sum(a, b):
+    """log2(2^a + 2^b), in log space: 2n - k reaches 16383."""
+    return max(a, b) + math.log2(1 + 2.0 ** -abs(a - b))
+
+
 def _plus_fixed(cost):
-    """log2(2^cost + 2^FIXED_COST_LOG2), in log space: 2n - k reaches 16383."""
-    return max(cost, FIXED_COST_LOG2) + math.log2(1 + 2.0 ** -abs(cost - FIXED_COST_LOG2))
+    """log2(2^cost + 2^FIXED_COST_LOG2)."""
+    return _log2_sum(cost, FIXED_COST_LOG2)
+
+
+def _witness_cost(a, b):
+    """Price of the Plotkin witness of parts a and b: split_min_weight
+    spends at most the cheaper of each part's direct and dual routes on it,
+    as the part's own witness route costs no more."""
+    own = [min(x.log2_size, _plus_fixed(2 * x.n - x.log2_size)) for x in (a, b)]
+    return _plus_fixed(_log2_sum(*own))
 
 
 class Route(NamedTuple):
-    """One exact route to the Lee weight distribution of sf's code C, and
-    its cost: log2 of the words it sweeps or their equivalent, plus
-    FIXED_COST_LOG2's on all but "direct".
+    """One exact route to the Lee weight distribution of sf's code C, or to
+    its minimum weight, and its cost: log2 of the words it sweeps or their
+    equivalent, plus FIXED_COST_LOG2's on all but "direct".
 
     - "direct": a sweep of C's 2^k words;
     - "dual": a sweep of C⊥'s 2^(2n-k) words (linalg.dual_standard_form),
@@ -572,11 +589,11 @@ class Route(NamedTuple):
       Their per-coset histograms combine, one chunk of cosets at a time, in
       one int64 product, into C's counts (plotkin_lee_distribution), at the
       cost of plotkin_cost.  parts is then the standard forms (a, b, A ∩ B);
-      it is None on the other routes.
+      a route priced for the witness needs no A ∩ B, and its parts are
+      (a, b).  parts is None on the other routes.
 
     Direct and dual-side sweeps weigh one block field of each orbit
-    (Sweep.orbit).  Every route to the minimum weight ends in one
-    min_weight_sweep of C (witness).
+    (Sweep.orbit).
     """
 
     method: str
@@ -603,40 +620,56 @@ class Route(NamedTuple):
         computation, with a stop-at search of its own when an image may
         come first.  On the others the minimum d is proved first: by
         counts() on the dual route, and on the Plotkin route by
-        split_min_weight of parts a and b.  The sweep of C, in
-        WITNESS_BLOCK_LOG2 blocks, then stops at the first block holding a
-        word of weight d: it misses no lighter word, and the index is the
-        one the full sweep returns.  Raises ArithmeticError if the search
-        finds another weight, which a wrong proof of d would give.
+        split_min_weight of parts a and b.  The word at index 1, the first
+        nonzero one, is then weighed alone: at weight d it is the witness.
+        If it is heavier, a sweep of C in WITNESS_BLOCK_LOG2 blocks stops at
+        the first block holding a word of weight d: it misses no lighter
+        word, and the index is the one the full sweep returns.  Raises
+        ArithmeticError if the word at index 1 or the search finds another
+        weight, which a wrong proof of d would give.
         """
         sf = self.sf
         if sf.log2_size == 0:
             raise ZeroCodeError("the zero code has no nonzero codeword")
+        basis = mixed_radix_basis(sf)
         if self.method == "direct":
-            stop_at, block_log2, mirror = None, DEFAULT_BLOCK_LOG2, _sweep_mirror(sf)
-        else:
-            stop_at = (split_min_weight(*self.parts[:2], workers) if self.method == "plotkin"
-                       else next(w for w, a in enumerate(self.counts(workers)) if w and a))
-            block_log2, mirror = WITNESS_BLOCK_LOG2, None
-        found = min_weight_sweep(
-            z4_basis_from_standard_form(sf), sf.log2_size, z4_add, lee_weights, workers=workers,
-            stop_at=stop_at, block_log2=block_log2, units=sf.k1, mirror=mirror,
-        )
-        if stop_at is not None and found[0] != stop_at:
-            raise ArithmeticError(f"the {self.method} route proved d = {stop_at}, "
+            return min_weight_sweep(
+                pack_rows(basis, sf.n, 2), sf.log2_size, z4_add, lee_weights, workers=workers,
+                units=sf.k1, mirror=_sweep_mirror(sf),
+            )
+        d = (split_min_weight(*self.parts[:2], workers) if self.method == "plotkin"
+             else next(w for w, a in enumerate(self.counts(workers)) if w and a))
+        found = lee_weight(basis[0]), 1
+        if found[0] > d:
+            found = min_weight_sweep(
+                pack_rows(basis, sf.n, 2), sf.log2_size, z4_add, lee_weights, workers=workers,
+                stop_at=d, block_log2=WITNESS_BLOCK_LOG2, units=sf.k1,
+            )
+        if found[0] != d:
+            raise ArithmeticError(f"the {self.method} route proved d = {d}, "
                                   f"but the search found weight {found[0]}")
         return found
 
 
-def lee_route(sf):
-    """The cheapest Route for sf's code, a function of the code alone: the
-    Plotkin route is priced when linalg.plotkin_split finds C = plotkin(A,
-    B).  Ties go to the earlier method in Route's list."""
+def lee_route(sf, witness=False):
+    """The cheapest Route for sf's code, a function of the code alone, to
+    its counts or, with witness, to its Route.witness: the Plotkin route is
+    priced when linalg.plotkin_split finds C = plotkin(A, B), by
+    plotkin_cost for the counts and by _witness_cost for the witness.  Ties
+    go to the earlier method in Route's list."""
     k = sf.log2_size
     best = Route("direct", k, sf, None)
     dual = _plus_fixed(2 * sf.n - k)
     if dual < k:
         best = Route("dual", dual, sf, None)
+    if witness:
+        # _witness_cost charges a part X at least min(k_X, _plus_fixed(0)),
+        # and one part has k_X >= k/2: when that cannot win, C is not split
+        if _plus_fixed(min(k / 2, _plus_fixed(0))) < best.cost and (split := plotkin_split(sf)):
+            cost = _witness_cost(*split)
+            if cost < best.cost:
+                best = Route("plotkin", cost, sf, split)
+        return best
     # The plotkin route's int64 counts reach 2^k.  B has at most 4^(n/2)
     # words, so A has at least 2^(k-n), and the route sweeps at least A:
     # when that cannot win, C is not split at all.
@@ -658,15 +691,16 @@ def split_min_weight(a, b, workers=1):
     2·wt(x); with y nonzero, wt(x) + wt(x + y) >= wt(y) by the Lee triangle
     inequality; and (x_A, x_A) and (0, y_B), for least words x_A and y_B,
     reach the two bounds.  A side with no nonzero word is left out.  A
-    part with k above FIXED_COST_LOG2 that plotkin_split splits gets its d
-    by this identity again; any other takes its own route's witness (below
-    FIXED_COST_LOG2 always direct).
+    part whose witness route (lee_route(part, witness=True)) is Plotkin
+    gets its d by this identity again; any other takes its own route's
+    witness (below FIXED_COST_LOG2 always direct).
     """
 
     def part(sf):
-        if sf.log2_size > FIXED_COST_LOG2 and (split := plotkin_split(sf)):
-            return split_min_weight(*split, workers)
-        return lee_route(sf).witness(workers)[0]
+        route = lee_route(sf, witness=True)
+        if route.method == "plotkin":
+            return split_min_weight(*route.parts, workers)
+        return route.witness(workers)[0]
 
     if not b.log2_size:
         return 2 * part(a)

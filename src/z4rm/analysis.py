@@ -127,11 +127,11 @@ class VerificationReport:
 
 def min_lee_weight_witness(c: Z4Code, budget: int = DEFAULT_BUDGET, workers: int = 1):
     """(minimum nonzero Lee weight, first codeword in the frozen order
-    achieving it), exact, along the cheapest _engine.Route.  The budget
-    gates C's own size."""
+    achieving it), exact, along the cheapest _engine.Route to them.  The
+    budget gates C's own size."""
     sf = c.standard_form
     check_budget(sf.log2_size, budget)
-    d, t = _engine.lee_route(sf).witness(workers)
+    d, t = _engine.lee_route(sf, witness=True).witness(workers)
     return d, codeword_at(sf, t)
 
 

@@ -106,9 +106,10 @@ class Z4Code:
 
     @cached_property
     def _min_lee_weight(self) -> int:
-        """Exact minimum nonzero Lee weight, along the cheapest route of
-        _engine.lee_route.  It gates no budget: the caller checks one first."""
-        return _engine.lee_route(self.standard_form).witness()[0]
+        """Exact minimum nonzero Lee weight, along the cheapest witness route
+        of _engine.lee_route.  It gates no budget: the caller checks one
+        first."""
+        return _engine.lee_route(self.standard_form, witness=True).witness()[0]
 
     @property
     def log2_size(self) -> int:

@@ -250,10 +250,13 @@ def test_verify_never_bounds_the_sweep_by_the_claim(monkeypatch):
     fast = verify_theorem1(1, 4, fast=True)
     assert seen == [None]
     assert fast == dataclasses.replace(verify_theorem1(1, 4), fast=True)
-    # LRM(3,5) has a 2^6-word dual: the witness search stops at the distance
-    # the dual proved, not at the claim
+    # LRM(3,5) has a 2^6-word dual, and its word at index 1 weighs the
+    # distance the dual proved, so no search runs
     seen.clear()
-    verify_theorem1(3, 5, fast=True)
+    want = verify_theorem1(3, 5, fast=True)
+    assert (seen, want.computed_d, want.passed) == ([], 4, True)
+    # with that word made to look one heavier and a wrong claim of 2, the
+    # witness search stops at the distance the dual proved, not at the claim
     sf = lrm(3, 5).standard_form
     dual = dual_standard_form(sf)
     hist = _engine.weight_histogram(
@@ -261,7 +264,13 @@ def test_verify_never_bounds_the_sweep_by_the_claim(monkeypatch):
         _engine.lee_weights, 2 * sf.n,
     )
     counts = _engine.lee_macwilliams(hist, sf.log2_size)
+    weigh = _engine.lee_weight
+    monkeypatch.setattr(_engine, "lee_weight", lambda x: weigh(x) + 1)
+    monkeypatch.setattr(analysis, "theorem1_params",
+                        lambda r, m: dataclasses.replace(theorem1_params(r, m), d=2))
+    got = verify_theorem1(3, 5, fast=True)
     assert seen == [next(w for w, a in enumerate(counts) if w and a)] == [4]
+    assert (got.computed_d, got.claimed.d, got.status) == (4, 2, "fail")
 
 
 @pytest.mark.parametrize(

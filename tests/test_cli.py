@@ -123,8 +123,8 @@ def test_a_code_file_takes_the_plotkin_route(capsys, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_overridden_verify_2_7_stdout_is_pinned(capsys, workers):
-    # the CLI's one 2^29-word direct sweep (8192 orbit-paired blocks), captured
-    # from the sweep that weighed one block of each negation pair
+    # captured from the sweep of all 2^29 words that weighed one block of
+    # each negation pair; the witness now takes the split identity
     want = (Path(__file__).parent / "data" / "verify_2_7_override.txt").read_text(
         encoding="ascii"
     )
@@ -132,9 +132,19 @@ def test_overridden_verify_2_7_stdout_is_pinned(capsys, workers):
                "--workers", workers)[:2] == (0, want)
 
 
+def test_overridden_verify_2_8_stdout_is_pinned(capsys):
+    # captured from the orbit-paired direct sweep of all 2^37 words (about
+    # 2.5 minutes); the witness now proves d from the split's leaves
+    want = (Path(__file__).parent / "data" / "verify_2_8_override.txt").read_text(
+        encoding="ascii"
+    )
+    assert run(capsys, "verify", "2", "8", "--budget", "37", "--override",
+               f"2,4={OVERRIDE_FILE}")[:2] == (0, want)
+
+
 def test_verify_2_8_stdout_is_pinned(capsys):
-    # LRM(2,8)'s d comes from the per-coset minima of one sweep of LRM(2,7);
-    # captured when it came from the route's coset counts
+    # LRM(2,8)'s d comes from the split identity on its leaves; captured
+    # when it came from the route's coset counts
     want = (Path(__file__).parent / "data" / "verify_2_8.txt").read_text(encoding="ascii")
     assert run(capsys, "verify", "2", "8", "--budget", "37")[:2] == (0, want)
 

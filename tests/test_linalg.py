@@ -314,9 +314,9 @@ def test_sweep_workers_clamped_to_cpu_count(monkeypatch, cpus, threads):
 
 
 def test_witness_search_that_stops_in_block_0_starts_no_thread(monkeypatch):
-    # LRM(3,5) takes its dual route, and the witness search over its own
-    # 2^26 words stops at the proven distance in block 0, which runs in the
-    # calling thread before any thread would start
+    # LRM(3,5) takes its dual route, and its word at index 1 weighs the
+    # proven distance, so the witness ends there, in the calling thread,
+    # before any thread would start
     sf = lrm(3, 5).standard_form
     want = _engine.lee_route(sf).witness()
     assert want[1] < 1 << _engine.WITNESS_BLOCK_LOG2

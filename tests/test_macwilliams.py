@@ -7,6 +7,7 @@ weight_histogram and min_weight_sweep on the code's own basis,
 z4_basis_from_standard_form."""
 
 import functools
+import random
 from unittest import mock
 
 import pytest
@@ -16,8 +17,10 @@ from hypothesis import strategies as st
 from z4rm import _engine
 from z4rm.analysis import lee_weight_distribution, min_lee_weight_witness
 from z4rm.codes import Z4Code, lrm, shipped_nonlinear_base, theorem1_params
-from z4rm.linalg import GeneratorMatrix, codeword_at, dual_standard_form, standard_form
-from z4rm.z4core import Z4Word
+from z4rm.linalg import (
+    GeneratorMatrix, codeword_at, dual_standard_form, mixed_radix_basis, standard_form,
+)
+from z4rm.z4core import Z4Word, lee_weight
 
 
 def dual_code(sf):
@@ -165,6 +168,34 @@ def test_smaller_side_matches_exhaustive_sweep(overrides):
     for r, m in orders:
         sf = lrm(r, m, overrides).standard_form
         assert _engine.lee_route(sf).witness(workers=2) == direct_min(sf, workers=2), (r, m)
+
+
+def test_witness_searches_past_a_heavier_word_at_index_1(monkeypatch):
+    # the first random code of a seeded stream whose witness route proves d
+    # (on its dual, or split) and whose word at index 1 weighs more than d:
+    # the search then finds the first word of weight d, past index 1, where
+    # the direct full sweep finds it
+    rng = random.Random(0)
+    for _ in range(200):
+        n = rng.randint(8, 10)
+        rows = [Z4Word([rng.randrange(4) for _ in range(n)]) for _ in range(n - 1)]
+        sf = standard_form(GeneratorMatrix(rows, n=n))
+        route = _engine.lee_route(sf, witness=True)
+        if route.method != "direct" and lee_weight(mixed_radix_basis(sf)[0]) > direct_min(sf)[0]:
+            break
+    else:
+        pytest.fail("no code of the stream searches past index 1")
+    stops = []
+    real = _engine.min_weight_sweep
+
+    def spy(*args, **kwargs):
+        stops.append(kwargs.get("stop_at"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_engine, "min_weight_sweep", spy)
+    d, t = route.witness()
+    assert stops == [d]
+    assert t > 1 and (d, t) == direct_min(sf)
 
 
 @functools.cache

@@ -443,23 +443,15 @@ OVERRIDE_REACH = [(2, 5), (2, 6), (2, 7), (2, 8), (3, 7), (3, 8), (2, 10)]
     [("plain", r, m) for r, m in PLAIN_REACH] + [("shipped-base", r, m) for r, m in OVERRIDE_REACH],
 )
 def test_split_identity_reaches_the_theorem(variant, r, m):
-    # far past any sweep of the code: LRM(2,10) has 2^56 words.  The
-    # overridden orders' own routes stay direct, so the tree is called on
-    # their split
+    # far past any sweep of the code: LRM(2,10) has 2^56 words.  The tree
+    # is called on each order's split, whatever route the order takes
     code = lrm(r, m, ROUTE_VARIANTS[variant])
     assert _engine.split_min_weight(*linalg.plotkin_split(code.standard_form)) == \
         theorem1_params(r, m).d
 
 
-def test_plotkin_witness_sweeps_the_leaves_and_builds_no_counts(monkeypatch):
-    # LRM(2,6) splits into A = LRM(2,5) (k = 16, above FIXED_COST_LOG2, so
-    # it splits again into LRM(2,4) and LRM(1,4)) and B = LRM(1,5); each
-    # leaf sweeps directly, then the stop-at search sweeps C.  A + B's 2^16
-    # words are never swept
-    sf = lrm(2, 6).standard_form
-    route = _engine.lee_route(sf)
-    assert route.method == "plotkin"
-    want = direct_min(sf)
+def _sweep_sizes(monkeypatch):
+    """The k of every Sweep built from here on, in order."""
     sizes = []
     real = _engine.Sweep.__init__
 
@@ -467,24 +459,81 @@ def test_plotkin_witness_sweeps_the_leaves_and_builds_no_counts(monkeypatch):
         sizes.append(k)
         real(self, basis, k, *args, **kwargs)
 
+    monkeypatch.setattr(_engine.Sweep, "__init__", spy)
+    return sizes
+
+
+def test_plotkin_witness_sweeps_the_leaves_and_builds_no_counts(monkeypatch):
+    # LRM(2,6) splits into A = LRM(2,5) (k = 16, whose own witness route
+    # splits it again into LRM(2,4) and LRM(1,4)) and B = LRM(1,5); each
+    # leaf sweeps directly, and C's word at index 1 weighs d, so C is never
+    # swept.  Neither A ∩ B nor A + B's 2^16 words are built
+    sf = lrm(2, 6).standard_form
+    want = direct_min(sf)
+    sizes = _sweep_sizes(monkeypatch)
+
     def refused(*args, **kwargs):
         raise AssertionError("the witness built the Plotkin counts")
 
-    monkeypatch.setattr(_engine.Sweep, "__init__", spy)
     monkeypatch.setattr(_engine, "plotkin_lee_distribution", refused)
     monkeypatch.setattr(_engine, "coset_histograms", refused)
-    assert route.witness() == want
-    assert sizes == [11, 5, 6, 22]
+    monkeypatch.setattr(_engine, "intersection", refused)
+    route = _engine.lee_route(sf, witness=True)
+    assert (route.method, len(route.parts)) == ("plotkin", 2)
+    assert route.witness() == want == (16, 1)
+    assert sizes == [11, 5, 6]
 
 
 @pytest.mark.parametrize("m, off", [(6, 1), (5, -1)])
 def test_a_wrong_proof_raises(monkeypatch, m, off):
-    # d + 1 on LRM(2,6): the search stops in block 0 at a word of weight d;
-    # d - 1 on LRM(2,5): it sweeps all 2^16 words.  Either way it finds d,
-    # not the proof's weight, and the witness raises rather than print it
-    route = _engine.lee_route(lrm(2, m).standard_form)
+    # d + 1 on LRM(2,6): C's word at index 1 weighs d, less than the proof,
+    # and the witness raises before it builds any Sweep; d - 1 on LRM(2,5):
+    # that word is heavier, and the search sweeps all 2^16 words.  Either
+    # way it finds d, not the proof's weight, and the witness raises rather
+    # than print it
+    route = _engine.lee_route(lrm(2, m).standard_form, witness=True)
     assert route.method == "plotkin"
-    real = _engine.split_min_weight
-    monkeypatch.setattr(_engine, "split_min_weight", lambda *args: real(*args) + off)
+    proof = _engine.split_min_weight(*route.parts) + off
+    monkeypatch.setattr(_engine, "split_min_weight", lambda *args: proof)
+    sizes = _sweep_sizes(monkeypatch)
     with pytest.raises(ArithmeticError, match="proved d"):
         route.witness()
+    assert sizes == ([] if off > 0 else [16])
+
+
+def test_a_wrong_dual_proof_raises(monkeypatch):
+    # LRM(3,5)'s dual counts with the weight-4 words left out prove d = 6;
+    # C's word at index 1 weighs 4, so the witness raises once the dual's
+    # 2^6 words are swept, and sweeps nothing of C
+    route = _engine.lee_route(lrm(3, 5).standard_form, witness=True)
+    assert route.method == "dual"
+    real = _engine.Route.counts
+    monkeypatch.setattr(_engine.Route, "counts", lambda self, workers=1: [
+        0 if w == 4 else a for w, a in enumerate(real(self, workers))])
+    sizes = _sweep_sizes(monkeypatch)
+    with pytest.raises(ArithmeticError, match="proved d = 6, but the search found weight 4"):
+        route.witness()
+    assert sizes == [6]
+
+
+@settings(max_examples=120, deadline=None)
+@given(parts=_part_pairs())
+@example(parts=(_ONE, _NONE))  # k_B = 0
+@example(parts=(_ONE, _ONE))  # B ⊆ A
+@example(parts=(_ONE, _A_ONLY))  # A ∩ B = {0}
+@example(parts=(_UNIT, _TWOS))  # 2·d(A) = 2 < d(B) = 6
+@example(parts=(_TWOS, _UNIT))  # 2·d(A) = 12 > d(B) = 1
+def test_witness_route_matches_the_direct_sweep(parts):
+    # with no fixed route cost the witness-priced route splits C whenever
+    # its parts' own routes cost less than C's, and 4-word blocks make a
+    # search cross blocks: either way, and on the Plotkin route forced,
+    # the witness (d and index) is the direct sweep's
+    sf = plotkin(*parts).standard_form
+    if not sf.log2_size:
+        return
+    want = _engine.Route("direct", sf.log2_size, sf, None).witness()
+    with mock.patch.object(_engine, "FIXED_COST_LOG2", float("-inf")), \
+            mock.patch.object(_engine, "WITNESS_BLOCK_LOG2", 2):
+        assert _engine.lee_route(sf, witness=True).witness() == want
+        forced = _engine.Route("plotkin", 0.0, sf, linalg.plotkin_split(sf))
+        assert forced.witness() == want
