@@ -32,10 +32,12 @@ counts offer only a weight, and a stop-at search names an image's index.
 
 Route describes the three exact routes to a code's Lee weight
 distribution, and lee_route picks the cheapest for what the caller wants:
-the counts, or the minimum weight and its first index.  On the Plotkin
-route the minimum weight needs no distribution: split_min_weight applies
-d(C) = min(2·d(A), d(B)) down the split.  A route that proves d first
-weighs the word at index 1, and searches further only when it is heavier.
+the counts, or the minimum weight and its first index.  For the minimum
+weight the Plotkin route needs no distribution: lee_route splits the code
+into parts that carry their own witness routes, and Route.min_weight
+applies d(C) = min(2·d(A), d(B)) down that tree.  A route that proves d
+first weighs the word at index 1, and searches further only when it is
+heavier.
 """
 
 from __future__ import annotations
@@ -546,9 +548,7 @@ def plotkin_cost(ka, kb, ki, n):
     per product term.  Each of the 2^(ka - ki) cosets has 2n + 1 cells
     (twice that unless B ⊆ A: its head and its tail) and at most
     (2n + 1)^2 terms in H_A^T H_B.  Measured on a 2-vCPU x86 KVM guest, a
-    word swept took 3.6-8 ns, a cell 1-6 ns and a term 0.7-3.5 ns.  The
-    route's witness (split_min_weight) sweeps only the split's leaves, and
-    lee_route(sf, witness=True) prices it by them (_witness_cost).
+    word swept took 3.6-8 ns, a cell 1-6 ns and a term 0.7-3.5 ns.
     """
     cosets = 1 << (ka - ki)
     width = 2 * n + 1
@@ -566,14 +566,6 @@ def _plus_fixed(cost):
     return _log2_sum(cost, FIXED_COST_LOG2)
 
 
-def _witness_cost(a, b):
-    """Price of the Plotkin witness of parts a and b: split_min_weight
-    spends at most the cheaper of each part's direct and dual routes on it,
-    as the part's own witness route costs no more."""
-    own = [min(x.log2_size, _plus_fixed(2 * x.n - x.log2_size)) for x in (a, b)]
-    return _plus_fixed(_log2_sum(*own))
-
-
 class Route(NamedTuple):
     """One exact route to the Lee weight distribution of sf's code C, or to
     its minimum weight, and its cost: log2 of the words it sweeps or their
@@ -583,14 +575,15 @@ class Route(NamedTuple):
     - "dual": a sweep of C⊥'s 2^(2n-k) words (linalg.dual_standard_form),
       which lee_macwilliams turns into C's counts;
     - "plotkin": for C = {(x, x+y) : x in A, y in B}, with A and B read
-      off C's own rows by linalg.plotkin_split, one sweep of A + B (A
-      itself when B ⊆ A) whose index rows are the cosets of B and whose
-      row heads are the cosets of A ∩ B in A.
-      Their per-coset histograms combine, one chunk of cosets at a time, in
-      one int64 product, into C's counts (plotkin_lee_distribution), at the
-      cost of plotkin_cost.  parts is then the standard forms (a, b, A ∩ B);
-      a route priced for the witness needs no A ∩ B, and its parts are
-      (a, b).  parts is None on the other routes.
+      off C's own rows by linalg.plotkin_split.  Priced for the counts,
+      parts is the standard forms (a, b, A ∩ B), and the route is one
+      sweep of A + B (A itself when B ⊆ A) whose index rows are the cosets
+      of B and whose row heads are the cosets of A ∩ B in A.  Their
+      per-coset histograms combine, one chunk of cosets at a time, in one
+      int64 product, into C's counts (plotkin_lee_distribution), at the
+      cost of plotkin_cost.  Priced for the witness, parts is A's and B's
+      own witness Routes, and min_weight walks them.
+      parts is None on the other routes.
 
     Direct and dual-side sweeps weigh one block field of each orbit
     (Sweep.orbit).
@@ -613,20 +606,40 @@ class Route(NamedTuple):
         )
         return lee_macwilliams(counts, self.sf.log2_size) if dual else [int(a) for a in counts]
 
+    def min_weight(self, workers=1):
+        """Minimum nonzero Lee weight d of C, C not {0}.
+
+        The direct route takes its witness's weight, and the dual route and
+        the Plotkin counts their first nonzero count.  The Plotkin route
+        priced for the witness takes each part route's own min_weight, and
+        d(C) = min(2·d(A), d(B)), which holds for any A and B:
+        - a nonzero (x, x) weighs 2·wt(x) >= 2·d(A);
+        - with y nonzero, wt(x) + wt(x + y) >= wt(y) >= d(B), by the Lee
+          triangle inequality;
+        - (x_A, x_A) and (0, y_B), for least words x_A and y_B, reach the
+          two bounds.
+        A side with no nonzero word is left out.
+        """
+        if self.method == "direct":
+            return self.witness(workers)[0]
+        if self.method == "plotkin" and isinstance(self.parts[0], Route):
+            return min(f * part.min_weight(workers)
+                       for f, part in zip((2, 1), self.parts) if part.sf.log2_size)
+        return next(w for w, a in enumerate(self.counts(workers)) if w and a)
+
     def witness(self, workers=1):
         """(minimum nonzero Lee weight, sweep index of its first word) of C.
 
         On the direct route the orbit-paired full sweep is the whole
         computation, with a stop-at search of its own when an image may
-        come first.  On the others the minimum d is proved first: by
-        counts() on the dual route, and on the Plotkin route by
-        split_min_weight of parts a and b.  The word at index 1, the first
-        nonzero one, is then weighed alone: at weight d it is the witness.
-        If it is heavier, a sweep of C in WITNESS_BLOCK_LOG2 blocks stops at
-        the first block holding a word of weight d: it misses no lighter
-        word, and the index is the one the full sweep returns.  Raises
-        ArithmeticError if the word at index 1 or the search finds another
-        weight, which a wrong proof of d would give.
+        come first.  On the others min_weight proves the minimum d first.
+        The word at index 1, the first nonzero one, is then weighed alone:
+        at weight d it is the witness.  If it is heavier, a sweep of C in
+        WITNESS_BLOCK_LOG2 blocks stops at the first block holding a word of
+        weight d: it misses no lighter word, and the index is the one the
+        full sweep returns.  Raises ArithmeticError if the word at index 1
+        or the search finds another weight, which a wrong proof of d would
+        give.
         """
         sf = self.sf
         if sf.log2_size == 0:
@@ -637,8 +650,7 @@ class Route(NamedTuple):
                 pack_rows(basis, sf.n, 2), sf.log2_size, z4_add, lee_weights, workers=workers,
                 units=sf.k1, mirror=_sweep_mirror(sf),
             )
-        d = (split_min_weight(*self.parts[:2], workers) if self.method == "plotkin"
-             else next(w for w, a in enumerate(self.counts(workers)) if w and a))
+        d = self.min_weight(workers)
         found = lee_weight(basis[0]), 1
         if found[0] > d:
             found = min_weight_sweep(
@@ -653,22 +665,24 @@ class Route(NamedTuple):
 
 def lee_route(sf, witness=False):
     """The cheapest Route for sf's code, a function of the code alone, to
-    its counts or, with witness, to its Route.witness: the Plotkin route is
-    priced when linalg.plotkin_split finds C = plotkin(A, B), by
-    plotkin_cost for the counts and by _witness_cost for the witness.  Ties
-    go to the earlier method in Route's list."""
+    its counts or, with witness, to its Route.witness.  The Plotkin route is
+    priced when linalg.plotkin_split finds C = plotkin(A, B): for the counts
+    by plotkin_cost, and for the witness by the parts' own witness routes,
+    lee_route(part, witness=True), kept as its parts, whose costs add.
+    Ties go to the earlier method in Route's list."""
     k = sf.log2_size
     best = Route("direct", k, sf, None)
     dual = _plus_fixed(2 * sf.n - k)
     if dual < k:
         best = Route("dual", dual, sf, None)
     if witness:
-        # _witness_cost charges a part X at least min(k_X, _plus_fixed(0)),
-        # and one part has k_X >= k/2: when that cannot win, C is not split
+        # a part X's route costs at least min(k_X, _plus_fixed(0)), and one
+        # part has k_X >= k/2: when that cannot win, C is not split
         if _plus_fixed(min(k / 2, _plus_fixed(0))) < best.cost and (split := plotkin_split(sf)):
-            cost = _witness_cost(*split)
+            parts = tuple(lee_route(x, witness=True) for x in split)
+            cost = _plus_fixed(_log2_sum(*(x.cost for x in parts)))
             if cost < best.cost:
-                best = Route("plotkin", cost, sf, split)
+                best = Route("plotkin", cost, sf, parts)
         return best
     # The plotkin route's int64 counts reach 2^k.  B has at most 4^(n/2)
     # words, so A has at least 2^(k-n), and the route sweeps at least A:
@@ -681,32 +695,6 @@ def lee_route(sf, witness=False):
             if cost < best.cost:
                 best = Route("plotkin", cost, sf, (a, b, inter))
     return best
-
-
-def split_min_weight(a, b, workers=1):
-    """Minimum nonzero Lee weight of C = {(x, x+y) : x in A, y in B}, C not
-    {0}, from the standard forms a and b of A and B.
-
-    d(C) = min(2·d(A), d(B)), for any A and B: a nonzero (x, x) weighs
-    2·wt(x); with y nonzero, wt(x) + wt(x + y) >= wt(y) by the Lee triangle
-    inequality; and (x_A, x_A) and (0, y_B), for least words x_A and y_B,
-    reach the two bounds.  A side with no nonzero word is left out.  A
-    part whose witness route (lee_route(part, witness=True)) is Plotkin
-    gets its d by this identity again; any other takes its own route's
-    witness (below FIXED_COST_LOG2 always direct).
-    """
-
-    def part(sf):
-        route = lee_route(sf, witness=True)
-        if route.method == "plotkin":
-            return split_min_weight(*route.parts, workers)
-        return route.witness(workers)[0]
-
-    if not b.log2_size:
-        return 2 * part(a)
-    if not a.log2_size:
-        return part(b)
-    return min(2 * part(a), part(b))
 
 
 class _Span:

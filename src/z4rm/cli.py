@@ -81,11 +81,10 @@ def _resolve_budget(flag: int | None) -> int:
     return budget
 
 
-def _worker_count(text: str) -> int:
-    workers = _integer(text)
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
-    return workers
+def _positive(text: str) -> int:
+    if (value := _integer(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _bounded_level(text: str, bound: int) -> int:
@@ -110,8 +109,9 @@ def _top_level(text: str) -> int:
 
 
 def _parse_overrides(pairs, r, m):
-    """The --override pairs as {node: code}, each node one that LRM(r,m)'s
-    recursion reaches; the files are read only once every node is."""
+    """The --override pairs as {node: code}, each node given once and one
+    that LRM(r,m)'s recursion reaches; the files are read only once every
+    node is."""
     paths = {}
     for item in pairs:
         node, eq, path = item.partition("=")
@@ -121,7 +121,10 @@ def _parse_overrides(pairs, r, m):
             node_r, node_m = map(_integer, node.split(","))
         except (argparse.ArgumentTypeError, ValueError):  # ValueError: not two parts
             raise _UsageError(f"override node {node!r} is not of the form r,m")
-        paths[check_order(node_r, node_m)] = path
+        node = check_order(node_r, node_m)
+        if node in paths:
+            raise _UsageError(f"override at ({node.r},{node.m}) is given twice")
+        paths[node] = path
     reached = lrm_nodes(r, m, paths)
     for node in paths:
         if node not in reached:
@@ -301,7 +304,7 @@ _ORDER = (_arg("r", type=_integer, help="order"),
 _FILE = _arg("file")
 _BUDGET = _arg("--budget", type=_integer, default=None,
                help="log2 of the largest enumerable codeword count")
-_WORKERS = _arg("--workers", type=_worker_count, default=1,
+_WORKERS = _arg("--workers", type=_positive, default=1,
                 help="parallel sweep workers (result is identical for any count)")
 _OVERRIDE = dict(action="append", default=[], metavar="NODE=FILE")
 
@@ -342,7 +345,7 @@ _COMMANDS = {
     "search-nonlinear": (
         _cmd_search, "search for codes with the given parameters and nonlinear image", (
             _arg("n", type=_integer), _arg("k", type=_integer), _arg("d", type=_integer),
-            _arg("--limit", type=_integer, default=8, help="largest searchable length"))),
+            _arg("--limit", type=_positive, default=8, help="largest searchable length"))),
 }
 
 

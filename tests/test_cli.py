@@ -253,6 +253,19 @@ def test_override_at_invalid_node_is_usage_error(capsys, lrm12_file, command, no
     assert "invalid order" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "build"])
+def test_override_at_a_node_given_twice_is_usage_error(capsys, monkeypatch, command):
+    # the second file once replaced the first, which was never read; now
+    # neither is
+    def refused(path):
+        raise AssertionError(f"{path} read")
+
+    monkeypatch.setattr(cli, "_load_code", refused)
+    argv = ["--override", "2,4=/nonexistent", "--override", f"2,4={OVERRIDE_FILE}"]
+    assert run(capsys, command, "2", "5", *argv) == (
+        2, "", "error: override at (2,4) is given twice\n")
+
+
 @pytest.mark.parametrize("node", ["\u00b2,4", "\u0662,4", "2,\u0664", "--2,4"])
 @pytest.mark.parametrize("command", ["verify", "build"])
 def test_override_node_takes_only_ascii_integers(capsys, lrm12_file, command, node):
@@ -474,6 +487,14 @@ def test_search_nonlinear_subcommand(capsys):
 
     code, out, _ = run(capsys, "search-nonlinear", "9", "2", "2", "--limit", "8")
     assert code == 3
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_search_limit_below_one_is_usage_error(capsys, limit):
+    # once exit 3, "budget exceeded", from the search itself
+    code, out, err = run(capsys, "search-nonlinear", "4", "4", "3", "--limit", limit)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument --limit: must be at least 1, got {limit}\n")
 
 
 @pytest.mark.parametrize("n, k, d", [(4, 4, 3), (5, 5, 3)])

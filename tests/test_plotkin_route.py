@@ -373,6 +373,13 @@ def _first_nonzero(counts):
     return next(w for w, a in enumerate(counts) if w and a)
 
 
+def _tree_min_weight(sf, a, b):
+    """d of sf's code C = plotkin(A, B) from a Plotkin route forced over the
+    witness routes of a and b: the split identity down their tree."""
+    parts = (_engine.lee_route(a, witness=True), _engine.lee_route(b, witness=True))
+    return _engine.Route("plotkin", 0.0, sf, parts).min_weight()
+
+
 def _split_orders(variant, max_sweep_log2):
     """The nonzero codes lrm(r, m) with m <= 7 of a variant that split, and
     whose sweep of A + B has at most 2^max_sweep_log2 words."""
@@ -402,7 +409,7 @@ def test_min_weight_pass_matches_the_counts_on_every_split_order(monkeypatch, va
     for order, sf in _split_orders(variant, max_sweep_log2):
         a, b = linalg.plotkin_split(sf)
         counts = _engine.plotkin_lee_distribution(a, b, intersection(a, b))
-        assert _engine.split_min_weight(a, b) == _first_nonzero(counts), order
+        assert _tree_min_weight(sf, a, b) == _first_nonzero(counts), order
         orders.append(order)
     assert {(0, 2), (2, 5)} <= set(orders)
     assert ((2, 7) in orders) == (max_sweep_log2 >= 24)
@@ -430,8 +437,9 @@ def test_split_identity_on_random_parts(parts):
     a_code, b_code = parts
     a, b = a_code.standard_form, b_code.standard_form
     if a.log2_size + b.log2_size:
-        direct = direct_counts(plotkin(a_code, b_code))
-        assert _engine.split_min_weight(a, b) == _first_nonzero(direct)
+        code = plotkin(a_code, b_code)
+        direct = direct_counts(code)
+        assert _tree_min_weight(code.standard_form, a, b) == _first_nonzero(direct)
 
 
 PLAIN_REACH = [(2, m) for m in range(5, 11)]
@@ -445,9 +453,8 @@ OVERRIDE_REACH = [(2, 5), (2, 6), (2, 7), (2, 8), (3, 7), (3, 8), (2, 10)]
 def test_split_identity_reaches_the_theorem(variant, r, m):
     # far past any sweep of the code: LRM(2,10) has 2^56 words.  The tree
     # is called on each order's split, whatever route the order takes
-    code = lrm(r, m, ROUTE_VARIANTS[variant])
-    assert _engine.split_min_weight(*linalg.plotkin_split(code.standard_form)) == \
-        theorem1_params(r, m).d
+    sf = lrm(r, m, ROUTE_VARIANTS[variant]).standard_form
+    assert _tree_min_weight(sf, *linalg.plotkin_split(sf)) == theorem1_params(r, m).d
 
 
 def _sweep_sizes(monkeypatch):
@@ -484,6 +491,62 @@ def test_plotkin_witness_sweeps_the_leaves_and_builds_no_counts(monkeypatch):
     assert sizes == [11, 5, 6]
 
 
+def _split_calls(monkeypatch):
+    """A list that grows by one at each _engine.plotkin_split call from here on."""
+    calls = []
+    real = _engine.plotkin_split
+
+    def spy(sf):
+        calls.append(sf)
+        return real(sf)
+
+    monkeypatch.setattr(_engine, "plotkin_split", spy)
+    return calls
+
+
+@pytest.mark.parametrize("r, m, splits", [(2, 6, 2), (2, 8, 4), (4, 8, 9)])
+def test_the_witness_route_splits_each_node_once(monkeypatch, r, m, splits):
+    # lee_route builds the whole tree, each split node split once, and the
+    # witness then walks it without splitting anything again
+    sf = lrm(r, m).standard_form
+    calls = _split_calls(monkeypatch)
+    route = _engine.lee_route(sf, witness=True)
+    assert (route.method, len(calls)) == ("plotkin", splits)
+    calls.clear()
+    assert route.witness() == (theorem1_params(r, m).d, 1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("r, m, cost, d", [(3, 8, 17.86, 32), (4, 8, 18.12, 16)])
+def test_the_witness_route_is_priced_by_its_tree(r, m, cost, d):
+    # priced by the cheaper of each part's own direct and dual routes, each
+    # order cost 2^64 words; priced by its tree, under 2^19
+    route = _engine.lee_route(lrm(r, m).standard_form, witness=True)
+    assert (route.method, round(route.cost, 2)) == ("plotkin", cost)
+    assert route.witness() == (d, 1)
+
+
+def _plotkin_nodes(route):
+    """route and the Plotkin routes below it, depth first."""
+    if route.method == "plotkin":
+        yield route
+        for part in route.parts:
+            yield from _plotkin_nodes(part)
+
+
+@pytest.mark.parametrize("variant", ROUTE_VARIANTS)
+def test_each_plotkin_node_costs_its_parts(variant):
+    # a node's cost is its parts' witness route costs added, and the fixed
+    # cost, at every depth of the tree
+    nodes = [node for r in range(1, 8)
+             for node in _plotkin_nodes(_engine.lee_route(
+                 lrm(r, 8, ROUTE_VARIANTS[variant]).standard_form, witness=True))]
+    assert len(nodes) > 8
+    for node in nodes:
+        a, b = node.parts
+        assert node.cost == _engine._plus_fixed(_engine._log2_sum(a.cost, b.cost))
+
+
 @pytest.mark.parametrize("m, off", [(6, 1), (5, -1)])
 def test_a_wrong_proof_raises(monkeypatch, m, off):
     # d + 1 on LRM(2,6): C's word at index 1 weighs d, less than the proof,
@@ -493,8 +556,8 @@ def test_a_wrong_proof_raises(monkeypatch, m, off):
     # than print it
     route = _engine.lee_route(lrm(2, m).standard_form, witness=True)
     assert route.method == "plotkin"
-    proof = _engine.split_min_weight(*route.parts) + off
-    monkeypatch.setattr(_engine, "split_min_weight", lambda *args: proof)
+    proof = route.min_weight() + off
+    monkeypatch.setattr(_engine.Route, "min_weight", lambda self, workers=1: proof)
     sizes = _sweep_sizes(monkeypatch)
     with pytest.raises(ArithmeticError, match="proved d"):
         route.witness()
@@ -535,5 +598,6 @@ def test_witness_route_matches_the_direct_sweep(parts):
     with mock.patch.object(_engine, "FIXED_COST_LOG2", float("-inf")), \
             mock.patch.object(_engine, "WITNESS_BLOCK_LOG2", 2):
         assert _engine.lee_route(sf, witness=True).witness() == want
-        forced = _engine.Route("plotkin", 0.0, sf, linalg.plotkin_split(sf))
+        parts = tuple(_engine.lee_route(x, witness=True) for x in linalg.plotkin_split(sf))
+        forced = _engine.Route("plotkin", 0.0, sf, parts)
         assert forced.witness() == want
