@@ -7,11 +7,11 @@ the t-th enumerated codeword.
 
 Workers share only the full direct, dual-side and binary sweeps
 (_fold_units): each takes the next block from one lock-guarded iterator
-and folds it into a private partial (the least (weight, index), or an
-int64 histogram), and the calling thread merges the partials in a fixed
-order.  Both are exact in any order, so results are identical for any
-worker count.  A stop-at search and the Plotkin coset sweeps run in the
-calling thread, in index order.
+and folds it into a private partial (the least weight, or an int64
+histogram), and the calling thread merges the partials in a fixed order.
+Both are exact in any order, so results are identical for any worker
+count.  The witness search (first_block_at_most) and the Plotkin coset
+sweeps run in the calling thread, in index order.
 
 A block's weights are one XOR and one popcount per limb: the sweep keeps
 its low table as images in Hamming space (the Gray map for Z4), so the
@@ -27,17 +27,16 @@ itself with wt(x + 2·1) = 2n - wt(x).  So the Z4 direct and dual-side
 sweeps weigh one block field of each orbit of {id, neg, +2·1, neg∘+2·1}
 (Sweep.orbit), and add its counts as they are and reversed; binary sweeps
 of a code with the all-ones word pair each block with its complement.  The
-histogram and the least (weight, index) stay the full sweep's: reversed
-counts offer only a weight, and a stop-at search names an image's index.
+histogram and the least weight stay the full sweep's.
 
 Route describes the three exact routes to a code's Lee weight
 distribution, and lee_route picks the cheapest for what the caller wants:
 the counts, or the minimum weight and its first index.  For the minimum
 weight the Plotkin route needs no distribution: lee_route splits the code
 into parts that carry their own witness routes, and Route.min_weight
-applies d(C) = min(2·d(A), d(B)) down that tree.  A route that proves d
-first weighs the word at index 1, and searches further only when it is
-heavier.
+applies d(C) = min(2·d(A), d(B)) down that tree.  Every route proves d,
+and Route.witness alone names its first word: it weighs the word at index
+1, and searches further only when it is heavier.
 """
 
 from __future__ import annotations
@@ -256,18 +255,6 @@ class Sweep:
         # neg_m is m exactly when neg is f; m in {f, neg} leaves neg_m there too
         return 1 + (neg != f), 0 if m in (f, neg) else 1 + (neg_m != m)
 
-    def mirror_floor(self, h):
-        """No image of block h's words under the mirror, with or without
-        negation, at a smaller index can improve on block h's own minimum.
-
-        The images' fields are exactly m = h's field ^ P's field and neg(m).
-        With no unit pair in the field (h itself), negation can move an
-        image out of block m only when h's one bit is the high bit of a unit
-        pair split with the table, and then it moves it into block h, whose
-        own minimum comes first."""
-        m = (h >> self._field_shift) ^ self._mirror_field
-        return min(m, self._negate_field(m)) << self._field_shift + self.low_bits
-
     def _offset(self, h):
         """The word at sweep index h * block_size, as a Python int."""
         offset = 0
@@ -302,8 +289,7 @@ class Sweep:
 def _fold_units(units, fold, workers):
     """Per-thread partials of fold over the iterator units, in a fixed order:
     the calling thread's first, then each started thread's (None for one
-    that took no unit), for the full sweeps of min_weight_sweep and
-    weight_histogram.
+    that took no unit), for min_weight_sweep and weight_histogram.
 
     fold(acc, unit, scratch) returns the partial acc (None before a thread's
     first unit) with unit folded in, using buffers kept in the thread's own
@@ -366,66 +352,59 @@ def _counted_blocks(sweep):
 
 
 def min_weight_sweep(
-    basis,
-    k,
-    combine,
-    weights,
-    workers=1,
-    stop_at=None,
-    block_log2=DEFAULT_BLOCK_LOG2,
-    units=0,
-    *,
+    basis, k, combine, weights, workers=1, block_log2=DEFAULT_BLOCK_LOG2, units=0, *,
     mirror=None,
 ):
-    """(min weight, first sweep index achieving it) over the 2^k - 1 words
-    after index 0 (the zero word), or None when k = 0.
+    """Least weight of the 2^k - 1 words after index 0 (the zero word), an
+    int, or None when k = 0.
 
-    stop_at makes the call a search: it weighs the blocks in index order,
-    in the calling thread, and returns at the first block whose own minimum
-    is <= stop_at, with that block's result: it lies below every earlier
-    block's.  The weights follow from combine (Sweep.weights); the weights
-    parameter (lee_weights or bit_weights) stays for the callers that pass
-    it.  units and mirror (Sweep's) weigh one block of each orbit; a block
-    h with mirrored images also offers their least weight d (mirror_weight
-    less its greatest) as (d, mirror_floor(h), -1), behind the words of
-    weight d up to that index.  If an offer is the minimum, a search with
-    stop_at=d and no mirror, in the same blocks, names its first index.
-    mirror needs the whole sweep, so it refuses stop_at, and a basis of
-    independent words, so that only index 0 holds the zero word.
-
-    Without stop_at, workers share the blocks (_fold_units).
+    The weights follow from combine (Sweep.weights); the weights parameter
+    (lee_weights or bit_weights) stays for the callers that pass it.  units
+    and mirror (Sweep's) weigh one block of each orbit, and a block with
+    mirrored images adds their least weight, mirror_weight less its
+    greatest.  mirror needs a basis of independent words, so that only
+    index 0 holds the zero word.  Workers share the blocks (_fold_units).
     """
-    if mirror is not None and stop_at is not None:
-        raise ValueError("mirror pairs blocks of the whole sweep; it cannot stop early")
     sweep = Sweep(basis, k, combine, block_log2, units, mirror=mirror)
-    size = sweep.block_size()
 
     def fold(best, unit, scratch):
         h, _, mirrored = unit
+        w = sweep.weights(h, scratch)
+        first = 1 if h == 0 else 0  # index 0 is the zero word
+        least = [] if best is None else [best]
+        if len(w) > first:
+            least.append(int(w[first:].min()))
+        # no image is the zero word: the block holding the mirror word has
+        # its images in field 0, so orbit() skips it for field 0's blocks
+        if mirrored:
+            least.append(sweep.mirror_weight - int(w.max()))
+        return min(least, default=None)
+
+    partials = _fold_units(_counted_blocks(sweep), fold, workers)
+    return min((p for p in partials if p is not None), default=None)
+
+
+def first_block_at_most(basis, k, combine, stop_at, block_log2=DEFAULT_BLOCK_LOG2, units=0):
+    """(weight, sweep index) of the least word after index 0 in the first
+    block, in index order, whose own minimum is <= stop_at: it lies below
+    every earlier block's.  With no such block, the least (weight, index)
+    of the whole sweep; None when k = 0.
+
+    It weighs the blocks in the calling thread.  units (Sweep's) skips the
+    blocks whose words an earlier block holds negated, at equal weight.
+    """
+    sweep = Sweep(basis, k, combine, block_log2, units)
+    size = sweep.block_size()
+    best, scratch = None, {}
+    for h, _, _ in _counted_blocks(sweep):
         w = sweep.weights(h, scratch)
         first = 1 if h == 0 else 0  # index 0 is the zero word
         if len(w) > first:
             i = first + int(np.argmin(w[first:]))
             r = (int(w[i]), h * size + i)
             best = r if best is None or r < best else best
-        if mirrored:
-            d = sweep.mirror_weight - int(w.max())  # 0: the image of 2·1, the zero word
-            if d and (best is None or (d, sweep.mirror_floor(h)) < best):
-                best = (d, sweep.mirror_floor(h), -1)  # an offer: the search names it
-        return best
-
-    if stop_at is not None:
-        best, scratch = None, {}
-        for unit in _counted_blocks(sweep):
-            best = fold(best, unit, scratch)
-            if best is not None and best[0] <= stop_at:
+            if best[0] <= stop_at:
                 return best
-        return best
-    partials = _fold_units(_counted_blocks(sweep), fold, workers)
-    best = min((p for p in partials if p is not None), default=None)
-    if best is not None and len(best) > 2:
-        return min_weight_sweep(basis, k, combine, weights, stop_at=best[0],
-                                block_log2=block_log2, units=units)
     return best
 
 
@@ -609,10 +588,11 @@ class Route(NamedTuple):
     def min_weight(self, workers=1):
         """Minimum nonzero Lee weight d of C, C not {0}.
 
-        The direct route takes its witness's weight, and the dual route and
-        the Plotkin counts their first nonzero count.  The Plotkin route
-        priced for the witness takes each part route's own min_weight, and
-        d(C) = min(2·d(A), d(B)), which holds for any A and B:
+        The direct route is one orbit-paired min_weight_sweep of C, and the
+        dual route and the Plotkin counts take their first nonzero count.
+        The Plotkin route priced for the witness takes each part route's
+        own min_weight, and d(C) = min(2·d(A), d(B)), which holds for any
+        A and B:
         - a nonzero (x, x) weighs 2·wt(x) >= 2·d(A);
         - with y nonzero, wt(x) + wt(x + y) >= wt(y) >= d(B), by the Lee
           triangle inequality;
@@ -620,8 +600,12 @@ class Route(NamedTuple):
           two bounds.
         A side with no nonzero word is left out.
         """
+        sf = self.sf
         if self.method == "direct":
-            return self.witness(workers)[0]
+            return min_weight_sweep(
+                z4_basis_from_standard_form(sf), sf.log2_size, z4_add, lee_weights,
+                workers=workers, units=sf.k1, mirror=_sweep_mirror(sf),
+            )
         if self.method == "plotkin" and isinstance(self.parts[0], Route):
             return min(f * part.min_weight(workers)
                        for f, part in zip((2, 1), self.parts) if part.sf.log2_size)
@@ -630,33 +614,24 @@ class Route(NamedTuple):
     def witness(self, workers=1):
         """(minimum nonzero Lee weight, sweep index of its first word) of C.
 
-        On the direct route the orbit-paired full sweep is the whole
-        computation, with a stop-at search of its own when an image may
-        come first.  On the others min_weight proves the minimum d first.
-        The word at index 1, the first nonzero one, is then weighed alone:
-        at weight d it is the witness.  If it is heavier, a sweep of C in
+        On every route min_weight proves the minimum d first.  The word at
+        index 1, the first nonzero one, is then weighed alone: at weight d
+        it is the witness.  If it is heavier, a sweep of C in
         WITNESS_BLOCK_LOG2 blocks stops at the first block holding a word of
-        weight d: it misses no lighter word, and the index is the one the
-        full sweep returns.  Raises ArithmeticError if the word at index 1
-        or the search finds another weight, which a wrong proof of d would
-        give.
+        weight d (first_block_at_most): it misses no lighter word, and the
+        index is the one an unpaired full sweep returns.  Raises
+        ArithmeticError if the word at index 1 or the search finds another
+        weight, which a wrong proof of d would give.
         """
         sf = self.sf
         if sf.log2_size == 0:
             raise ZeroCodeError("the zero code has no nonzero codeword")
-        basis = mixed_radix_basis(sf)
-        if self.method == "direct":
-            return min_weight_sweep(
-                pack_rows(basis, sf.n, 2), sf.log2_size, z4_add, lee_weights, workers=workers,
-                units=sf.k1, mirror=_sweep_mirror(sf),
-            )
         d = self.min_weight(workers)
+        basis = mixed_radix_basis(sf)
         found = lee_weight(basis[0]), 1
         if found[0] > d:
-            found = min_weight_sweep(
-                pack_rows(basis, sf.n, 2), sf.log2_size, z4_add, lee_weights, workers=workers,
-                stop_at=d, block_log2=WITNESS_BLOCK_LOG2, units=sf.k1,
-            )
+            found = first_block_at_most(pack_rows(basis, sf.n, 2), sf.log2_size, z4_add, d,
+                                        WITNESS_BLOCK_LOG2, sf.k1)
         if found[0] != d:
             raise ArithmeticError(f"the {self.method} route proved d = {d}, "
                                   f"but the search found weight {found[0]}")

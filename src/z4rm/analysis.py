@@ -331,10 +331,10 @@ def binary_code_params(
     basis = _engine.xor_basis_from_rows(bit_rows, n)
     # blocks pair with their complements, wt(x + 1) = n - wt(x)
     mirror = _all_ones_index(basis_ints, n) if k > _engine.DEFAULT_BLOCK_LOG2 else None
-    best = _engine.min_weight_sweep(
+    d = _engine.min_weight_sweep(
         basis, k, _engine.xor_add, _engine.bit_weights, workers=workers, mirror=mirror
     )
-    return CodeParams(n=n, k=k, d=best[0], binary=True)
+    return CodeParams(n=n, k=k, d=d, binary=True)
 
 
 def search_nonlinear_base(

@@ -238,14 +238,20 @@ def test_verify_never_bounds_the_sweep_by_the_claim(monkeypatch):
     from z4rm import _engine
     from z4rm.linalg import dual_standard_form
 
+    # None for a full sweep, stop_at for a search
     seen = []
-    real = _engine.min_weight_sweep
+    full, search = _engine.min_weight_sweep, _engine.first_block_at_most
 
-    def spy(*args, **kwargs):
-        seen.append(kwargs.get("stop_at"))
-        return real(*args, **kwargs)
+    def full_spy(*args, **kwargs):
+        seen.append(None)
+        return full(*args, **kwargs)
 
-    monkeypatch.setattr(_engine, "min_weight_sweep", spy)
+    def search_spy(basis, k, combine, stop_at, *args, **kwargs):
+        seen.append(stop_at)
+        return search(basis, k, combine, stop_at, *args, **kwargs)
+
+    monkeypatch.setattr(_engine, "min_weight_sweep", full_spy)
+    monkeypatch.setattr(_engine, "first_block_at_most", search_spy)
     # LRM(1,4) has 2^5 words and a 2^11-word dual: a full direct sweep
     fast = verify_theorem1(1, 4, fast=True)
     assert seen == [None]

@@ -67,6 +67,9 @@ def test_sweep_weights_match_scalar_lee_weights_per_index(workers):
                 basis, k, _engine.z4_add, _engine.lee_weights,
                 workers=workers, block_log2=block_log2, units=units,
             )
+            assert got == want[0], (g.n, k, block_log2, units)
+            # no word weighs 0, so a search stopping at 0 never stops
+            got = _engine.first_block_at_most(basis, k, _engine.z4_add, 0, block_log2, units)
             assert got == want, (g.n, k, block_log2, units)
             hist = _engine.weight_histogram(
                 basis, k, _engine.z4_add, _engine.lee_weights,
@@ -109,6 +112,10 @@ def test_paired_sweep_runs_one_block_of_each_negation_pair(monkeypatch, workers)
         basis, k, _engine.z4_add, _engine.lee_weights,
         workers=workers, block_log2=1, units=sf.k1,
     )
+    assert got == min(lee[1:])
+    assert len(run) == 36
+    run.clear()
+    got = _engine.first_block_at_most(basis, k, _engine.z4_add, 0, block_log2=1, units=sf.k1)
     assert got == (min(lee[1:]), 1 + lee[1:].index(min(lee[1:])))
     assert len(run) == 36
 
@@ -166,6 +173,8 @@ def test_binary_sweeps_across_blocks(workers):
                 basis, k, _engine.xor_add, _engine.bit_weights,
                 workers=workers, block_log2=block_log2,
             )
+            assert got == want[0], (n, k, block_log2)
+            got = _engine.first_block_at_most(basis, k, _engine.xor_add, 0, block_log2)
             assert got == want, (n, k, block_log2)
             hist = _engine.weight_histogram(
                 basis, k, _engine.xor_add, _engine.bit_weights,
@@ -244,8 +253,7 @@ def test_an_error_in_any_block_is_raised_not_a_partial_result():
         # 2-word blocks of 2^6 words; the plotkin route's 2^16 words in 2^14
         lambda: _engine.min_weight_sweep(basis, k, _engine.z4_add, _engine.lee_weights,
                                          workers=4, block_log2=1),
-        lambda: _engine.min_weight_sweep(basis, k, _engine.z4_add, _engine.lee_weights,
-                                         workers=4, block_log2=1, stop_at=0),
+        lambda: _engine.first_block_at_most(basis, k, _engine.z4_add, 0, block_log2=1),
         lambda: _engine.weight_histogram(basis, k, _engine.z4_add, _engine.lee_weights,
                                          max_weight=12, workers=4, block_log2=1),
         lambda: _engine.plotkin_lee_distribution(a, b, inter),
@@ -307,22 +315,23 @@ def _same_for_1_and_4_workers(call):
 @settings(max_examples=80, deadline=None)
 @given(case=_sweep_cases(), block_log2=st.integers(1, 3))
 def test_sweeps_do_not_depend_on_worker_count(case, block_log2):
-    # the histogram, and a minimum search not stopped, or stopped at the true
-    # distance d or above it, where a block after the one that stops the
-    # search may hold a smaller weight, on 2- to 8-word blocks
+    # the histogram, the minimum, and a search stopped at the true distance d
+    # or above it, where a block after the one that stops the search may hold
+    # a smaller weight, on 2- to 8-word blocks.  The search takes no workers:
+    # it runs in the calling thread, whatever the other threads do
     basis, k, combine, max_weight, units = case
     sweep = dict(block_log2=block_log2, units=units)
     _same_for_1_and_4_workers(lambda workers: _engine.weight_histogram(
         basis, k, combine, None, max_weight, workers=workers, **sweep))
 
-    def min_weight(stop_at):
-        return lambda workers: _engine.min_weight_sweep(
-            basis, k, combine, None, workers=workers, stop_at=stop_at, **sweep)
+    def search(stop_at):
+        return lambda workers: _engine.first_block_at_most(basis, k, combine, stop_at, **sweep)
 
-    best = _same_for_1_and_4_workers(min_weight(None))
+    best = _same_for_1_and_4_workers(lambda workers: _engine.min_weight_sweep(
+        basis, k, combine, None, workers=workers, **sweep))
     if best is not None:
-        for stop_at in range(best[0], best[0] + 9):
-            _same_for_1_and_4_workers(min_weight(stop_at))
+        for stop_at in range(best, best + 9):
+            assert best <= _same_for_1_and_4_workers(search(stop_at))[0] <= stop_at
 
 
 def _block_minima(lee, size):
@@ -341,7 +350,7 @@ def test_search_returns_the_first_block_at_or_below_stop_at(monkeypatch, workers
     # every stop_at from d to the largest weight, on 2- to 8-word blocks,
     # with and without negation pairing: the result is that of the first
     # block, in index order, whose least weight is <= stop_at, and no block
-    # after it is weighed
+    # after it is weighed.  The full sweep at workers proves that d
     run = []
     weights = _engine.Sweep.weights
     monkeypatch.setattr(_engine.Sweep, "weights",
@@ -356,13 +365,13 @@ def test_search_returns_the_first_block_at_or_below_stop_at(monkeypatch, workers
             basis = _engine.z4_basis_from_standard_form(sf)
             for block_log2, units in itertools.product((1, 2, 3), (0, sf.k1)):
                 minima = _block_minima(lee, 1 << min(k, block_log2))
+                sweep = dict(block_log2=block_log2, units=units)
+                assert _engine.min_weight_sweep(
+                    basis, k, _engine.z4_add, None, workers=workers, **sweep) == min(lee[1:])
                 for stop_at in range(min(lee[1:]), max(lee) + 1):
                     h = next(h for h, r in enumerate(minima) if r and r[0] <= stop_at)
                     run.clear()
-                    got = _engine.min_weight_sweep(
-                        basis, k, _engine.z4_add, None, workers=workers, stop_at=stop_at,
-                        block_log2=block_log2, units=units,
-                    )
+                    got = _engine.first_block_at_most(basis, k, _engine.z4_add, stop_at, **sweep)
                     assert got == minima[h], (g.n, k, block_log2, units, stop_at)
                     assert max(run) == h
 
@@ -383,8 +392,8 @@ def test_only_full_sweeps_start_threads(monkeypatch):
         started = _counted_threads(monkeypatch)
         assert (route.counts(workers=4), route.witness(workers=4)) == want
         # no word weighs 0, so the search weighs all 16 blocks
-        assert _engine.min_weight_sweep(basis, k, _engine.z4_add, None, stop_at=0,
-                                        **sweep) == full
+        assert _engine.first_block_at_most(basis, k, _engine.z4_add, 0, block_log2=2)[0] \
+            == full
         assert started == []
         _engine.min_weight_sweep(basis, k, _engine.z4_add, None, **sweep)
         assert len(started) == 3
@@ -421,22 +430,22 @@ def _with_mirror(rows):
 @given(code=_mirrored_z4_codes(), block_log2=st.integers(0, 3),
        workers=st.sampled_from([1, 4]), paired=st.booleans())
 # the first word of weight 4, at index 12, is the negative of an image whose
-# field, neg(m), lies below m: a fold that skips by m alone returns index 16
+# field, neg(m), lies below m: a fold that skips by m alone misses it
 @example(code=_with_mirror(["222222222", "202320213", "310200000"]), block_log2=1,
          workers=1, paired=True)
 # the first word of weight 2, at index 4, is an image, and a word of weight 3
-# lies at index 3: a search for the image's index that stops at weight 3
-# returns it
+# lies at index 3: a witness that stops at weight 3 names the wrong word
 @example(code=_with_mirror(["2222", "2100"]), block_log2=0, workers=1, paired=True)
-# the first word of weight 17, at index 377, is an image that ranks before a
-# weighed word of weight 17 at index 456 only by mirror_floor
+# the first word of weight 17, at index 377, is an image, and a weighed word
+# of weight 17 lies at index 456
 @example(code=_with_mirror(["111111111111111111111111111", "303112110322103103110232011",
                             "322023013120030032103021312", "300001332001131333032311312",
                             "032210112203202302020100331"]),
          block_log2=0, workers=1, paired=True)
 def test_orbit_sweeps_equal_the_unpaired_full_sweep(code, block_log2, workers, paired):
     # 1- to 8-word blocks: the unit pairs lie in the block's field, straddle
-    # it or sit in the table, and with units = 0 the mirror pairs whole blocks
+    # it or sit in the table, and with units = 0 the mirror pairs whole blocks.
+    # The direct route's witness is the unpaired sweep's first least word
     sf, mirror = code
     assert mirror is not None
     k, n = sf.log2_size, sf.n
@@ -455,6 +464,9 @@ def test_orbit_sweeps_equal_the_unpaired_full_sweep(code, block_log2, workers, p
     assert _with_workers(workers, lambda w: sweeps(w, **orbit)) == want
     # the complement symmetry itself: A_w = A_{2n-w}
     assert want[1] == want[1][::-1]
+    first = _engine.first_block_at_most(basis, k, _engine.z4_add, 0, block_log2=block_log2)
+    assert first[0] == want[0]
+    assert _engine.Route("direct", k, sf, None).witness() == first
 
 
 @st.composite
@@ -492,7 +504,9 @@ def test_xor_orbit_sweeps_equal_the_unpaired_full_sweep(code, block_log2, worker
                                           workers=workers, **sweep)),
         )
 
-    assert _with_workers(workers, lambda w: sweeps(w, mirror)) == sweeps(1, None)
+    want = sweeps(1, None)
+    assert _with_workers(workers, lambda w: sweeps(w, mirror)) == want
+    assert _engine.first_block_at_most(basis, k, _engine.xor_add, 0, block_log2)[0] == want[0]
 
 
 def test_all_ones_index_is_none_without_the_all_ones_word():
@@ -519,11 +533,10 @@ def test_orbit_sweeps_weigh_one_block_of_each_orbit(monkeypatch):
         _engine.weight_histogram(basis, k, _engine.z4_add, None, 2 * sf.n, units=units,
                                  mirror=mirror)
         assert len(run) == blocks, (units, mirror)
-    # the minimum weighs the same 20 blocks: its first word of weight 16, at
-    # index 1, lies below every image, so no search runs
+    # the minimum weighs the same 20 blocks
     run.clear()
     assert _engine.min_weight_sweep(basis, k, _engine.z4_add, None, units=sf.k1, mirror=p) \
-        == (16, 1)
+        == 16
     assert len(run) == 20
     # the XOR path on RM(2,6): each block with its complement
     run.clear()
@@ -546,14 +559,6 @@ def test_callers_pair_only_sweeps_of_more_than_one_block(monkeypatch):
         route.witness()
         route.counts()
     assert [p is not None for p in seen] == [False, False, True, True]
-
-
-def test_mirror_refuses_a_search_that_stops_early():
-    sf = lrm(1, 3).standard_form
-    basis = _engine.z4_basis_from_standard_form(sf)
-    with pytest.raises(ValueError):
-        _engine.min_weight_sweep(basis, sf.log2_size, _engine.z4_add, None, stop_at=2,
-                                 block_log2=1, mirror=mirror_index(sf))
 
 
 @pytest.mark.parametrize("workers", [1, 4])

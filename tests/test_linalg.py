@@ -332,9 +332,8 @@ def test_witness_search_that_stops_in_block_0_starts_no_thread(monkeypatch):
     basis = _engine.z4_basis_from_standard_form(small)
     full = _engine.min_weight_sweep(basis, small.log2_size, _engine.z4_add,
                                     _engine.lee_weights, block_log2=2)
-    assert _engine.min_weight_sweep(basis, small.log2_size, _engine.z4_add,
-                                    _engine.lee_weights, workers=4, block_log2=2,
-                                    stop_at=0) == full
+    assert _engine.first_block_at_most(basis, small.log2_size, _engine.z4_add, 0,
+                                       block_log2=2)[0] == full
     assert started == []
     _engine.min_weight_sweep(basis, small.log2_size, _engine.z4_add, _engine.lee_weights,
                              workers=4, block_log2=2)
@@ -350,7 +349,9 @@ def test_engine_min_weight_and_histogram():
             basis, sf.log2_size, _engine.z4_add, _engine.lee_weights,
             workers=workers, block_log2=1,
         )
-        assert got == (2, 1)  # word (0,2) at sweep index 1
+        assert got == 2
+        # word (0,2) at sweep index 1
+        assert _engine.first_block_at_most(basis, sf.log2_size, _engine.z4_add, 0, 1) == (2, 1)
         hist = _engine.weight_histogram(
             basis, sf.log2_size, _engine.z4_add, _engine.lee_weights,
             max_weight=2 * g.n, workers=workers, block_log2=1,
@@ -375,6 +376,8 @@ def test_engine_reused_buffers_match_scalar_weights(workers):
     got = _engine.min_weight_sweep(
         basis, k, _engine.z4_add, _engine.lee_weights, workers=workers, block_log2=k - 3
     )
+    assert got == min(lee[1:])
+    got = _engine.first_block_at_most(basis, k, _engine.z4_add, 0, block_log2=k - 3)
     assert got == (min(lee[1:]), 1 + lee[1:].index(min(lee[1:])))
     bits = [BitWord([int(b) for b in rng.integers(0, 2, 70)]) for _ in range(9)]
     xor_basis = _engine.xor_basis_from_rows(bits, 70)

@@ -3,8 +3,8 @@ transform, and the counts and witness of the route _engine.lee_route
 chooses, each checked against the exhaustive direct sweep.  The public
 lee_weight_distribution and min_lee_weight_witness take that route, so the
 direct references here (direct_counts, direct_min) call the engine's full
-weight_histogram and min_weight_sweep on the code's own basis,
-z4_basis_from_standard_form."""
+weight_histogram, and first_block_at_most with stop_at=0, on the code's own
+basis, z4_basis_from_standard_form."""
 
 import functools
 import random
@@ -48,12 +48,12 @@ def direct_counts(code, workers=1):
     return [int(a) for a in hist]
 
 
-def direct_min(sf, workers=1):
+def direct_min(sf):
     """(minimum nonzero Lee weight, sweep index of its first word) of sf's
-    code, from a full sweep of its own words."""
-    return _engine.min_weight_sweep(
-        _engine.z4_basis_from_standard_form(sf), sf.log2_size, _engine.z4_add,
-        _engine.lee_weights, workers=workers,
+    code, from an unpaired serial sweep of its own words: no word after
+    index 0 weighs 0, so the search never stops."""
+    return _engine.first_block_at_most(
+        _engine.z4_basis_from_standard_form(sf), sf.log2_size, _engine.z4_add, 0,
     )
 
 
@@ -167,35 +167,41 @@ def test_smaller_side_matches_exhaustive_sweep(overrides):
     ]
     for r, m in orders:
         sf = lrm(r, m, overrides).standard_form
-        assert _engine.lee_route(sf).witness(workers=2) == direct_min(sf, workers=2), (r, m)
+        assert _engine.lee_route(sf).witness(workers=2) == direct_min(sf), (r, m)
 
 
 def test_witness_searches_past_a_heavier_word_at_index_1(monkeypatch):
-    # the first random code of a seeded stream whose witness route proves d
-    # (on its dual, or split) and whose word at index 1 weighs more than d:
-    # the search then finds the first word of weight d, past index 1, where
-    # the direct full sweep finds it
+    # the first random codes of a seeded stream whose word at index 1 weighs
+    # more than d, one whose witness route proves d on its dual or split, and
+    # one on the direct route's paired sweep: the search then finds the first
+    # word of weight d, past index 1, where the unpaired full sweep finds it
     rng = random.Random(0)
+    routes = {}
     for _ in range(200):
         n = rng.randint(8, 10)
         rows = [Z4Word([rng.randrange(4) for _ in range(n)]) for _ in range(n - 1)]
         sf = standard_form(GeneratorMatrix(rows, n=n))
         route = _engine.lee_route(sf, witness=True)
-        if route.method != "direct" and lee_weight(mixed_radix_basis(sf)[0]) > direct_min(sf)[0]:
+        kind = route.method == "direct"
+        if kind not in routes and lee_weight(mixed_radix_basis(sf)[0]) > direct_min(sf)[0]:
+            routes[kind] = route
+        if len(routes) == 2:
             break
     else:
-        pytest.fail("no code of the stream searches past index 1")
+        pytest.fail("no code of the stream searches past index 1 on both kinds of route")
     stops = []
-    real = _engine.min_weight_sweep
+    real = _engine.first_block_at_most
 
-    def spy(*args, **kwargs):
-        stops.append(kwargs.get("stop_at"))
-        return real(*args, **kwargs)
+    def spy(basis, k, combine, stop_at, *args, **kwargs):
+        stops.append(stop_at)
+        return real(basis, k, combine, stop_at, *args, **kwargs)
 
-    monkeypatch.setattr(_engine, "min_weight_sweep", spy)
-    d, t = route.witness()
-    assert stops == [d]
-    assert t > 1 and (d, t) == direct_min(sf)
+    monkeypatch.setattr(_engine, "first_block_at_most", spy)
+    for route in routes.values():
+        stops.clear()
+        d, t = route.witness()
+        assert stops == [d]
+        assert t > 1 and (d, t) == direct_min(route.sf)
 
 
 @functools.cache
@@ -203,7 +209,7 @@ def _direct_reference(r, m, override_index):
     """(code, direct counts, (d, witness) of the direct min sweep)."""
     code = lrm(r, m, OVERRIDES[override_index])
     sf = code.standard_form
-    d, t = direct_min(sf, workers=2)
+    d, t = direct_min(sf)
     return code, direct_counts(code, workers=2), (d, codeword_at(sf, t))
 
 

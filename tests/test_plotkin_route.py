@@ -553,7 +553,15 @@ def test_a_wrong_proof_raises(monkeypatch, m, off):
     # and the witness raises before it builds any Sweep; d - 1 on LRM(2,5):
     # that word is heavier, and the search sweeps all 2^16 words.  Either
     # way it finds d, not the proof's weight, and the witness raises rather
-    # than print it
+    # than print it.  So does the direct route of LRM(1,m) when its paired
+    # sweep proves d + off
+    direct = _engine.lee_route(lrm(1, m).standard_form, witness=True)
+    assert direct.method == "direct"
+    wrong = direct.min_weight() + off
+    with monkeypatch.context() as patch:
+        patch.setattr(_engine, "min_weight_sweep", lambda *args, **kwargs: wrong)
+        with pytest.raises(ArithmeticError, match="proved d"):
+            direct.witness()
     route = _engine.lee_route(lrm(2, m).standard_form, witness=True)
     assert route.method == "plotkin"
     proof = route.min_weight() + off
